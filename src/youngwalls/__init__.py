@@ -1,6 +1,15 @@
 """Walls as constrained partitions, strict partitions, and the maps between them."""
 
-from .bijections import MapResult, MapStep, insert_blocks, phi, phi_inv, psi, psi_inv
+from .bijections import (
+    CertificationError,
+    MapResult,
+    MapStep,
+    insert_blocks,
+    phi,
+    phi_inv,
+    psi,
+    psi_inv,
+)
 from .characters import VirtualCharacter, principal_character, virtual_character
 from .partitions import (
     Partition,
@@ -29,7 +38,6 @@ from .walls import (
     enumerate_proper,
     enumerate_reduced,
     has_removable_delta,
-    is_full_column,
     is_proper,
     is_reduced,
     weight,
@@ -37,6 +45,7 @@ from .walls import (
 
 __all__ = [
     "ALL_CHECKS",
+    "CertificationError",
     "MapResult",
     "MapStep",
     "Partition",
@@ -55,7 +64,6 @@ __all__ = [
     "enumerate_strict",
     "has_removable_delta",
     "insert_blocks",
-    "is_full_column",
     "is_proper",
     "is_reduced",
     "phi",

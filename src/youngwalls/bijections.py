@@ -12,7 +12,8 @@ bookkeeping partition recording how much was stripped where.
   partition.
 
 Each map is certified against its inverse at runtime: the inverses replay
-the forward map and insist on getting their arguments back.
+the forward map and insist on getting their arguments back.  A failed
+certification raises ``CertificationError``, which ``python -O`` keeps.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ from dataclasses import dataclass
 
 from .partitions import Partition
 from .walls import WallParams, is_proper, is_reduced
+
+
+class CertificationError(Exception):
+    """A reduction map or its inverse broke one of its certified invariants."""
+
+
+def _certify(ok: bool, what: str) -> None:
+    if not ok:
+        raise CertificationError(what)
 
 
 @dataclass(frozen=True)
@@ -53,21 +63,19 @@ class MapResult:
         return (self.reduced_part, self.hat_part)
 
 
-def insert_blocks(lam: Partition, k: int, j: int, params: WallParams) -> Partition:
-    """Insert ``j`` copies of the part ``k * delta`` into ``lam``.
+def insert_blocks(lam: Partition, k: int, params: WallParams) -> Partition:
+    """Insert a pair of parts ``k * delta`` into ``lam``.
 
-    The copies go right after the last part that is >= k * delta (all parts
+    The pair goes right after the last part that is >= k * delta (all parts
     when none are smaller), so the result stays weakly decreasing.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if j < 0:
-        raise ValueError(f"j must be non-negative, got {j}")
     value = k * params.delta
     pos = 0
     while pos < len(lam) and lam[pos] >= value:
         pos += 1
-    return Partition(lam.parts[:pos] + (value,) * j + lam.parts[pos:])
+    return Partition(lam.parts[:pos] + (value, value) + lam.parts[pos:])
 
 
 def _max_quanta(hi: int, lo: int, delta: int) -> int:
@@ -116,14 +124,14 @@ def psi(lam: Partition, params: WallParams) -> MapResult:
         trace.append(MapStep(len(trace) + 1, i, t))
 
     reduced = Partition(cur)
-    assert is_reduced(reduced, params)
+    _certify(is_reduced(reduced, params), "psi result not reduced")
     stripped = lam.size - reduced.size
-    assert stripped > 0 and stripped % (2 * delta) == 0
+    _certify(stripped > 0 and stripped % (2 * delta) == 0, "psi strip size")
     k = stripped // (2 * delta)
     hat = Partition(
         tuple((lam[i] - reduced[i]) // (2 * delta) for i in range(len(lam)))
     )
-    assert hat.size == k
+    _certify(hat.size == k, "psi hat size")
     return MapResult(reduced, hat, k, tuple(trace))
 
 
@@ -143,7 +151,7 @@ def psi_inv(reduced: Partition, hat: Partition, params: WallParams) -> Partition
         tuple(reduced[i] + period * hat[i] for i in range(n_parts))
     )
     back = psi(lam, params)
-    assert back.pair() == (reduced, hat)
+    _certify(back.pair() == (reduced, hat), "psi_inv round trip mismatch")
     return lam
 
 
@@ -173,16 +181,16 @@ def phi(lam: Partition, params: WallParams) -> MapResult:
             break
         i = hit
         height = cur[i - 1]
-        assert height % delta == 0
+        _certify(height % delta == 0, "phi pair off the delta grid")
         del cur[i - 2 : i]
         values.append(height // delta)
         trace.append(MapStep(len(trace) + 1, i, height))
 
     hat = Partition(tuple(reversed(values)))
     strict_part = Partition(cur)
-    assert strict_part.is_strict()
+    _certify(strict_part.is_strict(), "phi result not strict")
     k = hat.size
-    assert lam.size - strict_part.size == k * params.period
+    _certify(lam.size - strict_part.size == k * params.period, "phi delete size")
     return MapResult(strict_part, hat, k, tuple(trace))
 
 
@@ -198,7 +206,7 @@ def phi_inv(strict_part: Partition, hat: Partition, params: WallParams) -> Parti
         raise ValueError("bookkeeping partition must be non-empty")
     lam = strict_part
     for v in hat:
-        lam = insert_blocks(lam, v, 2, params)
+        lam = insert_blocks(lam, v, params)
     back = phi(lam, params)
-    assert back.pair() == (strict_part, hat)
+    _certify(back.pair() == (strict_part, hat), "phi_inv round trip mismatch")
     return lam

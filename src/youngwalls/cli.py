@@ -39,10 +39,6 @@ def parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
-def format_partition(lam: Partition) -> str:
-    return ",".join(str(p) for p in lam.parts)
-
-
 def _vector(values) -> str:
     return "[" + ",".join(str(v) for v in values) + "]"
 
@@ -81,7 +77,7 @@ def cmd_enum(args: argparse.Namespace) -> int:
         },
     }
     lines = [f"count: {len(members)}"]
-    lines += [format_partition(lam) for lam in members]
+    lines += [str(lam) for lam in members]
     _emit(record, args.format, lines)
     return 0
 
@@ -120,8 +116,8 @@ def cmd_map(args: argparse.Namespace) -> int:
             "k": result.k,
         }
         lines = [
-            f"reduced: {format_partition(result.reduced_part)}",
-            f"hat: {format_partition(result.hat_part)}",
+            f"reduced: {result.reduced_part}",
+            f"hat: {result.hat_part}",
             f"k: {result.k}",
         ]
         if args.trace:
@@ -137,7 +133,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         inverse = psi_inv if args.alg == "psi-inv" else phi_inv
         rebuilt = inverse(lam, hat, params)
         record["payload"] = {"result": list(rebuilt.parts)}
-        lines = [f"result: {format_partition(rebuilt)}"]
+        lines = [f"result: {rebuilt}"]
     _emit(record, args.format, lines)
     return 0
 

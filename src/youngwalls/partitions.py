@@ -94,42 +94,50 @@ def _check_non_negative(m: int) -> None:
         raise ValueError(f"m must be non-negative, got {m}")
 
 
-def enumerate_partitions(m: int) -> list[Partition]:
-    """All partitions of ``m`` in descending lexicographic order."""
+def _enumerate_window(m: int, d: int, gap: int) -> list[Partition]:
+    """All partitions of ``m`` whose adjacent parts obey one window rule,
+    descending lexicographic.
+
+    With e = 1 if part a is a multiple of ``d``, else 0, the part after a
+    lies in [a - gap + e, a - 1 + e], and the partition may end after a
+    exactly when that window reaches 0.  A ``d`` above ``m`` divides no
+    part, so parts strictly decrease; a ``gap`` above ``m`` leaves the
+    window unbounded below.
+    """
     _check_non_negative(m)
-
     out: list[Partition] = []
+    prefix: list[int] = []
 
-    def rec(rest: int, bound: int, prefix: list[int]) -> None:
+    def rec(rest: int, hi: int, lo: int) -> None:
+        # the next part lies in [lo, hi]; the partition may end here if lo <= 0
         if rest == 0:
-            out.append(Partition(tuple(prefix)))
+            if lo <= 0:
+                out.append(Partition(prefix))
             return
-        for p in range(min(rest, bound), 0, -1):
-            prefix.append(p)
-            rec(rest - p, p, prefix)
+        if hi > rest:
+            hi = rest
+        if lo < 1:
+            lo = 1
+        for a in range(hi, lo - 1, -1):
+            prefix.append(a)
+            if a % d:
+                rec(rest - a, a - 1, a - gap)
+            else:
+                rec(rest - a, a, a - gap + 1)
             prefix.pop()
 
-    rec(m, m if m else 1, [])
+    rec(m, m, 0)
     return out
+
+
+def enumerate_partitions(m: int) -> list[Partition]:
+    """All partitions of ``m`` in descending lexicographic order."""
+    return _enumerate_window(m, 1, m + 1)
 
 
 def enumerate_strict(m: int) -> list[Partition]:
     """All partitions of ``m`` into distinct parts, descending lexicographic."""
-    _check_non_negative(m)
-
-    out: list[Partition] = []
-
-    def rec(rest: int, bound: int, prefix: list[int]) -> None:
-        if rest == 0:
-            out.append(Partition(tuple(prefix)))
-            return
-        for p in range(min(rest, bound), 0, -1):
-            prefix.append(p)
-            rec(rest - p, p - 1, prefix)
-            prefix.pop()
-
-    rec(m, m if m else 1, [])
-    return out
+    return _enumerate_window(m, m + 1, m + 1)
 
 
 def count_partitions(m: int) -> int:

@@ -17,23 +17,11 @@ class PowerSeries:
 
     coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs: Iterable[int], truncation: int | None = None):
+    def __init__(self, coeffs: Iterable[int]):
         coeffs = tuple(int(c) for c in coeffs)
-        if truncation is not None:
-            if truncation < 0:
-                raise ValueError("truncation degree must be non-negative")
-            if len(coeffs) > truncation + 1:
-                coeffs = coeffs[: truncation + 1]
-            elif len(coeffs) < truncation + 1:
-                coeffs = coeffs + (0,) * (truncation + 1 - len(coeffs))
-        elif not coeffs:
+        if not coeffs:
             raise ValueError("need at least the constant coefficient")
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def one(cls, truncation: int) -> "PowerSeries":
-        """The constant series 1 truncated at the given degree."""
-        return cls((1,), truncation)
 
     @property
     def truncation(self) -> int:
@@ -47,18 +35,6 @@ class PowerSeries:
 
     def __getitem__(self, m: int) -> int:
         return self.coeff(m)
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        M = min(self.truncation, other.truncation)
-        return PowerSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), M
-        )
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        M = min(self.truncation, other.truncation)
-        return PowerSeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), M
-        )
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         M = min(self.truncation, other.truncation)

@@ -13,10 +13,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .bijections import phi, phi_inv, psi, psi_inv
+from .bijections import CertificationError, phi, phi_inv, psi, psi_inv
 from .characters import virtual_character
 from .partitions import (
-    Partition,
     count_odd,
     count_partitions,
     count_strict,
@@ -44,17 +43,14 @@ class VerificationReport:
     counterexample: dict[str, Any] | None = None
     elapsed: float = field(default=0.0, compare=False)
 
-    def to_dict(self, include_elapsed: bool = False) -> dict[str, Any]:
-        """JSON-ready form; elapsed time is diagnostics and off by default."""
-        out: dict[str, Any] = {
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-ready form; elapsed time is diagnostics and left out."""
+        return {
             "check": self.check,
             "params": self.params,
             "passed": self.passed,
             "counterexample": self.counterexample,
         }
-        if include_elapsed:
-            out["elapsed"] = self.elapsed
-        return out
 
 
 def _report(
@@ -172,16 +168,12 @@ def _codomain(
     period = params.period
     pairs = set()
     for k in range(1, m // period + 1):
-        members = family(params, m - period * k)
+        members = family(m - period * k)
         hats = enumerate_partitions(k)
         for member in members:
             for hat in hats:
                 pairs.add((member.parts, hat.parts))
     return pairs
-
-
-def _strict_family(params: WallParams, m: int) -> list[Partition]:
-    return enumerate_strict(m)
 
 
 def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
@@ -191,8 +183,8 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
     failures = []
     n_colors = params.n + 1
     jobs = (
-        ("psi", psi, psi_inv, is_reduced, enumerate_reduced),
-        ("phi", phi, phi_inv, lambda lam, p: lam.is_strict(), _strict_family),
+        ("psi", psi, psi_inv, is_reduced, lambda m: enumerate_reduced(params, m)),
+        ("phi", phi, phi_inv, lambda lam, p: lam.is_strict(), enumerate_strict),
     )
     for m in range(max_m + 1):
         proper = enumerate_proper(params, m)
@@ -203,7 +195,7 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
                 try:
                     result = forward(lam, params)
                     rebuilt = inverse(result.reduced_part, result.hat_part, params)
-                except (ValueError, AssertionError) as exc:
+                except (ValueError, CertificationError) as exc:
                     failures.append({"m": m, "map": name, "partition": lam.parts,
                                      "error": str(exc)})
                     continue

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import Partition
+from .partitions import Partition, _enumerate_window
 
 #: Block counts per color (a_0, ..., a_n); always of length n+1.
 WeightVector = tuple[int, ...]
@@ -49,18 +49,6 @@ def block_color(k: int, params: WallParams) -> int:
         raise ValueError(f"block position must be >= 1, got {k}")
     r = (k - 1) % params.period
     return r if r <= params.n else 2 * params.n + 1 - r
-
-
-def is_full_column(k: int, params: WallParams) -> bool:
-    """Whether a column of ``k`` blocks reaches an integer height.
-
-    Counting the ground half-block plus the half-height 0- and n-blocks, a
-    column ends on a half-integer exactly when its block count is a multiple
-    of delta, so fullness is ``delta does not divide k``.
-    """
-    if k < 0:
-        raise ValueError(f"block count must be >= 0, got {k}")
-    return k % params.delta != 0
 
 
 def is_proper(lam: Partition, params: WallParams) -> bool:
@@ -105,64 +93,13 @@ def has_removable_delta(lam: Partition, params: WallParams) -> bool:
 
 
 def enumerate_proper(params: WallParams, m: int) -> list[Partition]:
-    """All proper walls with ``m`` blocks, descending lexicographic.
-
-    Generated by backtracking that fixes parts left to right under the
-    properness constraint, never by filtering the full partition list.
-    """
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
-    delta = params.delta
-    out: list[Partition] = []
-
-    def rec(rest: int, bound: int, prefix: list[int]) -> None:
-        if rest == 0:
-            out.append(Partition(tuple(prefix)))
-            return
-        for p in range(min(rest, bound), 0, -1):
-            if p == bound and p % delta != 0 and prefix:
-                continue
-            prefix.append(p)
-            rec(rest - p, p, prefix)
-            prefix.pop()
-
-    rec(m, m if m else 1, [])
-    return out
+    """All proper walls with ``m`` blocks, descending lexicographic."""
+    return _enumerate_window(m, params.delta, m + 1)
 
 
 def enumerate_reduced(params: WallParams, m: int) -> list[Partition]:
-    """All reduced walls with ``m`` blocks, descending lexicographic.
-
-    Backtracks under both the properness and the gap constraints, including
-    the final gap of the last part against 0.
-    """
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
-    delta, period = params.delta, params.period
-    out: list[Partition] = []
-
-    def ok_last(p: int) -> bool:
-        return p < period or (p == period and p % delta != 0)
-
-    def rec(rest: int, prev: int | None, prefix: list[int]) -> None:
-        if rest == 0:
-            if not prefix or ok_last(prefix[-1]):
-                out.append(Partition(tuple(prefix)))
-            return
-        hi = rest if prev is None else min(rest, prev)
-        lo = 1 if prev is None else max(1, prev - period)
-        for p in range(hi, lo - 1, -1):
-            if prev is not None:
-                if p == prev and p % delta != 0:
-                    continue
-                if prev - p == period and prev % delta == 0:
-                    continue
-            prefix.append(p)
-            rec(rest - p, p, prefix)
-            prefix.pop()
-
-    rec(m, None, [])
-    return out
+    """All reduced walls with ``m`` blocks, descending lexicographic."""
+    return _enumerate_window(m, params.delta, params.period)
 
 
 def weight(lam: Partition, params: WallParams) -> WeightVector:

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import youngwalls
 from youngwalls import (
+    MapResult,
     MapStep,
     Partition,
     WallParams,
@@ -16,6 +24,7 @@ from youngwalls import (
     phi_inv,
     psi,
     psi_inv,
+    verify_bijections,
     weight,
 )
 
@@ -25,23 +34,17 @@ P3 = WallParams(3)
 
 class TestInsertBlocks:
     def test_insert_between(self):
-        assert insert_blocks(Partition((7, 1)), 2, 1, P2) == (7, 6, 1)
+        assert insert_blocks(Partition((7, 1)), 2, P2) == (7, 6, 6, 1)
 
     def test_insert_pair(self):
-        assert insert_blocks(Partition((1,)), 1, 2, P2) == (3, 3, 1)
-
-    def test_insert_nothing(self):
-        lam = Partition((5, 2))
-        assert insert_blocks(lam, 3, 0, P2) == lam
+        assert insert_blocks(Partition((1,)), 1, P2) == (3, 3, 1)
 
     def test_insert_after_equal_parts(self):
-        assert insert_blocks(Partition((6, 6)), 2, 1, P2) == (6, 6, 6)
+        assert insert_blocks(Partition((6, 6)), 2, P2) == (6, 6, 6, 6)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            insert_blocks(Partition((3,)), 0, 1, P2)
-        with pytest.raises(ValueError):
-            insert_blocks(Partition((3,)), 1, -1, P2)
+            insert_blocks(Partition((3,)), 0, P2)
 
 
 class TestPrefixStripMap:
@@ -244,3 +247,44 @@ def test_round_trip_property(n, m, seed):
     if not lam.is_strict():
         result = phi(lam, params)
         assert phi_inv(result.reduced_part, result.hat_part, params) == lam
+
+
+def _psi_with_wrong_hat(lam, params):
+    """Stand-in for ``bijections.psi`` that returns a wrong bookkeeping part."""
+    result = psi(lam, params)
+    hat = Partition(result.hat_part.parts + (1,))
+    return MapResult(result.reduced_part, hat, result.k, result.trace)
+
+
+class TestCertification:
+    def test_verify_catches_certification_failure(self, monkeypatch):
+        monkeypatch.setattr("youngwalls.bijections.psi", _psi_with_wrong_hat)
+        assert not verify_bijections(P2, 7).passed
+
+    def test_survives_optimized_mode(self):
+        script = textwrap.dedent("""
+            import youngwalls.bijections as b
+            from youngwalls import MapResult, Partition, WallParams
+
+            print("debug:", __debug__)
+            real_psi = b.psi
+
+            def wrong_psi(lam, params):
+                r = real_psi(lam, params)
+                hat = Partition(r.hat_part.parts + (1,))
+                return MapResult(r.reduced_part, hat, r.k, r.trace)
+
+            b.psi = wrong_psi
+            try:
+                b.psi_inv(Partition((2, 1)), Partition((2,)), WallParams(2))
+            except b.CertificationError as exc:
+                print("raised:", exc)
+            else:
+                print("not raised")
+        """)
+        src = str(Path(youngwalls.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "debug: False\nraised: psi_inv round trip mismatch\n"

@@ -108,7 +108,11 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("m", range(0, 26))
     def test_matches_ascending_oracle(self, m):
-        assert {lam.parts for lam in enumerate_partitions(m)} == oracle_partition_set(m)
+        oracle = oracle_partition_set(m)
+        assert {lam.parts for lam in enumerate_partitions(m)} == oracle
+        assert {lam.parts for lam in enumerate_strict(m)} == {
+            t for t in oracle if len(set(t)) == len(t)
+        }
 
     @given(st.integers(min_value=0, max_value=28))
     def test_descending_lex_and_duplicate_free(self, m):

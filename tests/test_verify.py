@@ -56,7 +56,6 @@ class TestReportPlumbing:
         report = verify_euler(10)
         data = report.to_dict()
         assert set(data) == {"check", "params", "passed", "counterexample"}
-        assert "elapsed" in report.to_dict(include_elapsed=True)
 
     def test_failing_report_carries_minimal_witness(self):
         failures = [

@@ -11,7 +11,6 @@ from youngwalls import (
     enumerate_reduced,
     enumerate_strict,
     has_removable_delta,
-    is_full_column,
     is_proper,
     is_reduced,
     weight,
@@ -74,12 +73,6 @@ class TestBlockColor:
 
 
 class TestColumnPredicates:
-    def test_full_column(self):
-        assert not is_full_column(3, P2)
-        assert is_full_column(1, P2)
-        assert not is_full_column(0, P2)
-        assert not is_full_column(0, P3)
-
     def test_proper(self):
         assert is_proper(Partition((3, 3, 1)), P2)
         assert not is_proper(Partition((2, 2, 2)), P2)
@@ -138,7 +131,7 @@ class TestEnumerators:
         assert len(enumerate_reduced(P2, 8)) == 6
         assert len(enumerate_reduced(P3, 8)) == 6
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_proper_matches_predicate_filter(self, n):
         params = WallParams(n)
         for m in range(16):
@@ -149,7 +142,7 @@ class TestEnumerators:
             ]
             assert [lam.parts for lam in enumerate_proper(params, m)] == expected
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_reduced_matches_predicate_filter(self, n):
         params = WallParams(n)
         for m in range(20):
