@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from youngwalls import cli
 from youngwalls.cli import main, parse_n_range, parse_partition
+from youngwalls.verify import VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -280,6 +282,22 @@ class TestVerify:
     def test_bad_range_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--n-range", "1..2")
         assert code == 2
+
+    def test_failing_report(self, capsys, monkeypatch):
+        report = VerificationReport(
+            "counts", {"n": 2, "max_m": 8}, False,
+            {"m": 5, "partition": (5, 2, 1), "reduced": 3, "strict": 4},
+        )
+        monkeypatch.setattr(cli, "run_checks", lambda *args: [report])
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert out == (
+            "FAIL counts n=2 max_m=8 counterexample="
+            '{"m": 5, "partition": [5, 2, 1], "reduced": 3, "strict": 4}\n'
+        )
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 1
+        assert '"all_passed": false' in out
 
     def test_byte_identical_runs(self, capsys):
         args = ("verify", "--n-range", "2..2", "--max-m", "8", "--degree", "30")

@@ -25,6 +25,16 @@ COMMANDS = {
     "verify": ["verify"],
     "verify-deep": ["verify", "--n-range", "2..5", "--max-m", "30",
                     "--checks", "counts,bijections"],
+    "enum-strict": ["enum", "--set", "strict", "--m", "7"],
+    "enum-proper": ["enum", "--set", "proper", "--n", "2", "--m", "9"],
+    "count-strict": ["count", "--set", "strict", "--max-m", "30"],
+    "count-proper": ["count", "--set", "proper", "--n", "2", "--max-m", "20"],
+    "map-psi": ["map", "--alg", "psi", "--n", "2", "--partition", "7"],
+    "map-phi-trace": ["map", "--alg", "phi", "--n", "2", "--partition",
+                      "6,6,3,3", "--trace"],
+    "map-phi-inv": ["map", "--alg", "phi-inv", "--n", "2", "--partition", "",
+                    "--hat", "2,1"],
+    "vch-reduced": ["vch", "--set", "reduced", "--n", "3", "--m", "7"],
 }
 
 
