@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from youngwalls import cli
 from youngwalls.cli import main, parse_n_range, parse_partition
@@ -21,17 +22,39 @@ class TestLiteralParsing:
     def test_plain_literal(self):
         assert parse_partition("5,2,1") == (5, 2, 1)
 
-    @pytest.mark.parametrize("bad", ["1,2", "3,x", "0", "3,0", "-1"])
+    @pytest.mark.parametrize(
+        "bad", ["1,2", "3,x", "0", "3,0", "-1", "1_0", "+7", "\u0667", "5, 2"]
+    )
     def test_bad_literals_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_partition(bad)
 
+    @given(st.text() | st.text("0123456789,_+- \u0667"))
+    @example("1_0")
+    def test_accepted_literals_are_ascii_and_round_trip(self, text):
+        try:
+            p = parse_partition(text)
+        except ValueError:
+            return
+        assert set(text.strip()) <= set("0123456789,")
+        assert parse_partition(str(p)) == p
+
     def test_n_range(self):
         assert parse_n_range("2..4") == (2, 3, 4)
         assert parse_n_range("3") == (3,)
-        for bad in ("1..3", "4..2", "a..b"):
+        for bad in ("1..3", "4..2", "a..b", "+2..3", "2..1_0", "\u0662..3"):
             with pytest.raises(ValueError):
                 parse_n_range(bad)
+
+
+def test_internal_error_exits_three(capsys):
+    code, out, err = run_cli(
+        capsys, "weight", "--n", "10000000000000000000", "--partition", "1"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: OverflowError: ")
+    assert len(err.splitlines()) == 1
 
 
 class TestEnum:
