@@ -29,6 +29,7 @@ COMMANDS = {
     "enum-proper": ["enum", "--set", "proper", "--n", "2", "--m", "9"],
     "count-strict": ["count", "--set", "strict", "--max-m", "30"],
     "count-proper": ["count", "--set", "proper", "--n", "2", "--max-m", "20"],
+    "count-proper-60": ["count", "--set", "proper", "--n", "2", "--max-m", "60"],
     "map-psi": ["map", "--alg", "psi", "--n", "2", "--partition", "7"],
     "map-phi-trace": ["map", "--alg", "phi", "--n", "2", "--partition",
                       "6,6,3,3", "--trace"],
