@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .partitions import Partition
 from .series import PowerSeries
-from .walls import WallParams, WeightVector, enumerate_reduced, weight
+from .walls import WallParams, WeightVector, reduced_counts, weight
 
 #: Multiset of weight vectors: weight vector -> positive multiplicity.
 VirtualCharacter = Counter
@@ -32,6 +32,4 @@ def principal_character(params: WallParams, truncation: int) -> PowerSeries:
     with m blocks, up to the truncation degree."""
     if truncation < 0:
         raise ValueError("truncation degree must be non-negative")
-    return PowerSeries(
-        tuple(len(enumerate_reduced(params, m)) for m in range(truncation + 1))
-    )
+    return PowerSeries(reduced_counts(params, truncation))

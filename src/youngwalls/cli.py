@@ -17,10 +17,16 @@ from typing import Any, Iterator
 
 from .bijections import phi, phi_inv, psi, psi_inv
 from .characters import principal_character, virtual_character
-from .partitions import Partition, enumerate_strict
-from .series import series_product_strict
+from .partitions import Partition, enumerate_strict, strict_counts
 from .verify import ALL_CHECKS, run_checks
-from .walls import WallParams, enumerate_proper, enumerate_reduced, weight
+from .walls import (
+    WallParams,
+    enumerate_proper,
+    enumerate_reduced,
+    proper_counts,
+    reduced_counts,
+    weight,
+)
 
 Record = tuple[dict[str, Any], dict[str, Any]]
 
@@ -155,9 +161,11 @@ def text_pschar(payload: dict[str, Any]) -> Iterator[str]:
 
 def cmd_count(args: argparse.Namespace) -> Record:
     if args.set == "strict":
-        counts = list(series_product_strict(args.max_m).coeffs)
+        counts = strict_counts(args.max_m)
+    elif args.set == "proper":
+        counts = proper_counts(WallParams(args.n), args.max_m)
     else:
-        counts = [len(_members(args.set, args.n, m)) for m in range(args.max_m + 1)]
+        counts = reduced_counts(WallParams(args.n), args.max_m)
     return {"set": args.set, "n": args.n, "max_m": args.max_m}, {"counts": counts}
 
 
@@ -260,12 +268,17 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "set", "strict") != "strict" and args.n is None:
         parser.error(f"--n is required for --set {args.set}")
     try:
-        if getattr(args, "n", None) is not None and args.n < 2:
-            raise ValueError(f"rank n must be at least 2, got {args.n}")
-        for bound in ("m", "max_m", "degree"):
+        for bound in ("n", "m", "max_m", "degree"):
             value = getattr(args, bound, None)
-            if value is not None and value < 0:
-                raise ValueError(f"--{bound.replace('_', '-')} must be non-negative")
+            if value is None:
+                continue
+            option = "--" + bound.replace("_", "-")
+            if value > sys.maxsize:
+                raise ValueError(f"{option} is too large")
+            if bound == "n" and value < 2:
+                raise ValueError(f"rank n must be at least 2, got {value}")
+            if value < 0:
+                raise ValueError(f"{option} must be non-negative")
         params, payload = args.func(args)
         if args.format == "json":
             record = {"command": args.command, "params": params, "payload": payload}

@@ -1,4 +1,4 @@
-"""Integer partitions: the canonical type, enumerators, and counting DPs.
+"""Integer partitions: the canonical type, enumerators, and count tables.
 
 A partition is stored in canonical form: a weakly decreasing tuple of
 positive integers.  Reading an index past the stored length yields 0, which
@@ -9,6 +9,7 @@ Python's arbitrary-precision integers, so results are exact at any size.
 from __future__ import annotations
 
 from functools import total_ordering
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 
@@ -140,35 +141,99 @@ def enumerate_strict(m: int) -> list[Partition]:
     return _enumerate_window(m, m + 1, m + 1)
 
 
-def count_partitions(m: int) -> int:
-    """Number of partitions of ``m``, by the unbounded-parts DP."""
-    _check_non_negative(m)
-    dp = [0] * (m + 1)
+def _count_window(M: int, d: int, gap: int) -> list[int]:
+    """Numbers of partitions of m = 0..M obeying ``_enumerate_window``'s
+    rule, filled bottom-up in O(M^2).
+
+    ``after[r][a]`` counts the ways to place ``r`` more blocks after a part
+    ``a``: the sum of ``after[r - b][b]`` (place ``b``, then the rest) over
+    the ``b`` in ``a``'s window, read as a difference of prefix sums over
+    ``b``.  A ``d`` or ``gap`` above ``M`` acts as in the enumerator.
+    """
+    _check_non_negative(M)
+    # tops[a] = a - 1 + e is the top of a's window [a - gap + e, a - 1 + e];
+    # a may end a partition when that window reaches 0, i.e. when top < gap
+    tops = [a - 1 + (a % d == 0) for a in range(M + 1)]
+    after = [[int(top < gap) for top in tops]]
+    counts = [1]
+    for r in range(1, M + 1):
+        # prefix[x + gap]: the ways to place r blocks starting with a part
+        # at most x, 0 for x <= 0; a's window sums to prefix[top + gap] - prefix[top]
+        prefix = [0] * (gap + 1)
+        prefix += accumulate(after[r - b][b] for b in range(1, r + 1))
+        counts.append(prefix[-1])
+        prefix += [prefix[-1]] * (M - r)
+        after.append([prefix[top + gap] - prefix[top] for top in tops[: M - r + 1]])
+    return counts
+
+
+def _pentagonal(M: int) -> list[tuple[int, int]]:
+    """The terms (degree, sign) of prod_{i >= 1} (1 - t^i) up to degree M:
+    by Euler's pentagonal number theorem, degree k(3k-1)/2 with sign (-1)^k
+    for k = 0, 1, -1, 2, -2, ..., in increasing degree."""
+    terms = [(0, 1)]
+    k = 1
+    while k * (3 * k - 1) // 2 <= M:
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if g <= M:
+                terms.append((g, -1 if k % 2 else 1))
+        k += 1
+    return terms
+
+
+def _over_euler_product(numerator: list[int]) -> list[int]:
+    """Coefficients of numerator(t) / prod_{i >= 1} (1 - t^i) to the same
+    degree, by the pentagonal recurrence."""
+    terms = _pentagonal(len(numerator) - 1)[1:]
+    out: list[int] = []
+    for n, c in enumerate(numerator):
+        for g, sign in terms:
+            if g > n:
+                break
+            c -= sign * out[n - g]
+        out.append(c)
+    return out
+
+
+def partition_counts(M: int) -> list[int]:
+    """Numbers of partitions of m = 0..M, by Euler's pentagonal recurrence."""
+    _check_non_negative(M)
+    return _over_euler_product([1] + [0] * M)
+
+
+def strict_counts(M: int) -> list[int]:
+    """Numbers of partitions of m = 0..M into distinct parts, by the
+    pentagonal recurrence for
+    prod (1 + t^i) = prod (1 - t^(2i)) / prod (1 - t^i)."""
+    _check_non_negative(M)
+    numerator = [0] * (M + 1)
+    for g, sign in _pentagonal(M // 2):
+        numerator[2 * g] = sign
+    return _over_euler_product(numerator)
+
+
+def odd_counts(M: int) -> list[int]:
+    """Numbers of partitions of m = 0..M into odd parts, by the
+    unbounded-parts DP over the odd parts."""
+    _check_non_negative(M)
+    dp = [0] * (M + 1)
     dp[0] = 1
-    for part in range(1, m + 1):
-        for total in range(part, m + 1):
+    for part in range(1, M + 1, 2):
+        for total in range(part, M + 1):
             dp[total] += dp[total - part]
-    return dp[m]
+    return dp
+
+
+def count_partitions(m: int) -> int:
+    """Number of partitions of ``m``."""
+    return partition_counts(m)[m]
 
 
 def count_strict(m: int) -> int:
     """Number of partitions of ``m`` into distinct parts."""
-    _check_non_negative(m)
-    dp = [0] * (m + 1)
-    dp[0] = 1
-    for part in range(1, m + 1):
-        # each part usable at most once: sweep downward
-        for total in range(m, part - 1, -1):
-            dp[total] += dp[total - part]
-    return dp[m]
+    return strict_counts(m)[m]
 
 
 def count_odd(m: int) -> int:
     """Number of partitions of ``m`` into odd parts."""
-    _check_non_negative(m)
-    dp = [0] * (m + 1)
-    dp[0] = 1
-    for part in range(1, m + 1, 2):
-        for total in range(part, m + 1):
-            dp[total] += dp[total - part]
-    return dp[m]
+    return odd_counts(m)[m]

@@ -1,10 +1,16 @@
 """Exhaustive verifiers for the counting and character identities.
 
-Every verifier enumerates both sides of its identity independently (counts of
-reduced walls always come from enumeration, never from the strict-partition
-DP, so no check is circular) and returns a report.  A failing report carries
-the smallest offending cell and, where applicable, the lexicographically
-smallest offending object, so failures reproduce deterministically.
+The two sides of every identity come from different algorithms, and none
+reads the identity it tests.  ``euler`` compares four at every degree: the
+product series of (1 + t^i), the reciprocal odd-parts series, the pentagonal
+strict table and the odd-part DP table.  ``counts`` compares the window-rule
+DP table of reduced walls with the pentagonal strict table; ``fock``, the
+window-rule table of proper walls with the reduced table convolved with the
+pentagonal partition table.  ``vch``, ``bijections`` and
+``reduced-equivalence`` enumerate, so the enumerators stay covered.  A
+failing report carries the smallest offending cell and, where applicable,
+the lexicographically smallest offending object, so failures reproduce
+deterministically.
 """
 
 from __future__ import annotations
@@ -16,11 +22,11 @@ from typing import Any
 from .bijections import CertificationError, phi, phi_inv, psi, psi_inv
 from .characters import virtual_character
 from .partitions import (
-    count_odd,
-    count_partitions,
-    count_strict,
     enumerate_partitions,
     enumerate_strict,
+    odd_counts,
+    partition_counts,
+    strict_counts,
 )
 from .series import series_product_odd, series_product_strict
 from .walls import (
@@ -29,6 +35,8 @@ from .walls import (
     enumerate_reduced,
     has_removable_delta,
     is_reduced,
+    proper_counts,
+    reduced_counts,
     weight,
 )
 
@@ -76,17 +84,20 @@ def _witness_key(failure: dict[str, Any]) -> tuple:
 
 def verify_euler(max_degree: int) -> VerificationReport:
     """Strict-parts and odd-parts products agree with each other and with
-    the counting DPs at every degree up to the bound."""
+    the pentagonal strict table and the odd-part DP table at every degree up
+    to the bound."""
     started = time.perf_counter()
     strict_series = series_product_strict(max_degree)
     odd_series = series_product_odd(max_degree)
+    strict_table = strict_counts(max_degree)
+    odd_table = odd_counts(max_degree)
     failures = []
     for m in range(max_degree + 1):
         values = {
             "strict_series": strict_series[m],
             "odd_series": odd_series[m],
-            "strict_count": count_strict(m),
-            "odd_count": count_odd(m),
+            "strict_count": strict_table[m],
+            "odd_count": odd_table[m],
         }
         if len(set(values.values())) != 1:
             failures.append({"m": m, **values})
@@ -95,12 +106,12 @@ def verify_euler(max_degree: int) -> VerificationReport:
 
 def verify_count_identity(params: WallParams, max_m: int) -> VerificationReport:
     """Reduced walls with m blocks are equinumerous with strict partitions
-    of m, the reduced side produced by enumeration."""
+    of m: the window-rule DP against the pentagonal recurrence."""
     started = time.perf_counter()
     failures = []
-    for m in range(max_m + 1):
-        reduced = len(enumerate_reduced(params, m))
-        strict = count_strict(m)
+    reduced_table = reduced_counts(params, max_m)
+    strict_table = strict_counts(max_m)
+    for m, (reduced, strict) in enumerate(zip(reduced_table, strict_table)):
         if reduced != strict:
             failures.append({"m": m, "reduced": reduced, "strict": strict})
     return _report(
@@ -114,11 +125,13 @@ def verify_fock(params: WallParams, max_m: int) -> VerificationReport:
     started = time.perf_counter()
     period = params.period
     failures = []
+    proper = proper_counts(params, max_m)
+    reduced = reduced_counts(params, max_m)
+    partitions = partition_counts(max_m // period)
     for m in range(max_m + 1):
-        lhs = len(enumerate_proper(params, m))
+        lhs = proper[m]
         rhs = sum(
-            len(enumerate_reduced(params, m - period * k)) * count_partitions(k)
-            for k in range(m // period + 1)
+            reduced[m - period * k] * partitions[k] for k in range(m // period + 1)
         )
         if lhs != rhs:
             failures.append({"m": m, "proper": lhs, "decomposition": rhs})

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import Partition, _enumerate_window
+from .partitions import Partition, _count_window, _enumerate_window
 
 #: Block counts per color (a_0, ..., a_n); always of length n+1.
 WeightVector = tuple[int, ...]
@@ -100,6 +100,16 @@ def enumerate_proper(params: WallParams, m: int) -> list[Partition]:
 def enumerate_reduced(params: WallParams, m: int) -> list[Partition]:
     """All reduced walls with ``m`` blocks, descending lexicographic."""
     return _enumerate_window(m, params.delta, params.period)
+
+
+def proper_counts(params: WallParams, M: int) -> list[int]:
+    """Numbers of proper walls with m = 0..M blocks, by the window-rule DP."""
+    return _count_window(M, params.delta, M + 1)
+
+
+def reduced_counts(params: WallParams, M: int) -> list[int]:
+    """Numbers of reduced walls with m = 0..M blocks, by the window-rule DP."""
+    return _count_window(M, params.delta, params.period)
 
 
 def weight(lam: Partition, params: WallParams) -> WeightVector:

@@ -69,6 +69,10 @@ class TestPrincipalCharacter:
     def test_matches_strict_generating_function(self):
         assert principal_character(P2, 12) == series_product_strict(12)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_strict_generating_function_to_two_hundred(self, n):
+        assert principal_character(WallParams(n), 200) == series_product_strict(200)
+
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             principal_character(P2, -1)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -47,14 +48,35 @@ class TestLiteralParsing:
                 parse_n_range(bad)
 
 
-def test_internal_error_exits_three(capsys):
-    code, out, err = run_cli(
-        capsys, "weight", "--n", "10000000000000000000", "--partition", "1"
-    )
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_weight", broken)
+    code, out, err = run_cli(capsys, "weight", "--n", "2", "--partition", "1")
     assert code == 3
     assert out == ""
-    assert err.startswith("internal error: OverflowError: ")
-    assert len(err.splitlines()) == 1
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+TOO_LARGE = str(sys.maxsize + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["weight", "--n", TOO_LARGE, "--partition", "1"], "--n"),
+        (["enum", "--set", "strict", "--m", TOO_LARGE], "--m"),
+        (["count", "--set", "proper", "--n", "2", "--max-m", TOO_LARGE], "--max-m"),
+        (["verify", "--max-m", TOO_LARGE], "--max-m"),
+        (["pschar", "--n", "2", "--degree", TOO_LARGE], "--degree"),
+    ],
+)
+def test_too_large_input_exits_two(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {option} is too large\n"
 
 
 class TestEnum:

@@ -3,12 +3,19 @@ from hypothesis import given, strategies as st
 
 from youngwalls import (
     Partition,
+    PowerSeries,
     count_odd,
     count_partitions,
     count_strict,
     enumerate_partitions,
     enumerate_strict,
+    odd_counts,
+    partition_counts,
+    series_product_odd,
+    series_product_strict,
+    strict_counts,
 )
+from youngwalls.partitions import _count_window
 
 
 def ascending_partitions(m, least=1):
@@ -159,3 +166,48 @@ class TestCounts:
     @given(st.integers(min_value=0, max_value=200))
     def test_euler_counts_agree(self, m):
         assert count_strict(m) == count_odd(m)
+
+
+class TestCountTables:
+    def test_window_counts_match_enumeration(self):
+        M = 30
+        assert _count_window(M, 1, M + 1) == [
+            len(enumerate_partitions(m)) for m in range(M + 1)
+        ]
+        assert _count_window(M, M + 1, M + 1) == [
+            len(enumerate_strict(m)) for m in range(M + 1)
+        ]
+
+    def test_tables_match_enumeration_to_thirty(self):
+        M = 30
+        listings = [enumerate_partitions(m) for m in range(M + 1)]
+        assert partition_counts(M) == [len(lams) for lams in listings]
+        assert strict_counts(M) == [
+            sum(lam.is_strict() for lam in lams) for lams in listings
+        ]
+        assert odd_counts(M) == [
+            sum(all(p % 2 for p in lam) for lam in lams) for lams in listings
+        ]
+
+    def test_tables_match_series_to_five_hundred(self):
+        M = 500
+        # prod (1 - t^i) expanded factor by factor, then inverted
+        euler = [1] + [0] * M
+        for i in range(1, M + 1):
+            for j in range(M, i - 1, -1):
+                euler[j] -= euler[j - i]
+        assert partition_counts(M) == list(PowerSeries(euler).reciprocal().coeffs)
+        assert strict_counts(M) == list(series_product_strict(M).coeffs)
+        assert odd_counts(M) == list(series_product_odd(M).coeffs)
+
+    @pytest.mark.parametrize("table", [partition_counts, strict_counts, odd_counts])
+    def test_table_prefixes_and_bounds(self, table):
+        assert table(0) == [1]
+        assert table(12) == table(40)[:13]
+        with pytest.raises(ValueError):
+            table(-1)
+
+    def test_window_count_of_nothing(self):
+        assert _count_window(0, 1, 1) == [1]
+        with pytest.raises(ValueError):
+            _count_window(-1, 1, 1)

@@ -2,6 +2,7 @@ import pytest
 
 from youngwalls import (
     ALL_CHECKS,
+    PowerSeries,
     WallParams,
     run_checks,
     verify_bijections,
@@ -11,6 +12,7 @@ from youngwalls import (
     verify_reduced_equivalence,
     verify_vch_identity,
 )
+from youngwalls import verify
 from youngwalls.verify import _report, _witness_key
 
 
@@ -49,6 +51,57 @@ class TestIndividualVerifiers:
         # below one quantum of blocks the complement domains are empty
         params = WallParams(2)
         assert verify_bijections(params, params.period - 1).passed
+
+
+def off_by_one_at(fn, m0):
+    """``fn`` with the degree-``m0`` entry of its table or series raised by 1."""
+
+    def bumped(*args):
+        result = fn(*args)
+        values = list(result.coeffs if isinstance(result, PowerSeries) else result)
+        values[m0] += 1
+        return PowerSeries(values) if isinstance(result, PowerSeries) else values
+
+    return bumped
+
+
+class TestEverySideIsRead:
+    """Each check fails, at the perturbed degree, when any one of its
+    independent sides is off by one there."""
+
+    @pytest.mark.parametrize(
+        "side",
+        ["series_product_strict", "series_product_odd", "strict_counts", "odd_counts"],
+    )
+    def test_euler(self, monkeypatch, side):
+        monkeypatch.setattr(verify, side, off_by_one_at(getattr(verify, side), 17))
+        report = verify_euler(40)
+        assert not report.passed
+        assert report.counterexample["m"] == 17
+        assert set(report.counterexample) == {
+            "m", "strict_series", "odd_series", "strict_count", "odd_count"
+        }
+
+    @pytest.mark.parametrize("side", ["reduced_counts", "strict_counts"])
+    def test_counts(self, monkeypatch, side):
+        monkeypatch.setattr(verify, side, off_by_one_at(getattr(verify, side), 11))
+        report = verify_count_identity(WallParams(2), 20)
+        assert not report.passed
+        assert report.counterexample["m"] == 11
+        assert set(report.counterexample) == {"m", "reduced", "strict"}
+
+    @pytest.mark.parametrize(
+        "side, index, m",
+        # P(1) first enters the decomposition at m = 2*delta = 6
+        [("proper_counts", 11, 11), ("reduced_counts", 11, 11),
+         ("partition_counts", 1, 6)],
+    )
+    def test_fock(self, monkeypatch, side, index, m):
+        monkeypatch.setattr(verify, side, off_by_one_at(getattr(verify, side), index))
+        report = verify_fock(WallParams(2), 20)
+        assert not report.passed
+        assert report.counterexample["m"] == m
+        assert set(report.counterexample) == {"m", "proper", "decomposition"}
 
 
 class TestReportPlumbing:

@@ -13,6 +13,8 @@ from youngwalls import (
     has_removable_delta,
     is_proper,
     is_reduced,
+    proper_counts,
+    reduced_counts,
     weight,
 )
 
@@ -221,3 +223,20 @@ class TestCountingIdentities:
                 for k in range(m // params.period + 1)
             )
             assert lhs == rhs, (n, m)
+
+
+class TestCountTables:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_tables_match_enumeration_to_forty(self, n):
+        params = WallParams(n)
+        assert proper_counts(params, 40) == [
+            len(enumerate_proper(params, m)) for m in range(41)
+        ]
+        assert reduced_counts(params, 40) == [
+            len(enumerate_reduced(params, m)) for m in range(41)
+        ]
+
+    def test_table_prefix(self):
+        params = WallParams(3)
+        assert proper_counts(params, 9) == proper_counts(params, 30)[:10]
+        assert reduced_counts(params, 9) == reduced_counts(params, 30)[:10]
