@@ -11,14 +11,20 @@ bookkeeping partition recording how much was stripped where.
   pairs in a proper wall sit at multiples of delta), ending on a strict
   partition.
 
-Each map is certified against its inverse at runtime: the inverses replay
-the forward map and insist on getting their arguments back.  A failed
-certification raises ``CertificationError``, which ``python -O`` keeps.
+Each inverse is a rebuild core (``psi_rebuild``, ``phi_rebuild``) that
+checks its arguments and rebuilds the wall without replaying anything.  The
+public inverses ``psi_inv`` and ``phi_inv`` certify the core at runtime: they
+replay the forward map on the rebuilt wall and insist on getting their
+arguments back.  A failed certification raises ``CertificationError``, which
+``python -O`` keeps.  ``verify`` calls the cores instead and compares the
+rebuilt wall with the one it started from; the maps are deterministic, so
+once that holds a replay would only return the result already checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .partitions import Partition
 from .walls import WallParams, is_proper, is_reduced
@@ -129,27 +135,33 @@ def psi(lam: Partition, params: WallParams) -> MapResult:
     _certify(stripped > 0 and stripped % (2 * delta) == 0, "psi strip size")
     k = stripped // (2 * delta)
     hat = Partition(
-        tuple((lam[i] - reduced[i]) // (2 * delta) for i in range(len(lam)))
+        (a - b) // (2 * delta)
+        for a, b in zip_longest(lam.parts, reduced.parts, fillvalue=0)
     )
     _certify(hat.size == k, "psi hat size")
     return MapResult(reduced, hat, k, tuple(trace))
 
 
-def psi_inv(reduced: Partition, hat: Partition, params: WallParams) -> Partition:
-    """Rebuild the proper wall mapped by ``psi`` to (reduced, hat).
+def psi_rebuild(reduced: Partition, hat: Partition, params: WallParams) -> Partition:
+    """The wall ``psi`` maps to (reduced, hat), without certification.
 
-    Adds 2 * hat_i * delta to part i of the reduced wall; the forward map is
-    replayed to certify the round trip.
+    Adds 2 * hat_i * delta to part i of the reduced wall.
     """
     if not is_reduced(reduced, params):
         raise ValueError(f"{reduced!r} is not a reduced wall")
     if not hat:
         raise ValueError("bookkeeping partition must be non-empty")
     period = params.period
-    n_parts = max(len(reduced), len(hat))
-    lam = Partition(
-        tuple(reduced[i] + period * hat[i] for i in range(n_parts))
+    return Partition(
+        a + period * h
+        for a, h in zip_longest(reduced.parts, hat.parts, fillvalue=0)
     )
+
+
+def psi_inv(reduced: Partition, hat: Partition, params: WallParams) -> Partition:
+    """Rebuild the proper wall mapped by ``psi`` to (reduced, hat), replaying
+    the forward map to certify the round trip."""
+    lam = psi_rebuild(reduced, hat, params)
     back = psi(lam, params)
     _certify(back.pair() == (reduced, hat), "psi_inv round trip mismatch")
     return lam
@@ -194,11 +206,14 @@ def phi(lam: Partition, params: WallParams) -> MapResult:
     return MapResult(strict_part, hat, k, tuple(trace))
 
 
-def phi_inv(strict_part: Partition, hat: Partition, params: WallParams) -> Partition:
-    """Rebuild the proper partition mapped by ``phi`` to (strict_part, hat).
+def phi_rebuild(
+    strict_part: Partition, hat: Partition, params: WallParams
+) -> Partition:
+    """The proper partition ``phi`` maps to (strict_part, hat), without
+    certification.
 
     Inserts a pair of parts v * delta for each bookkeeping part v, largest
-    first; the forward map is replayed to certify the round trip.
+    first.
     """
     if not strict_part.is_strict():
         raise ValueError(f"{strict_part!r} is not strict")
@@ -207,6 +222,13 @@ def phi_inv(strict_part: Partition, hat: Partition, params: WallParams) -> Parti
     lam = strict_part
     for v in hat:
         lam = insert_blocks(lam, v, params)
+    return lam
+
+
+def phi_inv(strict_part: Partition, hat: Partition, params: WallParams) -> Partition:
+    """Rebuild the proper partition mapped by ``phi`` to (strict_part, hat),
+    replaying the forward map to certify the round trip."""
+    lam = phi_rebuild(strict_part, hat, params)
     back = phi(lam, params)
     _certify(back.pair() == (strict_part, hat), "phi_inv round trip mismatch")
     return lam

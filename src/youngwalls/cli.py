@@ -262,6 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Largest accepted ``--n``: a weight vector holds n + 1 counts, so a rank
+#: near ``sys.maxsize`` would fail on memory rather than as a usage error.
+MAX_RANK = 10**6
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -273,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
             if value is None:
                 continue
             option = "--" + bound.replace("_", "-")
-            if value > sys.maxsize:
+            if value > (MAX_RANK if bound == "n" else sys.maxsize):
                 raise ValueError(f"{option} is too large")
             if bound == "n" and value < 2:
                 raise ValueError(f"rank n must be at least 2, got {value}")

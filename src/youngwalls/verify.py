@@ -7,9 +7,12 @@ strict table and the odd-part DP table.  ``counts`` compares the window-rule
 DP table of reduced walls with the pentagonal strict table; ``fock``, the
 window-rule table of proper walls with the reduced table convolved with the
 pentagonal partition table.  ``vch``, ``bijections`` and
-``reduced-equivalence`` enumerate, so the enumerators stay covered.  A
-failing report carries the smallest offending cell and, where applicable,
-the lexicographically smallest offending object, so failures reproduce
+``reduced-equivalence`` enumerate, so the enumerators stay covered.
+``bijections`` maps each wall once and inverts through the rebuild cores,
+not the replaying public inverses: it compares the rebuilt wall with the
+wall mapped, the round trip the replay exists to certify.  A failing
+report carries the smallest offending cell and, where applicable, the
+lexicographically smallest offending object, so failures reproduce
 deterministically.
 """
 
@@ -17,9 +20,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import product
 from typing import Any
 
-from .bijections import CertificationError, phi, phi_inv, psi, psi_inv
+from .bijections import CertificationError, phi, phi_rebuild, psi, psi_rebuild
 from .characters import virtual_character
 from .partitions import (
     enumerate_partitions,
@@ -174,40 +179,46 @@ def verify_reduced_equivalence(params: WallParams, max_m: int) -> VerificationRe
     )
 
 
-def _codomain(
-    family, params: WallParams, m: int
-) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (family member of size m - 2*delta*k, partition of k) pairs, k >= 1."""
+def _codomain(listed, family, params: WallParams, m: int) -> set:
+    """All (family member of size m - 2*delta*k, partition of k) pairs, k >= 1,
+    as tuples; ``listed(enumerator, size)`` supplies each enumeration."""
     period = params.period
     pairs = set()
     for k in range(1, m // period + 1):
-        members = family(m - period * k)
-        hats = enumerate_partitions(k)
-        for member in members:
-            for hat in hats:
-                pairs.add((member.parts, hat.parts))
+        pairs.update(
+            product(listed(family, m - period * k), listed(enumerate_partitions, k))
+        )
     return pairs
 
 
 def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
     """Both reduction maps are total on their domains, invert exactly, hit
-    their full codomains injectively, and shift every color count by 2k."""
+    their full codomains injectively, and shift every color count by 2k.
+
+    The maps are inverted by the rebuild cores, not by the public inverses:
+    a public inverse replays the forward map on the rebuilt wall, and once
+    the rebuilt wall is seen to equal the wall mapped, that replay (the maps
+    are deterministic) could only return the result already in hand."""
     started = time.perf_counter()
     failures = []
-    n_colors = params.n + 1
     jobs = (
-        ("psi", psi, psi_inv, is_reduced, lambda m: enumerate_reduced(params, m)),
-        ("phi", phi, phi_inv, lambda lam, p: lam.is_strict(), enumerate_strict),
+        ("psi", psi, psi_rebuild, is_reduced, lambda m: enumerate_reduced(params, m)),
+        ("phi", phi, phi_rebuild, lambda lam, p: lam.is_strict(), enumerate_strict),
     )
+    # one enumeration per (family, size) and per k, kept for this call only
+    listed = cache(lambda enumerator, size: [lam.parts for lam in enumerator(size)])
     for m in range(max_m + 1):
-        proper = enumerate_proper(params, m)
-        for name, forward, inverse, in_target, family in jobs:
-            images = set()
-            domain = [lam for lam in proper if not in_target(lam, params)]
-            for lam in domain:
+        images = {name: set() for name, *_ in jobs}
+        domain_sizes = dict.fromkeys(images, 0)
+        for lam in enumerate_proper(params, m):
+            full = None
+            for name, forward, rebuild, in_target, _ in jobs:
+                if in_target(lam, params):
+                    continue
+                domain_sizes[name] += 1
                 try:
                     result = forward(lam, params)
-                    rebuilt = inverse(result.reduced_part, result.hat_part, params)
+                    rebuilt = rebuild(result.reduced_part, result.hat_part, params)
                 except (ValueError, CertificationError) as exc:
                     failures.append({"m": m, "map": name, "partition": lam.parts,
                                      "error": str(exc)})
@@ -216,16 +227,18 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
                     failures.append({"m": m, "map": name, "partition": lam.parts,
                                      "error": "round trip mismatch"})
                     continue
-                full = weight(lam, params)
+                if full is None:
+                    full = weight(lam, params)
                 target = weight(result.reduced_part, params)
                 shift = 2 * result.k
-                if any(full[c] - target[c] != shift for c in range(n_colors)):
+                if any(a - b != shift for a, b in zip(full, target)):
                     failures.append({"m": m, "map": name, "partition": lam.parts,
                                      "error": "weight shift mismatch"})
                     continue
-                images.add((result.reduced_part.parts, result.hat_part.parts))
-            expected = _codomain(family, params, m)
-            if len(images) != len(domain) or images != expected:
+                images[name].add((result.reduced_part.parts, result.hat_part.parts))
+        for name, _, _, _, family in jobs:
+            expected = _codomain(listed, family, params, m)
+            if len(images[name]) != domain_sizes[name] or images[name] != expected:
                 failures.append({"m": m, "map": name,
                                  "error": "image does not match codomain"})
     return _report(

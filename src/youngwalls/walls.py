@@ -16,6 +16,7 @@ of delta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .partitions import Partition, _count_window, _enumerate_window
 
@@ -62,12 +63,15 @@ def is_proper(lam: Partition, params: WallParams) -> bool:
 def is_reduced(lam: Partition, params: WallParams) -> bool:
     """Proper, and every adjacent gap (last part against 0) is below 2*delta,
     or exactly 2*delta with the taller part not a multiple of delta."""
-    if not is_proper(lam, params):
-        return False
     delta, period = params.delta, params.period
-    for i in range(len(lam)):
-        gap = lam[i] - lam[i + 1]
-        if gap > period or (gap == period and lam[i] % delta == 0):
+    parts = lam.parts
+    for a, b in zip(parts, parts[1:] + (0,)):
+        gap = a - b
+        if a % delta:
+            # gap 0 is an equal pair off the delta grid: not even proper
+            if gap == 0 or gap > period:
+                return False
+        elif gap >= period:
             return False
     return True
 
@@ -83,9 +87,10 @@ def has_removable_delta(lam: Partition, params: WallParams) -> bool:
     if not is_proper(lam, params):
         raise ValueError(f"wall {lam!r} is not proper")
     period = params.period
-    for i in range(len(lam)):
-        if lam[i] >= period and lam[i] - period >= lam[i + 1]:
-            shortened = list(lam.parts)
+    parts = lam.parts
+    for i, (a, b) in enumerate(zip(parts, parts[1:] + (0,))):
+        if a - period >= b:
+            shortened = list(parts)
             shortened[i] -= period
             if is_proper(Partition(shortened), params):
                 return True
@@ -115,16 +120,21 @@ def reduced_counts(params: WallParams, M: int) -> list[int]:
 def weight(lam: Partition, params: WallParams) -> WeightVector:
     """Per-color block counts (a_0, ..., a_n) over all columns.
 
-    Defined for any partition; columns are tallied independently.  Each full
-    color cycle of a column contributes one pair of every color, so only the
-    remainder below one period needs a block-by-block walk.
+    Defined for any partition; columns are tallied independently.  Within
+    one period of 2*delta blocks color c sits at the 1-based positions c+1
+    and 2n+2-c, so a column with q full cycles and remainder r holds
+    2q + [c < r] + [c >= 2n+2-r] blocks of color c.  The two indicator
+    ranges are tallied in a difference array: O(parts + n).
     """
-    counts = [0] * (params.n + 1)
+    n, period = params.n, params.period
+    # every column opens the range [0, r) at slot 0; slot n+1 lies past the
+    # last color, so a range end or start beyond the colors lands there
+    diff = [0] * (n + 2)
+    diff[0] = len(lam.parts)
+    cycles = 0
     for height in lam.parts:
-        cycles, rem = divmod(height, params.period)
-        if cycles:
-            for c in range(params.n + 1):
-                counts[c] += 2 * cycles
-        for k in range(1, rem + 1):
-            counts[block_color(k, params)] += 1
-    return tuple(counts)
+        q, r = divmod(height, period)
+        cycles += q
+        diff[min(r, n + 1)] -= 1
+        diff[min(period - r, n + 1)] += 1
+    return tuple(2 * cycles + c for c in accumulate(diff[: n + 1]))

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import youngwalls
+from youngwalls import verify
 from youngwalls import (
+    CertificationError,
     MapResult,
     MapStep,
     Partition,
@@ -22,8 +24,10 @@ from youngwalls import (
     is_reduced,
     phi,
     phi_inv,
+    phi_rebuild,
     psi,
     psi_inv,
+    psi_rebuild,
     verify_bijections,
     weight,
 )
@@ -249,6 +253,21 @@ def test_round_trip_property(n, m, seed):
         assert phi_inv(result.reduced_part, result.hat_part, params) == lam
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rebuild_cores_match_public_inverses(n):
+    params = WallParams(n)
+    for m in range(31):
+        for lam in enumerate_proper(params, m):
+            if not is_reduced(lam, params):
+                r = psi(lam, params)
+                rebuilt = psi_rebuild(r.reduced_part, r.hat_part, params)
+                assert rebuilt == psi_inv(r.reduced_part, r.hat_part, params) == lam
+            if not lam.is_strict():
+                r = phi(lam, params)
+                rebuilt = phi_rebuild(r.reduced_part, r.hat_part, params)
+                assert rebuilt == phi_inv(r.reduced_part, r.hat_part, params) == lam
+
+
 def _psi_with_wrong_hat(lam, params):
     """Stand-in for ``bijections.psi`` that returns a wrong bookkeeping part."""
     result = psi(lam, params)
@@ -256,10 +275,50 @@ def _psi_with_wrong_hat(lam, params):
     return MapResult(result.reduced_part, hat, result.k, result.trace)
 
 
+def _recorded_failures(monkeypatch):
+    """Let ``verify._report`` also record the failures it is handed, since a
+    report shows only the smallest one."""
+    seen = []
+
+    def recording(check, params, failures, started):
+        seen.extend(failures)
+        return real_report(check, params, failures, started)
+
+    real_report = verify._report
+    monkeypatch.setattr(verify, "_report", recording)
+    return seen
+
+
 class TestCertification:
     def test_verify_catches_certification_failure(self, monkeypatch):
+        # verify reads psi under its own name, the public inverse under bijections'
         monkeypatch.setattr("youngwalls.bijections.psi", _psi_with_wrong_hat)
+        monkeypatch.setattr("youngwalls.verify.psi", _psi_with_wrong_hat)
         assert not verify_bijections(P2, 7).passed
+
+    def test_broken_rebuild_core_is_a_round_trip_mismatch(self, monkeypatch):
+        def off_by_one_column(reduced, hat, params):
+            lam = psi_rebuild(reduced, hat, params)
+            return Partition(lam.parts + (1,))
+
+        monkeypatch.setattr("youngwalls.verify.psi_rebuild", off_by_one_column)
+        failures = _recorded_failures(monkeypatch)
+        assert not verify_bijections(P2, 7).passed
+        assert {"m": 6, "map": "psi", "partition": (6,),
+                "error": "round trip mismatch"} in failures
+
+    def test_forward_certification_error_is_a_failure(self, monkeypatch):
+        def refusing(lam, params):
+            raise CertificationError("psi result not reduced")
+
+        monkeypatch.setattr("youngwalls.verify.psi", refusing)
+        failures = _recorded_failures(monkeypatch)
+        report = verify_bijections(P2, 7)
+        assert not report.passed
+        assert {"m": 6, "map": "psi", "partition": (6,),
+                "error": "psi result not reduced"} in failures
+        assert report.counterexample == {
+            "m": 6, "map": "psi", "error": "image does not match codomain"}
 
     def test_survives_optimized_mode(self):
         script = textwrap.dedent("""

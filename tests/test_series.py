@@ -5,8 +5,10 @@ from youngwalls import (
     PowerSeries,
     count_odd,
     count_strict,
+    odd_counts,
     series_product_odd,
     series_product_strict,
+    strict_counts,
 )
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=12)
@@ -92,8 +94,9 @@ class TestGeneratingProducts:
         strict_series = series_product_strict(500)
         odd_series = series_product_odd(500)
         assert strict_series == odd_series
+        strict_table, odd_table = strict_counts(500), odd_counts(500)
         for m in range(501):
-            assert strict_series[m] == count_strict(m) == count_odd(m)
+            assert strict_series[m] == strict_table[m] == odd_table[m]
 
     @given(st.integers(min_value=0, max_value=120))
     def test_coefficients_match_counting_dp(self, m):

@@ -188,6 +188,16 @@ class TestWeight:
     def test_matches_block_by_block_oracle(self, lam, params):
         assert weight(lam, params) == naive_weight(lam, params)
 
+    @given(st.data())
+    def test_matches_oracle_over_full_periods(self, data):
+        params = WallParams(data.draw(st.integers(min_value=2, max_value=9)))
+        heights = data.draw(
+            st.lists(st.integers(min_value=0, max_value=5 * params.period),
+                     max_size=8)
+        )
+        lam = Partition(sorted(heights, reverse=True))
+        assert weight(lam, params) == naive_weight(lam, params)
+
     @given(partitions, ranks)
     def test_total_equals_block_count(self, lam, params):
         assert sum(weight(lam, params)) == lam.size
