@@ -193,12 +193,7 @@ def _codomain(listed, family, params: WallParams, m: int) -> set:
 
 def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
     """Both reduction maps are total on their domains, invert exactly, hit
-    their full codomains injectively, and shift every color count by 2k.
-
-    The maps are inverted by the rebuild cores, not by the public inverses:
-    a public inverse replays the forward map on the rebuilt wall, and once
-    the rebuilt wall is seen to equal the wall mapped, that replay (the maps
-    are deterministic) could only return the result already in hand."""
+    their full codomains injectively, and shift every color count by 2k."""
     started = time.perf_counter()
     failures = []
     jobs = (
