@@ -66,12 +66,12 @@ TOO_LARGE = str(sys.maxsize + 1)
     "argv, option",
     [
         (["weight", "--n", TOO_LARGE, "--partition", "1"], "--n"),
-        (["weight", "--n", "1000000000000000000", "--partition", "7"], "--n"),
-        (["weight", "--n", "1000001", "--partition", "7"], "--n"),
         (["enum", "--set", "strict", "--m", TOO_LARGE], "--m"),
         (["count", "--set", "proper", "--n", "2", "--max-m", TOO_LARGE], "--max-m"),
         (["verify", "--max-m", TOO_LARGE], "--max-m"),
         (["pschar", "--n", "2", "--degree", TOO_LARGE], "--degree"),
+        (["weight", "--n", "1000000000000000000", "--partition", "7"], "--n"),
+        (["weight", "--n", "1000001", "--partition", "7"], "--n"),
     ],
 )
 def test_too_large_input_exits_two(capsys, argv, option):
