@@ -2,14 +2,13 @@
 
 Both maps strip mass in quanta of 2*delta blocks and return a pair: a member
 of the target family (reduced wall, respectively strict partition) plus a
-bookkeeping partition recording how much was stripped where.
+bookkeeping partition recording how much was stripped where.  Each map is
+one pass over the wall.
 
-* ``psi`` repeatedly finds the deepest adjacent gap that is too wide for the
-  reduced-gap rule and shrinks the whole prefix above it, ending on a
-  reduced wall.
-* ``phi`` repeatedly deletes the deepest equal adjacent column pair (equal
-  pairs in a proper wall sit at multiples of delta), ending on a strict
-  partition.
+* ``psi`` shrinks the prefix above each gap too wide for the reduced-gap
+  rule by that gap's largest quantum count, ending on a reduced wall.
+* ``phi`` halves every run of equal parts (equal parts in a proper wall sit
+  at multiples of delta), ending on a strict partition.
 
 Each inverse is a rebuild core (``psi_rebuild``, ``phi_rebuild``) that
 checks its arguments and rebuilds the wall without replaying anything.  The
@@ -24,7 +23,7 @@ once that holds a replay would only return the result already checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import accumulate, groupby, zip_longest
 
 from .partitions import Partition
 from .walls import WallParams, is_proper, is_reduced
@@ -41,13 +40,14 @@ def _certify(ok: bool, what: str) -> None:
 
 @dataclass(frozen=True)
 class MapStep:
-    """One iteration of a reduction map.
+    """One step of a reduction map applied one gap (``psi``) or one pair
+    (``phi``) at a time, deepest first.
 
-    ``l`` counts iterations from 1, ``i`` is the 1-based position scanned by
-    the algorithm (for ``psi`` the first column left unchanged, for ``phi``
-    the second member of the deleted pair), and ``value`` is the multiplier
-    of 2*delta subtracted (``psi``) or the height of the deleted pair
-    (``phi``).
+    ``l`` counts steps from 1, ``i`` is a 1-based position in the wall as it
+    stands at that step (for ``psi`` the first column left unchanged, for
+    ``phi`` the second member of the deleted pair), and ``value`` is the
+    multiplier of 2*delta subtracted (``psi``) or the height of the deleted
+    pair (``phi``).
     """
 
     l: int
@@ -58,7 +58,7 @@ class MapStep:
 @dataclass(frozen=True)
 class MapResult:
     """Outcome of a reduction map: target-family partition, bookkeeping
-    partition, total quanta k, and the per-iteration trace."""
+    partition, total quanta k, and the per-step trace."""
 
     reduced_part: Partition
     hat_part: Partition
@@ -69,75 +69,41 @@ class MapResult:
         return (self.reduced_part, self.hat_part)
 
 
-def insert_blocks(lam: Partition, k: int, params: WallParams) -> Partition:
-    """Insert a pair of parts ``k * delta`` into ``lam``.
-
-    The pair goes right after the last part that is >= k * delta (all parts
-    when none are smaller), so the result stays weakly decreasing.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    value = k * params.delta
-    pos = 0
-    while pos < len(lam) and lam[pos] >= value:
-        pos += 1
-    return Partition(lam.parts[:pos] + (value, value) + lam.parts[pos:])
-
-
 def _max_quanta(hi: int, lo: int, delta: int) -> int:
     """Largest t >= 0 with hi - lo >= 2*t*delta, where equality is
-    permitted only if hi is a multiple of delta."""
-    t, rem = divmod(hi - lo, 2 * delta)
-    if rem == 0 and hi % delta != 0:
-        t -= 1
-    return t
+    permitted only if hi is a multiple of delta: off the delta grid the gap
+    must exceed 2*t*delta, so it is counted one block short."""
+    return (hi - lo - (hi % delta != 0)) // (2 * delta)
 
 
 def psi(lam: Partition, params: WallParams) -> MapResult:
     """Carry a proper, non-reduced wall to a reduced wall plus bookkeeping.
 
-    Each iteration locates the deepest position i (the last positive part is
-    also paired against 0) whose gap to the part above admits a positive
-    quantum count t under the reduced-gap rule, takes the largest such t,
-    and subtracts 2*t*delta from every part above position i.  The
-    bookkeeping partition divides the per-part totals by 2*delta.
+    Gap j lies between parts j and j+1 (the last part is paired against 0)
+    and admits t_j quanta, the largest count the reduced-gap rule allows.
+    Shrinking the prefix above a gap changes no gap above it and no residue
+    mod delta, so every t_j is read off the input: part j loses
+    2*delta*(t_j + t_{j+1} + ...), and that suffix sum is part j of the
+    bookkeeping partition.  The trace lists the nonzero t_j, deepest gap
+    first, at i = j + 2.
     """
     if not is_proper(lam, params):
         raise ValueError(f"{lam!r} is not a proper wall")
     if is_reduced(lam, params):
         raise ValueError(f"{lam!r} is already reduced; nothing to strip")
 
-    delta = params.delta
-    cur = list(lam.parts)
-    trace: list[MapStep] = []
-    while True:
-        hit = None
-        for i in range(len(cur) + 1, 1, -1):
-            hi = cur[i - 2]
-            lo = cur[i - 1] if i - 1 < len(cur) else 0
-            t = _max_quanta(hi, lo, delta)
-            if t >= 1:
-                hit = (i, t)
-                break
-        if hit is None:
-            break
-        i, t = hit
-        step = 2 * t * delta
-        for j in range(i - 1):
-            cur[j] -= step
-        while cur and cur[-1] == 0:
-            cur.pop()
-        trace.append(MapStep(len(trace) + 1, i, t))
+    delta, parts = params.delta, lam.parts
+    quanta = [_max_quanta(a, b, delta) for a, b in zip(parts, parts[1:] + (0,))]
+    totals = list(accumulate(reversed(quanta)))[::-1]
+    deepest_first = [(j + 2, t) for j, t in enumerate(quanta) if t][::-1]
+    trace = [MapStep(l, i, t) for l, (i, t) in enumerate(deepest_first, 1)]
 
-    reduced = Partition(cur)
+    reduced = Partition(a - 2 * delta * h for a, h in zip(parts, totals))
     _certify(is_reduced(reduced, params), "psi result not reduced")
     stripped = lam.size - reduced.size
     _certify(stripped > 0 and stripped % (2 * delta) == 0, "psi strip size")
     k = stripped // (2 * delta)
-    hat = Partition(
-        (a - b) // (2 * delta)
-        for a, b in zip_longest(lam.parts, reduced.parts, fillvalue=0)
-    )
+    hat = Partition(totals)
     _certify(hat.size == k, "psi hat size")
     return MapResult(reduced, hat, k, tuple(trace))
 
@@ -170,9 +136,11 @@ def psi_inv(reduced: Partition, hat: Partition, params: WallParams) -> Partition
 def phi(lam: Partition, params: WallParams) -> MapResult:
     """Carry a proper, non-strict partition to a strict one plus bookkeeping.
 
-    Each iteration deletes the deepest equal adjacent pair of positive parts
-    (necessarily a multiple of delta by properness).  The deleted heights,
-    read from last deletion to first, form the bookkeeping partition.
+    A run of c equal parts v (necessarily a multiple of delta by
+    properness) keeps c % 2 of them and gives the bookkeeping partition
+    c // 2 parts v / delta.  Runs are deleted deepest first, each pair
+    deepest first, so a run ending at 1-based position e logs its pairs at
+    i = e, e - 2, ... with value v.
     """
     if not is_proper(lam, params):
         raise ValueError(f"{lam!r} is not a proper wall")
@@ -180,26 +148,17 @@ def phi(lam: Partition, params: WallParams) -> MapResult:
         raise ValueError(f"{lam!r} is already strict; nothing to delete")
 
     delta = params.delta
-    cur = list(lam.parts)
+    runs = [(height, len(list(run))) for height, run in groupby(lam.parts)]
+    end = len(lam.parts)  # 1-based position of the current run's last part
     trace: list[MapStep] = []
-    values: list[int] = []
-    while True:
-        hit = None
-        for i in range(len(cur), 1, -1):
-            if cur[i - 2] == cur[i - 1]:
-                hit = i
-                break
-        if hit is None:
-            break
-        i = hit
-        height = cur[i - 1]
-        _certify(height % delta == 0, "phi pair off the delta grid")
-        del cur[i - 2 : i]
-        values.append(height // delta)
-        trace.append(MapStep(len(trace) + 1, i, height))
+    for height, count in reversed(runs):
+        for i in range(end, end - count + 1, -2):
+            _certify(height % delta == 0, "phi pair off the delta grid")
+            trace.append(MapStep(len(trace) + 1, i, height))
+        end -= count
 
-    hat = Partition(tuple(reversed(values)))
-    strict_part = Partition(cur)
+    hat = Partition(step.value // delta for step in reversed(trace))
+    strict_part = Partition(height for height, count in runs if count % 2)
     _certify(strict_part.is_strict(), "phi result not strict")
     k = hat.size
     _certify(lam.size - strict_part.size == k * params.period, "phi delete size")
@@ -212,17 +171,15 @@ def phi_rebuild(
     """The proper partition ``phi`` maps to (strict_part, hat), without
     certification.
 
-    Inserts a pair of parts v * delta for each bookkeeping part v, largest
-    first.
+    Adds a pair of parts v * delta for each bookkeeping part v; a partition
+    is the sorted multiset of its parts.
     """
     if not strict_part.is_strict():
         raise ValueError(f"{strict_part!r} is not strict")
     if not hat:
         raise ValueError("bookkeeping partition must be non-empty")
-    lam = strict_part
-    for v in hat:
-        lam = insert_blocks(lam, v, params)
-    return lam
+    pairs = [v * params.delta for v in hat for _ in range(2)]
+    return Partition(sorted(strict_part.parts + tuple(pairs), reverse=True))
 
 
 def phi_inv(strict_part: Partition, hat: Partition, params: WallParams) -> Partition:

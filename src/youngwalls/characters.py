@@ -13,11 +13,7 @@ from collections import Counter
 from typing import Iterable
 
 from .partitions import Partition
-from .series import PowerSeries
 from .walls import WallParams, WeightVector, reduced_counts, weight
-
-#: Multiset of weight vectors: weight vector -> positive multiplicity.
-VirtualCharacter = Counter
 
 
 def virtual_character(
@@ -27,9 +23,7 @@ def virtual_character(
     return Counter(weight(lam, params) for lam in partitions)
 
 
-def principal_character(params: WallParams, truncation: int) -> PowerSeries:
-    """Series whose degree-m coefficient is the number of reduced walls
-    with m blocks, up to the truncation degree."""
-    if truncation < 0:
-        raise ValueError("truncation degree must be non-negative")
-    return PowerSeries(reduced_counts(params, truncation))
+def principal_character(params: WallParams, truncation: int) -> list[int]:
+    """Series coefficients: entry m is the number of reduced walls with m
+    blocks, up to the truncation degree (``ValueError`` below 0)."""
+    return reduced_counts(params, truncation)

@@ -59,6 +59,8 @@ def parse_n_range(text: str) -> tuple[int, ...]:
     b = int(match[2] or a)
     if a < 2 or b < a:
         raise ValueError(f"bad n-range {text!r}: need 2 <= A <= B")
+    if b > MAX_RANK:
+        raise ValueError("--n-range is too large")
     return tuple(range(a, b + 1))
 
 
@@ -149,8 +151,8 @@ def text_vch(payload: dict[str, Any]) -> Iterator[str]:
 
 
 def cmd_pschar(args: argparse.Namespace) -> Record:
-    series = principal_character(WallParams(args.n), args.degree)
-    payload = {"degree": args.degree, "coefficients": list(series.coeffs)}
+    coeffs = principal_character(WallParams(args.n), args.degree)
+    payload = {"degree": args.degree, "coefficients": coeffs}
     return {"n": args.n, "degree": args.degree}, payload
 
 

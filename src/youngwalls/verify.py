@@ -83,8 +83,10 @@ def _report(
 
 
 def _witness_key(failure: dict[str, Any]) -> tuple:
-    """Order failures by cell first, then by offending object."""
-    return (failure.get("m", 0), failure.get("partition", ()))
+    """Order failures by cell, then each wall's own failures before the
+    cell-wide ones they cause (image loss), then by offending object."""
+    return (failure.get("m", 0), "partition" not in failure,
+            failure.get("partition", ()))
 
 
 def verify_euler(max_degree: int) -> VerificationReport:

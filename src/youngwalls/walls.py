@@ -44,14 +44,6 @@ class WallParams:
         return 2 * (self.n + 1)
 
 
-def block_color(k: int, params: WallParams) -> int:
-    """Color of the k-th block from the bottom of a column (k is 1-based)."""
-    if k < 1:
-        raise ValueError(f"block position must be >= 1, got {k}")
-    r = (k - 1) % params.period
-    return r if r <= params.n else 2 * params.n + 1 - r
-
-
 def is_proper(lam: Partition, params: WallParams) -> bool:
     """Equal adjacent positive parts are allowed only at multiples of delta."""
     delta = params.delta

@@ -2,13 +2,13 @@ import os
 import subprocess
 import sys
 import textwrap
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import youngwalls
-from youngwalls import verify
 from youngwalls import (
     CertificationError,
     MapResult,
@@ -20,7 +20,6 @@ from youngwalls import (
     enumerate_proper,
     enumerate_reduced,
     enumerate_strict,
-    insert_blocks,
     is_reduced,
     phi,
     phi_inv,
@@ -37,18 +36,23 @@ P3 = WallParams(3)
 
 
 class TestInsertBlocks:
+    """``phi_rebuild`` inserts a pair of parts v * delta per bookkeeping part v."""
+
     def test_insert_between(self):
-        assert insert_blocks(Partition((7, 1)), 2, P2) == (7, 6, 6, 1)
+        assert phi_rebuild(Partition((7, 1)), Partition((2,)), P2) == (7, 6, 6, 1)
 
     def test_insert_pair(self):
-        assert insert_blocks(Partition((1,)), 1, P2) == (3, 3, 1)
+        assert phi_rebuild(Partition((1,)), Partition((1,)), P2) == (3, 3, 1)
 
     def test_insert_after_equal_parts(self):
-        assert insert_blocks(Partition((6, 6)), 2, P2) == (6, 6, 6, 6)
+        rebuilt = phi_rebuild(Partition((7, 6, 1)), Partition((2, 2, 1)), P2)
+        assert rebuilt == (7, 6, 6, 6, 6, 6, 3, 3, 1)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            insert_blocks(Partition((3,)), 0, P2)
+            phi_rebuild(Partition((3, 3)), Partition((1,)), P2)
+        with pytest.raises(ValueError):
+            phi_rebuild(Partition((3,)), Partition(), P2)
 
 
 class TestPrefixStripMap:
@@ -268,25 +272,73 @@ def test_rebuild_cores_match_public_inverses(n):
                 assert rebuilt == phi_inv(r.reduced_part, r.hat_part, params) == lam
 
 
+def iterative_psi(lam, params):
+    """Oracle: strip one gap at a time, rescanning after every step for the
+    deepest gap (the last part against 0) still too wide for a reduced wall,
+    and shrink the prefix above it by the most quanta that keep it proper."""
+    delta, period = params.delta, params.period
+    cur, trace = list(lam.parts), []
+    while True:
+        for i in range(len(cur) + 1, 1, -1):
+            hi = cur[i - 2]
+            gap = hi - (cur[i - 1] if i - 1 < len(cur) else 0)
+            t = 0
+            while gap > (t + 1) * period or (
+                gap == (t + 1) * period and hi % delta == 0
+            ):
+                t += 1
+            if t:
+                break
+        else:
+            break
+        cur[: i - 1] = [a - t * period for a in cur[: i - 1]]
+        while cur and cur[-1] == 0:
+            cur.pop()
+        trace.append((len(trace) + 1, i, t))
+    hat = Partition(
+        (a - b) // period for a, b in zip_longest(lam.parts, cur, fillvalue=0)
+    )
+    return tuple(cur), hat.parts, hat.size, trace
+
+
+def iterative_phi(lam, params):
+    """Oracle: delete the deepest equal adjacent pair, rescan, repeat."""
+    cur, trace, values = list(lam.parts), [], []
+    while True:
+        for i in range(len(cur), 1, -1):
+            if cur[i - 2] == cur[i - 1]:
+                break
+        else:
+            break
+        height = cur[i - 1]
+        del cur[i - 2 : i]
+        values.append(height // params.delta)
+        trace.append((len(trace) + 1, i, height))
+    return tuple(cur), tuple(reversed(values)), sum(values), trace
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_one_pass_maps_match_iterative_oracles(n):
+    params = WallParams(n)
+    for m in range(31):
+        for lam in enumerate_proper(params, m):
+            for forward, oracle, in_target in (
+                (psi, iterative_psi, is_reduced(lam, params)),
+                (phi, iterative_phi, lam.is_strict()),
+            ):
+                if in_target:
+                    continue
+                r = forward(lam, params)
+                steps = [(s.l, s.i, s.value) for s in r.trace]
+                got = (r.reduced_part.parts, r.hat_part.parts, r.k, steps)
+                assert got == oracle(lam, params), (n, lam, forward.__name__)
+
+
 def _psi_with_wrong_hat(lam, params):
     """Stand-in for ``bijections.psi`` that returns a wrong bookkeeping part."""
     result = psi(lam, params)
     hat = Partition(result.hat_part.parts + (1,))
     return MapResult(result.reduced_part, hat, result.k, result.trace)
-
-
-def _recorded_failures(monkeypatch):
-    """Let ``verify._report`` also record the failures it is handed, since a
-    report shows only the smallest one."""
-    seen = []
-
-    def recording(check, params, failures, started):
-        seen.extend(failures)
-        return real_report(check, params, failures, started)
-
-    real_report = verify._report
-    monkeypatch.setattr(verify, "_report", recording)
-    return seen
 
 
 class TestCertification:
@@ -302,20 +354,21 @@ class TestCertification:
             return Partition(lam.parts + (1,))
 
         monkeypatch.setattr("youngwalls.verify.psi_rebuild", off_by_one_column)
-        failures = _recorded_failures(monkeypatch)
-        assert not verify_bijections(P2, 7).passed
-        assert {"m": 6, "map": "psi", "partition": (6,),
-                "error": "round trip mismatch"} in failures
+        report = verify_bijections(P2, 7)
+        assert not report.passed
+        assert report.counterexample == {"m": 6, "map": "psi", "partition": (6,),
+                                         "error": "round trip mismatch"}
 
     def test_forward_certification_error_is_a_failure(self, monkeypatch):
         def refusing(lam, params):
             raise CertificationError("psi result not reduced")
 
         monkeypatch.setattr("youngwalls.verify.psi", refusing)
-        failures = _recorded_failures(monkeypatch)
-        assert not verify_bijections(P2, 7).passed
-        assert {"m": 6, "map": "psi", "partition": (6,),
-                "error": "psi result not reduced"} in failures
+        report = verify_bijections(P2, 7)
+        assert not report.passed
+        # the wall's own failure, not the image loss it causes at m = 6
+        assert report.counterexample == {"m": 6, "map": "psi", "partition": (6,),
+                                         "error": "psi result not reduced"}
 
     def test_survives_optimized_mode(self):
         script = textwrap.dedent("""

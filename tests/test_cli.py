@@ -72,6 +72,8 @@ TOO_LARGE = str(sys.maxsize + 1)
         (["pschar", "--n", "2", "--degree", TOO_LARGE], "--degree"),
         (["weight", "--n", "1000000000000000000", "--partition", "7"], "--n"),
         (["weight", "--n", "1000001", "--partition", "7"], "--n"),
+        (["verify", "--n-range", "2..10000000000000000000000"], "--n-range"),
+        (["verify", "--n-range", "2..1000001"], "--n-range"),
     ],
 )
 def test_too_large_input_exits_two(capsys, argv, option):

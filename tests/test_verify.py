@@ -2,7 +2,6 @@ import pytest
 
 from youngwalls import (
     ALL_CHECKS,
-    PowerSeries,
     WallParams,
     run_checks,
     verify_bijections,
@@ -57,10 +56,9 @@ def off_by_one_at(fn, m0):
     """``fn`` with the degree-``m0`` entry of its table or series raised by 1."""
 
     def bumped(*args):
-        result = fn(*args)
-        values = list(result.coeffs if isinstance(result, PowerSeries) else result)
+        values = list(fn(*args))
         values[m0] += 1
-        return PowerSeries(values) if isinstance(result, PowerSeries) else values
+        return values
 
     return bumped
 
@@ -121,8 +119,12 @@ class TestReportPlumbing:
         assert report.counterexample == {"m": 4, "partition": (2, 2)}
 
     def test_witness_key_handles_missing_fields(self):
-        assert _witness_key({"m": 3}) == (3, ())
-        assert _witness_key({}) == (0, ())
+        wall, cell = {"m": 3, "partition": (9, 1)}, {"m": 3}
+        later = {"m": 4, "partition": (1,)}
+        # within a cell, a wall's own failure precedes the cell-wide one
+        assert sorted([later, cell, wall, {}], key=_witness_key) == [
+            {}, wall, cell, later
+        ]
 
 
 class TestRunChecks:

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from youngwalls import (
     Partition,
     WallParams,
-    block_color,
     count_partitions,
     enumerate_partitions,
     enumerate_proper,
@@ -20,6 +19,15 @@ from youngwalls import (
 
 P2 = WallParams(2)
 P3 = WallParams(3)
+
+
+def block_color(k, params):
+    """Oracle: color of the k-th block from the bottom of a column (k is
+    1-based), read off the pattern 0, 1, ..., n, n, ..., 1, 0."""
+    if k < 1:
+        raise ValueError(f"block position must be >= 1, got {k}")
+    r = (k - 1) % params.period
+    return r if r <= params.n else 2 * params.n + 1 - r
 
 
 def naive_weight(lam, params):
