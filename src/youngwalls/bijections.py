@@ -92,13 +92,13 @@ def psi(lam: Partition, params: WallParams) -> MapResult:
     if is_reduced(lam, params):
         raise ValueError(f"{lam!r} is already reduced; nothing to strip")
 
-    delta, parts = params.delta, lam.parts
-    quanta = [_max_quanta(a, b, delta) for a, b in zip(parts, parts[1:] + (0,))]
+    delta = params.delta
+    quanta = [_max_quanta(a, b, delta) for a, b in zip(lam, lam[1:] + (0,))]
     totals = list(accumulate(reversed(quanta)))[::-1]
     deepest_first = [(j + 2, t) for j, t in enumerate(quanta) if t][::-1]
     trace = [MapStep(l, i, t) for l, (i, t) in enumerate(deepest_first, 1)]
 
-    reduced = Partition(a - 2 * delta * h for a, h in zip(parts, totals))
+    reduced = Partition(a - 2 * delta * h for a, h in zip(lam, totals))
     _certify(is_reduced(reduced, params), "psi result not reduced")
     stripped = lam.size - reduced.size
     _certify(stripped > 0 and stripped % (2 * delta) == 0, "psi strip size")
@@ -119,8 +119,7 @@ def psi_rebuild(reduced: Partition, hat: Partition, params: WallParams) -> Parti
         raise ValueError("bookkeeping partition must be non-empty")
     period = params.period
     return Partition(
-        a + period * h
-        for a, h in zip_longest(reduced.parts, hat.parts, fillvalue=0)
+        a + period * h for a, h in zip_longest(reduced, hat, fillvalue=0)
     )
 
 
@@ -148,8 +147,8 @@ def phi(lam: Partition, params: WallParams) -> MapResult:
         raise ValueError(f"{lam!r} is already strict; nothing to delete")
 
     delta = params.delta
-    runs = [(height, len(list(run))) for height, run in groupby(lam.parts)]
-    end = len(lam.parts)  # 1-based position of the current run's last part
+    runs = [(height, len(list(run))) for height, run in groupby(lam)]
+    end = len(lam)  # 1-based position of the current run's last part
     trace: list[MapStep] = []
     for height, count in reversed(runs):
         for i in range(end, end - count + 1, -2):
@@ -179,7 +178,7 @@ def phi_rebuild(
     if not hat:
         raise ValueError("bookkeeping partition must be non-empty")
     pairs = [v * params.delta for v in hat for _ in range(2)]
-    return Partition(sorted(strict_part.parts + tuple(pairs), reverse=True))
+    return Partition(sorted([*strict_part, *pairs], reverse=True))
 
 
 def phi_inv(strict_part: Partition, hat: Partition, params: WallParams) -> Partition:

@@ -81,7 +81,7 @@ def _members(set_name: str, n: int | None, m: int) -> list[Partition]:
 
 
 def cmd_enum(args: argparse.Namespace) -> Record:
-    members = [list(lam.parts) for lam in _members(args.set, args.n, args.m)]
+    members = _members(args.set, args.n, args.m)
     params = {"set": args.set, "n": args.n, "m": args.m}
     return params, {"count": len(members), "partitions": members}
 
@@ -94,7 +94,7 @@ def text_enum(payload: dict[str, Any]) -> Iterator[str]:
 def cmd_weight(args: argparse.Namespace) -> Record:
     lam = parse_partition(args.partition)
     vec = list(weight(lam, WallParams(args.n)))
-    params = {"n": args.n, "partition": list(lam.parts)}
+    params = {"n": args.n, "partition": lam}
     return params, {"weight": vec, "total": sum(vec)}
 
 
@@ -106,19 +106,19 @@ def text_weight(payload: dict[str, Any]) -> Iterator[str]:
 def cmd_map(args: argparse.Namespace) -> Record:
     params = WallParams(args.n)
     lam = parse_partition(args.partition)
-    record_params = {"alg": args.alg, "n": args.n, "partition": list(lam.parts)}
+    record_params = {"alg": args.alg, "n": args.n, "partition": lam}
     if args.alg.endswith("-inv"):
         if args.hat is None:
             raise ValueError(f"{args.alg} needs --hat")
         hat = parse_partition(args.hat)
-        record_params["hat"] = list(hat.parts)
+        record_params["hat"] = hat
         inverse = psi_inv if args.alg == "psi-inv" else phi_inv
-        return record_params, {"result": list(inverse(lam, hat, params).parts)}
+        return record_params, {"result": inverse(lam, hat, params)}
     if args.hat is not None:
         raise ValueError(f"--hat is only for the inverse maps, not {args.alg}")
     result = (psi if args.alg == "psi" else phi)(lam, params)
-    payload: dict[str, Any] = {"reduced": list(result.reduced_part.parts),
-                               "hat": list(result.hat_part.parts), "k": result.k}
+    payload: dict[str, Any] = {"reduced": result.reduced_part,
+                               "hat": result.hat_part, "k": result.k}
     if args.trace:
         key = "t" if args.alg == "psi" else "pair"
         payload["trace"] = [{"l": s.l, "i": s.i, key: s.value} for s in result.trace]

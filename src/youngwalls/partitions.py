@@ -1,36 +1,28 @@
 """Integer partitions: the canonical type, enumerators, and count tables.
 
 A partition is stored in canonical form: a weakly decreasing tuple of
-positive integers.  Reading an index past the stored length yields 0, which
-is the convention every algorithm in this package relies on.  All counts use
-Python's arbitrary-precision integers, so results are exact at any size.
+positive integers.  All counts use Python's arbitrary-precision integers, so
+results are exact at any size.
 """
 
 from __future__ import annotations
 
-from functools import total_ordering
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
-@total_ordering
-class Partition:
-    """A weakly decreasing sequence of positive integers.
+class Partition(tuple):
+    """A weakly decreasing tuple of positive integers.
 
     The constructor accepts any weakly decreasing sequence of non-negative
     integers and drops the zeros, so callers may hand over sequences padded
     with trailing zeros.  Increasing sequences and negative entries are
-    rejected.
-
-    Indexing is 0-based and total: ``lam[i]`` returns 0 for any ``i`` at or
-    past the length.  Negative indices are not supported.
+    rejected.  Indexing, equality, hashing and ordering are the tuple's.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    parts: tuple[int, ...]
-
-    def __init__(self, parts: Iterable[int] = ()):
+    def __new__(cls, parts: Iterable[int] = ()) -> Partition:
         parts = tuple(int(p) for p in parts)
         for a, b in zip(parts, parts[1:]):
             if a < b:
@@ -42,52 +34,22 @@ class Partition:
             while k > 0 and parts[k - 1] == 0:
                 k -= 1
             parts = parts[:k]
-        object.__setattr__(self, "parts", parts)
+        return super().__new__(cls, parts)
 
     @property
     def size(self) -> int:
         """Total number of blocks, the sum of all parts."""
-        return sum(self.parts)
+        return sum(self)
 
     def is_strict(self) -> bool:
         """True when the positive parts are strictly decreasing."""
-        return all(a > b for a, b in zip(self.parts, self.parts[1:]))
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        if i < 0:
-            raise IndexError("partition indices start at 0")
-        return self.parts[i] if i < len(self.parts) else 0
-
-    def __bool__(self) -> bool:
-        return bool(self.parts)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __lt__(self, other: "Partition") -> bool:
-        return self.parts < other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Partition is immutable")
+        return all(a > b for a, b in zip(self, self[1:]))
 
     def __repr__(self) -> str:
-        return f"Partition({self.parts!r})"
+        return f"Partition({tuple(self)!r})"
 
     def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts)
+        return ",".join(str(p) for p in self)
 
 
 def _check_non_negative(m: int) -> None:
@@ -113,7 +75,8 @@ def _enumerate_window(m: int, d: int, gap: int) -> list[Partition]:
         # the next part lies in [lo, hi]; the partition may end here if lo <= 0
         if rest == 0:
             if lo <= 0:
-                out.append(Partition(prefix))
+                # the window rule keeps parts positive and weakly decreasing
+                out.append(tuple.__new__(Partition, prefix))
             return
         if hi > rest:
             hi = rest

@@ -47,17 +47,14 @@ class WallParams:
 def is_proper(lam: Partition, params: WallParams) -> bool:
     """Equal adjacent positive parts are allowed only at multiples of delta."""
     delta = params.delta
-    return all(
-        a != b or a % delta == 0 for a, b in zip(lam.parts, lam.parts[1:])
-    )
+    return all(a != b or a % delta == 0 for a, b in zip(lam, lam[1:]))
 
 
 def is_reduced(lam: Partition, params: WallParams) -> bool:
     """Proper, and every adjacent gap (last part against 0) is below 2*delta,
     or exactly 2*delta with the taller part not a multiple of delta."""
     delta, period = params.delta, params.period
-    parts = lam.parts
-    for a, b in zip(parts, parts[1:] + (0,)):
+    for a, b in zip(lam, lam[1:] + (0,)):
         gap = a - b
         if a % delta:
             # gap 0 is an equal pair off the delta grid: not even proper
@@ -79,10 +76,9 @@ def has_removable_delta(lam: Partition, params: WallParams) -> bool:
     if not is_proper(lam, params):
         raise ValueError(f"wall {lam!r} is not proper")
     period = params.period
-    parts = lam.parts
-    for i, (a, b) in enumerate(zip(parts, parts[1:] + (0,))):
+    for i, (a, b) in enumerate(zip(lam, lam[1:] + (0,))):
         if a - period >= b:
-            shortened = list(parts)
+            shortened = list(lam)
             shortened[i] -= period
             if is_proper(Partition(shortened), params):
                 return True
@@ -122,9 +118,9 @@ def weight(lam: Partition, params: WallParams) -> WeightVector:
     # every column opens the range [0, r) at slot 0; slot n+1 lies past the
     # last color, so a range end or start beyond the colors lands there
     diff = [0] * (n + 2)
-    diff[0] = len(lam.parts)
+    diff[0] = len(lam)
     cycles = 0
-    for height in lam.parts:
+    for height in lam:
         q, r = divmod(height, period)
         cycles += q
         diff[min(r, n + 1)] -= 1

@@ -176,9 +176,9 @@ class TestRoundTrips:
                 assert is_reduced(result.reduced_part, params)
                 assert result.hat_part.size == result.k >= 1
                 assert psi_inv(result.reduced_part, result.hat_part, params) == lam
-                images.add((result.reduced_part.parts, result.hat_part.parts))
+                images.add((result.reduced_part, result.hat_part))
             expected = {
-                (red.parts, hat.parts)
+                (red, hat)
                 for k in range(1, m // params.period + 1)
                 for red in enumerate_reduced(params, m - params.period * k)
                 for hat in enumerate_partitions(k)
@@ -194,9 +194,9 @@ class TestRoundTrips:
                 assert result.reduced_part.is_strict()
                 assert result.hat_part.size == result.k >= 1
                 assert phi_inv(result.reduced_part, result.hat_part, params) == lam
-                images.add((result.reduced_part.parts, result.hat_part.parts))
+                images.add((result.reduced_part, result.hat_part))
             expected = {
-                (strict.parts, hat.parts)
+                (strict, hat)
                 for k in range(1, m // params.period + 1)
                 for strict in enumerate_strict(m - params.period * k)
                 for hat in enumerate_partitions(k)
@@ -277,7 +277,7 @@ def iterative_psi(lam, params):
     deepest gap (the last part against 0) still too wide for a reduced wall,
     and shrink the prefix above it by the most quanta that keep it proper."""
     delta, period = params.delta, params.period
-    cur, trace = list(lam.parts), []
+    cur, trace = list(lam), []
     while True:
         for i in range(len(cur) + 1, 1, -1):
             hi = cur[i - 2]
@@ -296,14 +296,14 @@ def iterative_psi(lam, params):
             cur.pop()
         trace.append((len(trace) + 1, i, t))
     hat = Partition(
-        (a - b) // period for a, b in zip_longest(lam.parts, cur, fillvalue=0)
+        (a - b) // period for a, b in zip_longest(lam, cur, fillvalue=0)
     )
-    return tuple(cur), hat.parts, hat.size, trace
+    return tuple(cur), hat, hat.size, trace
 
 
 def iterative_phi(lam, params):
     """Oracle: delete the deepest equal adjacent pair, rescan, repeat."""
-    cur, trace, values = list(lam.parts), [], []
+    cur, trace, values = list(lam), [], []
     while True:
         for i in range(len(cur), 1, -1):
             if cur[i - 2] == cur[i - 1]:
@@ -330,14 +330,14 @@ def test_one_pass_maps_match_iterative_oracles(n):
                     continue
                 r = forward(lam, params)
                 steps = [(s.l, s.i, s.value) for s in r.trace]
-                got = (r.reduced_part.parts, r.hat_part.parts, r.k, steps)
+                got = (r.reduced_part, r.hat_part, r.k, steps)
                 assert got == oracle(lam, params), (n, lam, forward.__name__)
 
 
 def _psi_with_wrong_hat(lam, params):
     """Stand-in for ``bijections.psi`` that returns a wrong bookkeeping part."""
     result = psi(lam, params)
-    hat = Partition(result.hat_part.parts + (1,))
+    hat = Partition(result.hat_part + (1,))
     return MapResult(result.reduced_part, hat, result.k, result.trace)
 
 
@@ -351,7 +351,7 @@ class TestCertification:
     def test_broken_rebuild_core_is_a_round_trip_mismatch(self, monkeypatch):
         def off_by_one_column(reduced, hat, params):
             lam = psi_rebuild(reduced, hat, params)
-            return Partition(lam.parts + (1,))
+            return Partition(lam + (1,))
 
         monkeypatch.setattr("youngwalls.verify.psi_rebuild", off_by_one_column)
         report = verify_bijections(P2, 7)
@@ -380,7 +380,7 @@ class TestCertification:
 
             def wrong_psi(lam, params):
                 r = real_psi(lam, params)
-                hat = Partition(r.hat_part.parts + (1,))
+                hat = Partition(r.hat_part + (1,))
                 return MapResult(r.reduced_part, hat, r.k, r.trace)
 
             b.psi = wrong_psi

@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from youngwalls import cli
+from youngwalls import Partition, cli
 from youngwalls.cli import main, parse_n_range, parse_partition
 from youngwalls.verify import VerificationReport
 
@@ -219,7 +219,7 @@ class TestMap:
             capsys, "map", "--alg", "psi", "--n", "2", "--partition", "5,1"
         )
         assert code == 2
-        assert "already reduced" in err
+        assert err == "error: Partition((5, 1)) is already reduced; nothing to strip\n"
 
     def test_hat_flag_misuse(self, capsys):
         code, _, _ = run_cli(
@@ -333,20 +333,23 @@ class TestVerify:
         assert code == 2
 
     def test_failing_report(self, capsys, monkeypatch):
-        report = VerificationReport(
-            "counts", {"n": 2, "max_m": 8}, False,
-            {"m": 5, "partition": (5, 2, 1), "reduced": 3, "strict": 4},
-        )
-        monkeypatch.setattr(cli, "run_checks", lambda *args: [report])
-        code, out, _ = run_cli(capsys, "verify")
-        assert code == 1
-        assert out == (
-            "FAIL counts n=2 max_m=8 counterexample="
-            '{"m": 5, "partition": [5, 2, 1], "reduced": 3, "strict": 4}\n'
-        )
-        code, out, _ = run_cli(capsys, "verify", "--format", "json")
-        assert code == 1
-        assert '"all_passed": false' in out
+        # verify stores the Partition itself; it must serialize as a list
+        for partition in ((5, 2, 1), Partition((5, 2, 1))):
+            report = VerificationReport(
+                "counts", {"n": 2, "max_m": 8}, False,
+                {"m": 5, "partition": partition, "reduced": 3, "strict": 4},
+            )
+            monkeypatch.setattr(cli, "run_checks", lambda *args: [report])
+            code, out, _ = run_cli(capsys, "verify")
+            assert code == 1
+            assert out == (
+                "FAIL counts n=2 max_m=8 counterexample="
+                '{"m": 5, "partition": [5, 2, 1], "reduced": 3, "strict": 4}\n'
+            )
+            code, out, _ = run_cli(capsys, "verify", "--format", "json")
+            assert code == 1
+            assert '"all_passed": false' in out
+            assert '"partition": [5, 2, 1]' in out
 
     def test_byte_identical_runs(self, capsys):
         args = ("verify", "--n-range", "2..2", "--max-m", "8", "--degree", "30")

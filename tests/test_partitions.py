@@ -35,9 +35,9 @@ def oracle_partition_set(m):
 
 class TestPartitionType:
     def test_canonical_form_drops_zeros(self):
-        assert Partition((3, 1, 0, 0)).parts == (3, 1)
-        assert Partition((0, 0)).parts == ()
-        assert Partition().parts == ()
+        assert Partition((3, 1, 0, 0)) == (3, 1)
+        assert Partition((0, 0)) == ()
+        assert Partition() == ()
 
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):
@@ -47,14 +47,14 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition((3, -1))
 
-    def test_indexing_past_length_is_zero(self):
+    def test_indexing_and_hash_are_the_tuples(self):
         lam = Partition((4, 2))
         assert lam[0] == 4
-        assert lam[1] == 2
-        assert lam[2] == 0
-        assert lam[100] == 0
+        assert lam[-1] == 2
         with pytest.raises(IndexError):
-            lam[-1]
+            lam[2]
+        assert type(lam[1:]) is tuple
+        assert hash(lam) == hash(tuple(lam))
 
     def test_size_and_length(self):
         lam = Partition((4, 2, 1))
@@ -79,7 +79,9 @@ class TestPartitionType:
     def test_immutable(self):
         lam = Partition((2, 1))
         with pytest.raises(AttributeError):
-            lam.parts = (5,)
+            lam.extra = (5,)
+        with pytest.raises(TypeError):
+            lam[0] = 5
 
     def test_str_roundtrips_comma_literal(self):
         assert str(Partition((5, 2, 1))) == "5,2,1"
@@ -92,7 +94,7 @@ class TestEnumeration:
         assert enumerate_strict(0) == [Partition()]
 
     def test_partitions_of_four(self):
-        assert [lam.parts for lam in enumerate_partitions(4)] == [
+        assert enumerate_partitions(4) == [
             (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1),
         ]
 
@@ -100,7 +102,7 @@ class TestEnumeration:
         assert len(enumerate_partitions(5)) == 7
 
     def test_strict_of_seven(self):
-        assert [lam.parts for lam in enumerate_strict(7)] == [
+        assert enumerate_strict(7) == [
             (7,), (6, 1), (5, 2), (4, 3), (4, 2, 1),
         ]
 
@@ -116,23 +118,24 @@ class TestEnumeration:
     @pytest.mark.parametrize("m", range(0, 26))
     def test_matches_ascending_oracle(self, m):
         oracle = oracle_partition_set(m)
-        assert {lam.parts for lam in enumerate_partitions(m)} == oracle
-        assert {lam.parts for lam in enumerate_strict(m)} == {
+        assert set(enumerate_partitions(m)) == oracle
+        assert set(enumerate_strict(m)) == {
             t for t in oracle if len(set(t)) == len(t)
         }
 
     @given(st.integers(min_value=0, max_value=28))
     def test_descending_lex_and_duplicate_free(self, m):
         for listing in (enumerate_partitions(m), enumerate_strict(m)):
-            parts = [lam.parts for lam in listing]
-            assert parts == sorted(parts, reverse=True)
-            assert len(set(parts)) == len(parts)
+            assert listing == sorted(listing, reverse=True)
+            assert len(set(listing)) == len(listing)
+            for lam in listing:
+                # built without validation, so check it against the validator
+                assert isinstance(lam, Partition)
+                assert lam == Partition(tuple(lam))
 
     @given(st.integers(min_value=0, max_value=30))
     def test_strict_subset_of_all(self, m):
-        assert {lam.parts for lam in enumerate_strict(m)} <= {
-            lam.parts for lam in enumerate_partitions(m)
-        }
+        assert set(enumerate_strict(m)) <= set(enumerate_partitions(m))
 
 
 class TestCounts:

@@ -98,7 +98,7 @@ class TestColumnPredicates:
     def test_reduced_set_of_seven(self):
         expected = {(6, 1), (5, 2), (4, 3), (4, 2, 1), (3, 3, 1)}
         actual = {
-            lam.parts
+            lam
             for lam in enumerate_partitions(7)
             if is_reduced(lam, P2)
         }
@@ -122,18 +122,18 @@ class TestColumnPredicates:
 
 class TestEnumerators:
     def test_proper_of_six(self):
-        assert [lam.parts for lam in enumerate_proper(P2, 6)] == [
+        assert enumerate_proper(P2, 6) == [
             (6,), (5, 1), (4, 2), (3, 3), (3, 2, 1),
         ]
 
     def test_proper_of_two(self):
-        assert [lam.parts for lam in enumerate_proper(P2, 2)] == [(2,)]
+        assert enumerate_proper(P2, 2) == [(2,)]
 
     def test_proper_of_zero(self):
         assert enumerate_proper(P2, 0) == [Partition()]
 
     def test_reduced_of_six(self):
-        assert [lam.parts for lam in enumerate_reduced(P2, 6)] == [
+        assert enumerate_reduced(P2, 6) == [
             (5, 1), (4, 2), (3, 3), (3, 2, 1),
         ]
 
@@ -146,29 +146,39 @@ class TestEnumerators:
         params = WallParams(n)
         for m in range(16):
             expected = [
-                lam.parts
+                lam
                 for lam in enumerate_partitions(m)
                 if is_proper(lam, params)
             ]
-            assert [lam.parts for lam in enumerate_proper(params, m)] == expected
+            walls = enumerate_proper(params, m)
+            assert walls == expected
+            assert all(
+                isinstance(lam, Partition) and lam == Partition(tuple(lam))
+                for lam in walls
+            )
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_reduced_matches_predicate_filter(self, n):
         params = WallParams(n)
         for m in range(20):
             expected = [
-                lam.parts
+                lam
                 for lam in enumerate_proper(params, m)
                 if is_reduced(lam, params)
             ]
-            assert [lam.parts for lam in enumerate_reduced(params, m)] == expected
+            walls = enumerate_reduced(params, m)
+            assert walls == expected
+            assert all(
+                isinstance(lam, Partition) and lam == Partition(tuple(lam))
+                for lam in walls
+            )
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
     def test_strict_partitions_are_proper(self, n):
         params = WallParams(n)
         for m in range(31):
-            proper = {lam.parts for lam in enumerate_proper(params, m)}
-            assert {lam.parts for lam in enumerate_strict(m)} <= proper
+            proper = set(enumerate_proper(params, m))
+            assert set(enumerate_strict(m)) <= proper
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
