@@ -268,6 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
 #: near ``sys.maxsize`` would fail on memory rather than as a usage error.
 MAX_RANK = 10**6
 
+#: Largest accepted ``--m``, ``--max-m`` and ``--degree``: the window-rule
+#: count tables hold O(M^2) big integers, and ``count --set proper`` at this
+#: size already takes about a second and 90 MB.
+MAX_SIZE = 2000
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
@@ -280,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
             if value is None:
                 continue
             option = "--" + bound.replace("_", "-")
-            if value > (MAX_RANK if bound == "n" else sys.maxsize):
+            if value > (MAX_RANK if bound == "n" else MAX_SIZE):
                 raise ValueError(f"{option} is too large")
             if bound == "n" and value < 2:
                 raise ValueError(f"rank n must be at least 2, got {value}")

@@ -6,8 +6,12 @@ product series of (1 + t^i), the reciprocal odd-parts series, the pentagonal
 strict table and the odd-part DP table.  ``counts`` compares the window-rule
 DP table of reduced walls with the pentagonal strict table; ``fock``, the
 window-rule table of proper walls with the reduced table convolved with the
-pentagonal partition table.  ``vch``, ``bijections`` and
-``reduced-equivalence`` enumerate, so the enumerators stay covered.
+pentagonal partition table.  ``vch`` compares two weight-graded tables
+(weight multisets per size, by packed weight code): the product of
+(1 + x^w(i)) over column heights i for strict partitions, and the
+window-rule DP with weight-graded entries for reduced walls; it enumerates
+nothing.  ``bijections`` and ``reduced-equivalence`` enumerate, so the
+enumerators stay covered.
 ``bijections`` maps each wall once and inverts through the rebuild cores,
 not the replaying public inverses: it compares the rebuilt wall with the
 wall mapped, the round trip the replay exists to certify.  A failing
@@ -19,13 +23,14 @@ deterministically.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 from typing import Any
 
 from .bijections import CertificationError, phi, phi_rebuild, psi, psi_rebuild
-from .characters import virtual_character
+from .characters import reduced_weight_table, strict_weight_table, unpack_weight
 from .partitions import (
     enumerate_partitions,
     enumerate_strict,
@@ -147,21 +152,26 @@ def verify_fock(params: WallParams, max_m: int) -> VerificationReport:
 
 def verify_vch_identity(params: WallParams, max_m: int) -> VerificationReport:
     """Strict partitions and reduced walls with m blocks carry identical
-    weight multisets."""
+    weight multisets: the product of (1 + x^w(i)) over column heights
+    against the weight-graded window-rule DP, one table each for every
+    m <= max_m, with no enumeration."""
     started = time.perf_counter()
+
+    def decoded(terms: Counter) -> dict[str, int]:
+        return {str(unpack_weight(code, params, max_m)): count
+                for code, count in terms.items()}
+
     failures = []
-    for m in range(max_m + 1):
-        strict_vch = virtual_character(enumerate_strict(m), params)
-        reduced_vch = virtual_character(enumerate_reduced(params, m), params)
-        if strict_vch != reduced_vch:
-            diff = strict_vch - reduced_vch
+    strict_table = strict_weight_table(params, max_m)
+    reduced_table = reduced_weight_table(params, max_m)
+    for m, (strict, reduced) in enumerate(zip(strict_table, reduced_table)):
+        if strict != reduced:
+            strict, reduced = Counter(strict), Counter(reduced)
             failures.append(
                 {
                     "m": m,
-                    "strict_only": {str(k): v for k, v in diff.items()},
-                    "reduced_only": {
-                        str(k): v for k, v in (reduced_vch - strict_vch).items()
-                    },
+                    "strict_only": decoded(strict - reduced),
+                    "reduced_only": decoded(reduced - strict),
                 }
             )
     return _report("vch", {"n": params.n, "max_m": max_m}, failures, started)

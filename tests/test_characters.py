@@ -9,7 +9,13 @@ from youngwalls import (
     enumerate_strict,
     principal_character,
     series_product_strict,
+    strict_counts,
     virtual_character,
+)
+from youngwalls.characters import (
+    reduced_weight_table,
+    strict_weight_table,
+    unpack_weight,
 )
 
 P2 = WallParams(2)
@@ -53,6 +59,47 @@ class TestVirtualCharacter:
                 virtual_character(enumerate_reduced(params, m), params),
             ):
                 assert sum(vch.values()) == count_strict(m)
+
+
+def decoded(table, params, M):
+    """Each entry of a weight table as a Counter of weight vectors."""
+    return [
+        Counter({unpack_weight(code, params, M): c for code, c in entry.items()})
+        for entry in table
+    ]
+
+
+class TestWeightTables:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "table, enumerate_side",
+        [(strict_weight_table, lambda params, m: enumerate_strict(m)),
+         (reduced_weight_table, enumerate_reduced)],
+        ids=["strict", "reduced"],
+    )
+    def test_matches_enumeration_to_thirty(self, n, table, enumerate_side):
+        params = WallParams(n)
+        for m, vch in enumerate(decoded(table(params, 30), params, 30)):
+            assert vch == virtual_character(enumerate_side(params, m), params), m
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_sides_agree_to_eighty(self, n):
+        params = WallParams(n)
+        strict = strict_weight_table(params, 80)
+        assert strict == reduced_weight_table(params, 80)
+        assert [sum(entry.values()) for entry in strict] == strict_counts(80)
+
+    def test_code_packs_the_weight_vector(self):
+        # strict partitions of 7 at rank 2, packed base 8: (3,2,2) -> 3 + 16 + 128
+        table = strict_weight_table(P2, 7)
+        assert table[7] == {3 + 16 + 128: 3, 2 + 24 + 128: 1, 2 + 16 + 192: 1}
+        assert unpack_weight(147, P2, 7) == (3, 2, 2)
+
+    @pytest.mark.parametrize("table", [strict_weight_table, reduced_weight_table])
+    def test_degree_zero_and_negative(self, table):
+        assert table(P2, 0) == [{0: 1}]
+        with pytest.raises(ValueError):
+            table(P2, -1)
 
 
 class TestPrincipalCharacter:

@@ -74,6 +74,9 @@ TOO_LARGE = str(sys.maxsize + 1)
         (["weight", "--n", "1000001", "--partition", "7"], "--n"),
         (["verify", "--n-range", "2..10000000000000000000000"], "--n-range"),
         (["verify", "--n-range", "2..1000001"], "--n-range"),
+        (["count", "--set", "proper", "--n", "2", "--max-m", "2001"], "--max-m"),
+        (["pschar", "--n", "2", "--degree", "2001"], "--degree"),
+        (["verify", "--degree", "2001"], "--degree"),
     ],
 )
 def test_too_large_input_exits_two(capsys, argv, option):
@@ -81,6 +84,13 @@ def test_too_large_input_exits_two(capsys, argv, option):
     assert code == 2
     assert out == ""
     assert err == f"error: {option} is too large\n"
+
+
+def test_largest_size_is_accepted(capsys):
+    assert cli.MAX_SIZE == 2000
+    code, out, _ = run_cli(capsys, "count", "--set", "strict", "--max-m", "2000")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("2000: ")
 
 
 class TestEnum:

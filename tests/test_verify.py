@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from youngwalls import (
@@ -11,7 +13,7 @@ from youngwalls import (
     verify_reduced_equivalence,
     verify_vch_identity,
 )
-from youngwalls import verify
+from youngwalls import enumerate_strict, verify, virtual_character
 from youngwalls.verify import _report, _witness_key
 
 
@@ -46,6 +48,14 @@ class TestIndividualVerifiers:
     def test_reduced_equivalence(self, n):
         assert verify_reduced_equivalence(WallParams(n), 16).passed
 
+    def test_vch_enumerates_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("vch enumerated")
+
+        monkeypatch.setattr(verify, "enumerate_strict", refuse)
+        monkeypatch.setattr(verify, "enumerate_reduced", refuse)
+        assert verify_vch_identity(WallParams(3), 30).passed
+
     def test_vacuous_bijection_domain(self):
         # below one quantum of blocks the complement domains are empty
         params = WallParams(2)
@@ -59,6 +69,18 @@ def off_by_one_at(fn, m0):
         values = list(fn(*args))
         values[m0] += 1
         return values
+
+    return bumped
+
+
+def term_off_by_one_at(fn, m0):
+    """``fn`` with one weight term of the degree-``m0`` entry of its weight
+    table raised by 1."""
+
+    def bumped(*args):
+        table = [dict(entry) for entry in fn(*args)]
+        table[m0][min(table[m0])] += 1
+        return table
 
     return bumped
 
@@ -100,6 +122,26 @@ class TestEverySideIsRead:
         assert not report.passed
         assert report.counterexample["m"] == m
         assert set(report.counterexample) == {"m", "proper", "decomposition"}
+
+    @pytest.mark.parametrize(
+        "side, excess, other",
+        [("strict_weight_table", "strict_only", "reduced_only"),
+         ("reduced_weight_table", "reduced_only", "strict_only")],
+        ids=["strict_weight_table", "reduced_weight_table"],
+    )
+    def test_vch(self, monkeypatch, side, excess, other):
+        monkeypatch.setattr(verify, side, term_off_by_one_at(getattr(verify, side), 11))
+        report = verify_vch_identity(WallParams(2), 20)
+        assert not report.passed
+        witness = report.counterexample
+        assert witness["m"] == 11
+        assert set(witness) == {"m", "strict_only", "reduced_only"}
+        (key, count), = witness[excess].items()
+        assert count == 1
+        assert re.fullmatch(r"\(\d+, \d+, \d+\)", key)
+        weights = virtual_character(enumerate_strict(11), WallParams(2))
+        assert key in {str(w) for w in weights}
+        assert witness[other] == {}
 
 
 class TestReportPlumbing:
