@@ -72,12 +72,22 @@ def _scope(params: dict[str, Any]) -> str:
     return " ".join(f"{k}={v}" for k, v in params.items())
 
 
+def _within_budget(objects: int, option: str) -> None:
+    if objects > MAX_OBJECTS:
+        raise ValueError(f"{option} is too large")
+
+
 def _members(set_name: str, n: int | None, m: int) -> list[Partition]:
+    """The set's members of size m, after its count table says they fit."""
     if set_name == "strict":
+        _within_budget(strict_counts(m)[m], "--m")
         return enumerate_strict(m)
+    params = WallParams(n)
     if set_name == "proper":
-        return enumerate_proper(WallParams(n), m)
-    return enumerate_reduced(WallParams(n), m)
+        _within_budget(proper_counts(params, m)[m], "--m")
+        return enumerate_proper(params, m)
+    _within_budget(reduced_counts(params, m)[m], "--m")
+    return enumerate_reduced(params, m)
 
 
 def cmd_enum(args: argparse.Namespace) -> Record:
@@ -179,6 +189,12 @@ def text_count(payload: dict[str, Any]) -> Iterator[str]:
 def cmd_verify(args: argparse.Namespace) -> Record:
     n_values = parse_n_range(args.n_range)
     checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
+    # the two enumerating checks each walk every proper wall of every rank
+    walks = sum(check in ("bijections", "reduced-equivalence") for check in checks)
+    walls = 0
+    for n in n_values if walks else ():
+        walls += walks * sum(proper_counts(WallParams(n), args.max_m))
+        _within_budget(walls, "--max-m" if n == n_values[0] else "--n-range")
     reports = run_checks(n_values, args.max_m, args.degree, checks)
     for r in reports:
         print(f"# {r.check} {_scope(r.params)} elapsed={r.elapsed:.3f}s",
@@ -272,6 +288,11 @@ MAX_RANK = 10**6
 #: count tables hold O(M^2) big integers, and ``count --set proper`` at this
 #: size already takes about a second and 90 MB.
 MAX_SIZE = 2000
+
+#: Most objects a request may enumerate, read off the count tables first:
+#: the members listed by ``enum`` and ``vch``, the proper walls walked by
+#: ``verify`` (once per rank and enumerating check).
+MAX_OBJECTS = 10**6
 
 
 def main(argv: list[str] | None = None) -> int:

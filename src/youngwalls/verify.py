@@ -10,14 +10,14 @@ pentagonal partition table.  ``vch`` compares two weight-graded tables
 (weight multisets per size, by packed weight code): the product of
 (1 + x^w(i)) over column heights i for strict partitions, and the
 window-rule DP with weight-graded entries for reduced walls; it enumerates
-nothing.  ``bijections`` and ``reduced-equivalence`` enumerate, so the
-enumerators stay covered.
-``bijections`` maps each wall once and inverts through the rebuild cores,
-not the replaying public inverses: it compares the rebuilt wall with the
-wall mapped, the round trip the replay exists to certify.  A failing
-report carries the smallest offending cell and, where applicable, the
-lexicographically smallest offending object, so failures reproduce
-deterministically.
+nothing.  Only ``bijections`` and ``reduced-equivalence`` enumerate, and
+only proper walls (``enumerate_proper``).  ``bijections`` inverts through
+the rebuild cores, not the replaying public inverses, comparing the rebuilt
+wall with the wall mapped, and checks each map's images against its
+codomain by count: the reduced or strict table times the partition table,
+never a listing.  A failing report carries the smallest offending cell and,
+where applicable, the lexicographically smallest offending object, so
+failures reproduce deterministically.
 """
 
 from __future__ import annotations
@@ -25,24 +25,15 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import product
 from typing import Any
 
 from .bijections import CertificationError, phi, phi_rebuild, psi, psi_rebuild
 from .characters import reduced_weight_table, strict_weight_table, unpack_weight
-from .partitions import (
-    enumerate_partitions,
-    enumerate_strict,
-    odd_counts,
-    partition_counts,
-    strict_counts,
-)
+from .partitions import odd_counts, partition_counts, strict_counts
 from .series import series_product_odd, series_product_strict
 from .walls import (
     WallParams,
     enumerate_proper,
-    enumerate_reduced,
     has_removable_delta,
     is_reduced,
     proper_counts,
@@ -191,61 +182,57 @@ def verify_reduced_equivalence(params: WallParams, max_m: int) -> VerificationRe
     )
 
 
-def _codomain(listed, family, params: WallParams, m: int) -> set:
-    """All (family member of size m - 2*delta*k, partition of k) pairs, k >= 1,
-    as tuples; ``listed(enumerator, size)`` supplies each enumeration."""
-    period = params.period
-    pairs = set()
-    for k in range(1, m // period + 1):
-        pairs.update(
-            product(listed(family, m - period * k), listed(enumerate_partitions, k))
-        )
-    return pairs
+def _canonical(parts: tuple) -> bool:
+    """Weakly decreasing parts down to a last part >= 1 (so no trailing 0)."""
+    return all(a >= b for a, b in zip(parts, parts[1:] + (1,)))
 
 
 def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
     """Both reduction maps are total on their domains, invert exactly, hit
-    their full codomains injectively, and shift every color count by 2k."""
+    their full codomains injectively, and shift every color count by 2k.
+
+    Only proper walls are listed.  An image counts only as a codomain
+    member: both parts canonical, the first in the target family, the hat
+    non-empty, |part| + 2*delta*|hat| == m.  When the distinct members number
+    the domain's walls and the tables' sum over k >= 1 of
+    family(m - 2*delta*k) * P(k), they are the whole codomain.
+    """
     started = time.perf_counter()
-    failures = []
+    period = params.period
+    partitions = partition_counts(max_m // period)
     jobs = (
-        ("psi", psi, psi_rebuild, is_reduced, lambda m: enumerate_reduced(params, m)),
-        ("phi", phi, phi_rebuild, lambda lam, p: lam.is_strict(), enumerate_strict),
+        ("psi", psi, psi_rebuild, is_reduced, reduced_counts(params, max_m)),
+        ("phi", phi, phi_rebuild, lambda lam, p: lam.is_strict(),
+         strict_counts(max_m)),
     )
-    # one enumeration per (family, size) and per k, kept for this call only
-    listed = cache(lambda enumerator, size: enumerator(size))
+    failures = []
     for m in range(max_m + 1):
-        images = {name: set() for name, *_ in jobs}
-        domain_sizes = dict.fromkeys(images, 0)
-        for lam in enumerate_proper(params, m):
-            full = None
-            for name, forward, rebuild, in_target, _ in jobs:
-                if in_target(lam, params):
-                    continue
-                domain_sizes[name] += 1
+        walls = enumerate_proper(params, m)
+        for name, forward, rebuild, in_target, family in jobs:
+            domain = [lam for lam in walls if not in_target(lam, params)]
+            images = set()
+            for lam in domain:
+                error = None
                 try:
                     result = forward(lam, params)
-                    rebuilt = rebuild(result.reduced_part, result.hat_part, params)
+                    part, hat = result.pair()
+                    if rebuild(part, hat, params) != lam:
+                        error = "round trip mismatch"
+                    elif any(a - b != 2 * result.k for a, b in
+                             zip(weight(lam, params), weight(part, params))):
+                        error = "weight shift mismatch"
                 except (ValueError, CertificationError) as exc:
+                    error = str(exc)
+                if error is not None:
                     failures.append({"m": m, "map": name, "partition": lam,
-                                     "error": str(exc)})
-                    continue
-                if rebuilt != lam:
-                    failures.append({"m": m, "map": name, "partition": lam,
-                                     "error": "round trip mismatch"})
-                    continue
-                if full is None:
-                    full = weight(lam, params)
-                target = weight(result.reduced_part, params)
-                shift = 2 * result.k
-                if any(a - b != shift for a, b in zip(full, target)):
-                    failures.append({"m": m, "map": name, "partition": lam,
-                                     "error": "weight shift mismatch"})
-                    continue
-                images[name].add(result.pair())
-        for name, _, _, _, family in jobs:
-            expected = _codomain(listed, family, params, m)
-            if len(images[name]) != domain_sizes[name] or images[name] != expected:
+                                     "error": error})
+                elif (_canonical(part) and _canonical(hat) and hat
+                      and in_target(part, params)
+                      and sum(part) + period * sum(hat) == m):
+                    images.add((part, hat))
+            expected = sum(family[m - period * k] * partitions[k]
+                           for k in range(1, m // period + 1))
+            if not len(images) == len(domain) == expected:
                 failures.append({"m": m, "map": name,
                                  "error": "image does not match codomain"})
     return _report(

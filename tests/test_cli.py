@@ -77,6 +77,13 @@ TOO_LARGE = str(sys.maxsize + 1)
         (["count", "--set", "proper", "--n", "2", "--max-m", "2001"], "--max-m"),
         (["pschar", "--n", "2", "--degree", "2001"], "--degree"),
         (["verify", "--degree", "2001"], "--degree"),
+        # within MAX_SIZE, but more than MAX_OBJECTS members or walls to list
+        (["enum", "--set", "strict", "--m", "2000"], "--m"),
+        (["vch", "--set", "strict", "--n", "2", "--m", "2000"], "--m"),
+        (["enum", "--set", "proper", "--n", "2", "--m", "200"], "--m"),
+        (["enum", "--set", "reduced", "--n", "2", "--m", "200"], "--m"),
+        (["verify", "--max-m", "100"], "--max-m"),
+        (["verify", "--n-range", "2..1000000", "--max-m", "20"], "--n-range"),
     ],
 )
 def test_too_large_input_exits_two(capsys, argv, option):
@@ -91,6 +98,26 @@ def test_largest_size_is_accepted(capsys):
     code, out, _ = run_cli(capsys, "count", "--set", "strict", "--max-m", "2000")
     assert code == 0
     assert out.splitlines()[-1].startswith("2000: ")
+
+
+def test_enumeration_budget_boundary(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 10)
+    code, out, _ = run_cli(capsys, "enum", "--set", "strict", "--m", "10")
+    assert (code, out.splitlines()[0]) == (0, "count: 10")
+    code, out, err = run_cli(capsys, "enum", "--set", "strict", "--m", "11")
+    assert (code, out, err) == (2, "", "error: --m is too large\n")
+
+
+def test_verify_budget_counts_only_enumerating_checks(capsys, monkeypatch):
+    # n=2, m <= 7 has 1+1+1+2+2+3+5+6 = 21 proper walls
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 42)
+    argv = ["verify", "--n-range", "2", "--max-m", "7", "--checks"]
+    assert run_cli(capsys, *argv, "bijections,reduced-equivalence")[0] == 0
+    assert run_cli(capsys, *argv, "bijections,reduced-equivalence,counts")[0] == 0
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 41)
+    code, out, err = run_cli(capsys, *argv, "bijections,reduced-equivalence")
+    assert (code, out, err) == (2, "", "error: --max-m is too large\n")
+    assert run_cli(capsys, *argv, "bijections")[0] == 0
 
 
 class TestEnum:

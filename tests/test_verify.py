@@ -4,6 +4,8 @@ import pytest
 
 from youngwalls import (
     ALL_CHECKS,
+    MapResult,
+    Partition,
     WallParams,
     run_checks,
     verify_bijections,
@@ -52,9 +54,13 @@ class TestIndividualVerifiers:
         def refuse(*args):
             raise AssertionError("vch enumerated")
 
-        monkeypatch.setattr(verify, "enumerate_strict", refuse)
-        monkeypatch.setattr(verify, "enumerate_reduced", refuse)
+        monkeypatch.setattr(verify, "enumerate_proper", refuse)
         assert verify_vch_identity(WallParams(3), 30).passed
+
+    def test_verify_enumerates_only_proper_walls(self):
+        # codomains are counted from the tables, never listed
+        names = [name for name in vars(verify) if name.startswith("enumerate_")]
+        assert names == ["enumerate_proper"]
 
     def test_vacuous_bijection_domain(self):
         # below one quantum of blocks the complement domains are empty
@@ -83,6 +89,55 @@ def term_off_by_one_at(fn, m0):
         return table
 
     return bumped
+
+
+def table_bumped_at(side, index):
+    def perturb(monkeypatch):
+        monkeypatch.setattr(verify, side, off_by_one_at(getattr(verify, side), index))
+
+    return perturb
+
+
+def walls_edited_at(m0, edit):
+    def perturb(monkeypatch):
+        real = verify.enumerate_proper
+
+        def edited(params, m):
+            walls = real(params, m)
+            return edit(walls) if m == m0 else walls
+
+        monkeypatch.setattr(verify, "enumerate_proper", edited)
+
+    return perturb
+
+
+def psi_image_forged(wall, part, hat, k):
+    """``psi`` sending ``wall`` to (part, hat) with k quanta, and a
+    ``psi_rebuild`` that still returns ``wall`` from it, so only the
+    membership test can tell."""
+
+    def perturb(monkeypatch):
+        real_psi, real_rebuild = verify.psi, verify.psi_rebuild
+
+        def forged(lam, params):
+            if lam == wall:
+                return MapResult(part, hat, k, ())
+            return real_psi(lam, params)
+
+        def rebuild(reduced, bookkeeping, params):
+            if (reduced, bookkeeping) == (part, hat):
+                return Partition(wall)
+            return real_rebuild(reduced, bookkeeping, params)
+
+        monkeypatch.setattr(verify, "psi", forged)
+        monkeypatch.setattr(verify, "psi_rebuild", rebuild)
+
+    return perturb
+
+
+def unchecked(*parts):
+    """A ``Partition`` built without validation, as only a forgery would."""
+    return tuple.__new__(Partition, parts)
 
 
 class TestEverySideIsRead:
@@ -142,6 +197,34 @@ class TestEverySideIsRead:
         weights = virtual_character(enumerate_strict(11), WallParams(2))
         assert key in {str(w) for w in weights}
         assert witness[other] == {}
+
+    @pytest.mark.parametrize(
+        "perturb, m, name",
+        # with delta = 3, family entry m0 is read first at m0 + 6, P(k) at 6k
+        [(table_bumped_at("reduced_counts", 7), 13, "psi"),
+         (table_bumped_at("strict_counts", 7), 13, "phi"),
+         (table_bumped_at("partition_counts", 2), 12, "psi"),
+         (walls_edited_at(13, lambda walls: walls[1:]), 13, "psi"),
+         (walls_edited_at(13, lambda walls: walls[:1] + walls), 13, "psi"),
+         # psi sends (13,) to ((1,), (2,)); each forgery keeps the round trip
+         # and the weight shift
+         (psi_image_forged((13,), Partition((1,)), unchecked(2, 0), 2), 13, "psi"),
+         (psi_image_forged((13,), unchecked(1, 0), Partition((2,)), 2), 13, "psi"),
+         (psi_image_forged((13,), Partition((1,)), Partition((2, 1)), 2), 13, "psi"),
+         (psi_image_forged((13,), Partition((7,)), Partition((1,)), 1), 13, "psi"),
+         # a reduced wall of the same size and weight, nothing stripped
+         (psi_image_forged((13,), Partition((8, 4, 1)), Partition(), 0), 13, "psi")],
+        ids=["reduced_counts", "strict_counts", "partition_counts",
+             "enumerate_proper", "enumerate_proper_twice", "non_canonical_hat",
+             "non_canonical_part", "outside_codomain", "outside_family",
+             "empty_hat"],
+    )
+    def test_bijections(self, monkeypatch, perturb, m, name):
+        perturb(monkeypatch)
+        report = verify_bijections(WallParams(2), 20)
+        assert report.counterexample == {
+            "m": m, "map": name, "error": "image does not match codomain"
+        }
 
 
 class TestReportPlumbing:
