@@ -48,49 +48,4 @@ from .walls import (
     weight,
 )
 
-__all__ = [
-    "ALL_CHECKS",
-    "CertificationError",
-    "MapResult",
-    "MapStep",
-    "Partition",
-    "VerificationReport",
-    "WallParams",
-    "WeightVector",
-    "count_odd",
-    "count_partitions",
-    "count_strict",
-    "enumerate_partitions",
-    "enumerate_proper",
-    "enumerate_reduced",
-    "enumerate_strict",
-    "has_removable_delta",
-    "is_proper",
-    "is_reduced",
-    "odd_counts",
-    "partition_counts",
-    "phi",
-    "phi_inv",
-    "phi_rebuild",
-    "principal_character",
-    "proper_counts",
-    "psi",
-    "psi_inv",
-    "psi_rebuild",
-    "reciprocal",
-    "reduced_counts",
-    "run_checks",
-    "series_product_odd",
-    "series_product_strict",
-    "strict_counts",
-    "verify_bijections",
-    "verify_count_identity",
-    "verify_euler",
-    "verify_fock",
-    "verify_reduced_equivalence",
-    "verify_vch_identity",
-    "virtual_character",
-    "weight",
-]
-
 __version__ = "0.1.0"

@@ -77,17 +77,21 @@ def _within_budget(objects: int, option: str) -> None:
         raise ValueError(f"{option} is too large")
 
 
+def _counts(set_name: str, n: int | None, M: int) -> list[int]:
+    """The set's count table for m = 0..M."""
+    if set_name == "strict":
+        return strict_counts(M)
+    count_walls = proper_counts if set_name == "proper" else reduced_counts
+    return count_walls(WallParams(n), M)
+
+
 def _members(set_name: str, n: int | None, m: int) -> list[Partition]:
     """The set's members of size m, after its count table says they fit."""
+    _within_budget(_counts(set_name, n, m)[m], "--m")
     if set_name == "strict":
-        _within_budget(strict_counts(m)[m], "--m")
         return enumerate_strict(m)
-    params = WallParams(n)
-    if set_name == "proper":
-        _within_budget(proper_counts(params, m)[m], "--m")
-        return enumerate_proper(params, m)
-    _within_budget(reduced_counts(params, m)[m], "--m")
-    return enumerate_reduced(params, m)
+    enumerate_walls = enumerate_proper if set_name == "proper" else enumerate_reduced
+    return enumerate_walls(WallParams(n), m)
 
 
 def cmd_enum(args: argparse.Namespace) -> Record:
@@ -172,12 +176,7 @@ def text_pschar(payload: dict[str, Any]) -> Iterator[str]:
 
 
 def cmd_count(args: argparse.Namespace) -> Record:
-    if args.set == "strict":
-        counts = strict_counts(args.max_m)
-    elif args.set == "proper":
-        counts = proper_counts(WallParams(args.n), args.max_m)
-    else:
-        counts = reduced_counts(WallParams(args.n), args.max_m)
+    counts = _counts(args.set, args.n, args.max_m)
     return {"set": args.set, "n": args.n, "max_m": args.max_m}, {"counts": counts}
 
 
@@ -188,7 +187,10 @@ def text_count(payload: dict[str, Any]) -> Iterator[str]:
 
 def cmd_verify(args: argparse.Namespace) -> Record:
     n_values = parse_n_range(args.n_range)
-    checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
+    checks = tuple(dict.fromkeys(args.checks.split(",") if args.checks else ALL_CHECKS))
+    # per-rank tables grow with n too: vch's weight codes hold n + 1 counts
+    if any(check != "euler" for check in checks):
+        _within_budget((args.max_m + 1) * (sum(n_values) + len(n_values)), "--n-range")
     # the two enumerating checks each walk every proper wall of every rank
     walks = sum(check in ("bijections", "reduced-equivalence") for check in checks)
     walls = 0
@@ -291,7 +293,8 @@ MAX_SIZE = 2000
 
 #: Most objects a request may enumerate, read off the count tables first:
 #: the members listed by ``enum`` and ``vch``, the proper walls walked by
-#: ``verify`` (once per rank and enumerating check).
+#: ``verify`` (once per rank and enumerating check), and the table cells,
+#: (n + 1) * (max_m + 1) per rank, that ``verify``'s per-rank checks build.
 MAX_OBJECTS = 10**6
 
 

@@ -85,41 +85,38 @@ def _witness_key(failure: dict[str, Any]) -> tuple:
             failure.get("partition", ()))
 
 
+def _agree(check: str, params: dict[str, Any], max_m: int, started: float,
+           /, **columns: list[int]) -> VerificationReport:
+    """Report every m <= max_m where the named per-m columns do not all
+    agree, as {"m": m, <column>: value, ...}.  A column that ends before m
+    reads None there, so a short column fails at its first missing m."""
+    failures = []
+    for m in range(max_m + 1):
+        values = {name: column[m] if m < len(column) else None
+                  for name, column in columns.items()}
+        if None in values.values() or len(set(values.values())) != 1:
+            failures.append({"m": m, **values})
+    return _report(check, params, failures, started)
+
+
 def verify_euler(max_degree: int) -> VerificationReport:
     """Strict-parts and odd-parts products agree with each other and with
     the pentagonal strict table and the odd-part DP table at every degree up
     to the bound."""
     started = time.perf_counter()
-    strict_series = series_product_strict(max_degree)
-    odd_series = series_product_odd(max_degree)
-    strict_table = strict_counts(max_degree)
-    odd_table = odd_counts(max_degree)
-    failures = []
-    for m in range(max_degree + 1):
-        values = {
-            "strict_series": strict_series[m],
-            "odd_series": odd_series[m],
-            "strict_count": strict_table[m],
-            "odd_count": odd_table[m],
-        }
-        if len(set(values.values())) != 1:
-            failures.append({"m": m, **values})
-    return _report("euler", {"max_degree": max_degree}, failures, started)
+    return _agree("euler", {"max_degree": max_degree}, max_degree, started,
+                  strict_series=series_product_strict(max_degree),
+                  odd_series=series_product_odd(max_degree),
+                  strict_count=strict_counts(max_degree),
+                  odd_count=odd_counts(max_degree))
 
 
 def verify_count_identity(params: WallParams, max_m: int) -> VerificationReport:
     """Reduced walls with m blocks are equinumerous with strict partitions
     of m: the window-rule DP against the pentagonal recurrence."""
     started = time.perf_counter()
-    failures = []
-    reduced_table = reduced_counts(params, max_m)
-    strict_table = strict_counts(max_m)
-    for m, (reduced, strict) in enumerate(zip(reduced_table, strict_table)):
-        if reduced != strict:
-            failures.append({"m": m, "reduced": reduced, "strict": strict})
-    return _report(
-        "counts", {"n": params.n, "max_m": max_m}, failures, started
-    )
+    return _agree("counts", {"n": params.n, "max_m": max_m}, max_m, started,
+                  reduced=reduced_counts(params, max_m), strict=strict_counts(max_m))
 
 
 def verify_fock(params: WallParams, max_m: int) -> VerificationReport:
@@ -127,25 +124,19 @@ def verify_fock(params: WallParams, max_m: int) -> VerificationReport:
     m - 2*delta*k blocks weighted by the partition numbers P(k)."""
     started = time.perf_counter()
     period = params.period
-    failures = []
-    proper = proper_counts(params, max_m)
     reduced = reduced_counts(params, max_m)
     partitions = partition_counts(max_m // period)
-    for m in range(max_m + 1):
-        lhs = proper[m]
-        rhs = sum(
-            reduced[m - period * k] * partitions[k] for k in range(m // period + 1)
-        )
-        if lhs != rhs:
-            failures.append({"m": m, "proper": lhs, "decomposition": rhs})
-    return _report("fock", {"n": params.n, "max_m": max_m}, failures, started)
+    decomposition = [sum(reduced[m - period * k] * partitions[k]
+                         for k in range(m // period + 1)) for m in range(max_m + 1)]
+    return _agree("fock", {"n": params.n, "max_m": max_m}, max_m, started,
+                  proper=proper_counts(params, max_m), decomposition=decomposition)
 
 
 def verify_vch_identity(params: WallParams, max_m: int) -> VerificationReport:
     """Strict partitions and reduced walls with m blocks carry identical
     weight multisets: the product of (1 + x^w(i)) over column heights
     against the weight-graded window-rule DP, one table each for every
-    m <= max_m, with no enumeration."""
+    m <= max_m, with no enumeration.  A table that ends before m fails m."""
     started = time.perf_counter()
 
     def decoded(terms: Counter) -> dict[str, int]:
@@ -153,11 +144,11 @@ def verify_vch_identity(params: WallParams, max_m: int) -> VerificationReport:
                 for code, count in terms.items()}
 
     failures = []
-    strict_table = strict_weight_table(params, max_m)
-    reduced_table = reduced_weight_table(params, max_m)
-    for m, (strict, reduced) in enumerate(zip(strict_table, reduced_table)):
-        if strict != reduced:
-            strict, reduced = Counter(strict), Counter(reduced)
+    tables = strict_weight_table(params, max_m), reduced_weight_table(params, max_m)
+    for m in range(max_m + 1):
+        strict, reduced = (table[m] if m < len(table) else None for table in tables)
+        if None in (strict, reduced) or strict != reduced:
+            strict, reduced = Counter(strict or {}), Counter(reduced or {})
             failures.append(
                 {
                     "m": m,

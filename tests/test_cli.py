@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from youngwalls import Partition, cli
+from youngwalls import Partition, cli, verify
 from youngwalls.cli import main, parse_n_range, parse_partition
 from youngwalls.verify import VerificationReport
 
@@ -118,6 +118,42 @@ def test_verify_budget_counts_only_enumerating_checks(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv, "bijections,reduced-equivalence")
     assert (code, out, err) == (2, "", "error: --max-m is too large\n")
     assert run_cli(capsys, *argv, "bijections")[0] == 0
+
+
+def test_verify_refuses_many_ranks_before_any_table(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-rank table built")
+
+    monkeypatch.setattr(cli, "proper_counts", refuse)
+    monkeypatch.setattr(verify, "reduced_counts", refuse)
+    argv = ["verify", "--n-range", "2..1000000", "--max-m", "8", "--checks"]
+    code, out, err = run_cli(capsys, *argv, "counts")
+    assert (code, out, err) == (2, "", "error: --n-range is too large\n")
+    # euler builds no per-rank table, so the ranks do not bound it
+    assert run_cli(capsys, *argv, "euler")[0] == 0
+
+
+def test_verify_rank_budget_boundary(capsys, monkeypatch):
+    # ranks 2 and 3 at max_m 7: (3 + 4) * 8 = 56 table cells
+    argv = ["verify", "--n-range", "2..3", "--max-m", "7", "--checks", "counts"]
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 56)
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 55)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: --n-range is too large\n")
+
+
+def test_verify_budget_counts_a_repeated_check_once(capsys, monkeypatch):
+    # n=2, m <= 7: 21 proper walls for bijections, 24 table cells
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 24)
+    argv = ["verify", "--n-range", "2", "--max-m", "7", "--checks"]
+    code, once, _ = run_cli(capsys, *argv, "bijections")
+    assert code == 0
+    assert run_cli(capsys, *argv, "bijections,bijections")[:2] == (0, once)
+    code, out, _ = run_cli(capsys, *argv, "counts,bijections,counts",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"]["checks"] == ["counts", "bijections"]
 
 
 class TestEnum:

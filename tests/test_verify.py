@@ -91,6 +91,15 @@ def term_off_by_one_at(fn, m0):
     return bumped
 
 
+def truncated(fn, drop):
+    """``fn`` with the last ``drop`` entries of its table cut off."""
+
+    def short(*args):
+        return list(fn(*args))[:-drop]
+
+    return short
+
+
 def table_bumped_at(side, index):
     def perturb(monkeypatch):
         monkeypatch.setattr(verify, side, off_by_one_at(getattr(verify, side), index))
@@ -225,6 +234,26 @@ class TestEverySideIsRead:
         assert report.counterexample == {
             "m": m, "map": name, "error": "image does not match codomain"
         }
+
+    @pytest.mark.parametrize(
+        "sides, check",
+        [(("reduced_counts",), verify_count_identity),
+         (("strict_counts",), verify_count_identity),
+         (("reduced_counts", "strict_counts"), verify_count_identity),
+         (("proper_counts",), verify_fock),
+         (("strict_weight_table",), verify_vch_identity),
+         (("reduced_weight_table",), verify_vch_identity),
+         (("strict_weight_table", "reduced_weight_table"), verify_vch_identity)],
+        ids=["reduced_counts", "strict_counts", "both_counts", "proper_counts",
+             "strict_weight_table", "reduced_weight_table", "both_weight_tables"],
+    )
+    def test_short_table(self, monkeypatch, sides, check):
+        # a table five entries short fails at its first missing m, 16
+        for side in sides:
+            monkeypatch.setattr(verify, side, truncated(getattr(verify, side), 5))
+        report = check(WallParams(2), 20)
+        assert not report.passed
+        assert report.counterexample["m"] == 16
 
 
 class TestReportPlumbing:
