@@ -24,20 +24,20 @@ from .walls import WallParams, WeightVector, reduced_counts, weight
 WeightTable = list[dict[int, int]]
 
 
-def virtual_character(
-    partitions: Iterable[Partition], params: WallParams
-) -> "Counter[WeightVector]":
+def virtual_character(partitions: Iterable[Partition],
+                      params: WallParams) -> "Counter[WeightVector]":
     """Multiset of the weight vectors of the given walls."""
     return Counter(weight(lam, params) for lam in partitions)
 
 
 def _column_codes(params: WallParams, M: int) -> list[int]:
-    """codes[h]: the packed weight of one column of h blocks, h = 0..M."""
-    base = M + 1
-    return [
-        sum(a * base**c for c, a in enumerate(weight(Partition((h,)), params)))
-        for h in range(M + 1)
-    ]
+    """codes[h]: the packed weight of one column of h blocks, h = 0..M, by
+    Horner's rule from color n down, so a short column's zeros cost nothing."""
+    codes = [0] * (M + 1)
+    for h in range(M + 1):
+        for a in reversed(weight(Partition((h,)), params)):
+            codes[h] = codes[h] * (M + 1) + a
+    return codes
 
 
 def _add_shifted(acc: dict[int, int], terms: dict[int, int], shift: int) -> None:
@@ -62,18 +62,23 @@ def strict_weight_table(params: WallParams, M: int) -> WeightTable:
 
 
 def reduced_weight_table(params: WallParams, M: int) -> WeightTable:
-    """Weights of the reduced walls with m = 0..M blocks, by the window-rule
-    DP of ``partitions._count_window`` with weight-graded entries.
+    """Weights of the reduced walls with m = 0..M blocks."""
+    return _window_weight_table(params, M, params.period)
+
+
+def _window_weight_table(params: WallParams, M: int, gap: int) -> WeightTable:
+    """Weights of the walls with m = 0..M blocks obeying the window rule of
+    ``partitions._count_window``, by its DP with weight-graded entries: gap
+    2*delta gives the reduced walls, a gap above M the proper walls.
 
     ``after[r][a]`` holds the weights of the ways to place ``r`` more blocks
     after a part ``a``: the entries ``after[r - b][b]`` shifted by column
-    ``b``'s code, over the at most 2*delta parts ``b`` in ``a``'s window.
+    ``b``'s code, over the at most ``gap`` parts ``b`` in ``a``'s window.
     """
     _check_non_negative(M)
     codes = _column_codes(params, M)
-    delta, gap = params.delta, params.period
     # a's window is [top - gap + 1, top]; a may end a wall when top < gap
-    tops = [a - 1 + (a % delta == 0) for a in range(M + 1)]
+    tops = [a - 1 + (a % params.delta == 0) for a in range(M + 1)]
     after = [[{0: 1} if top < gap else {} for top in tops]]
     table: WeightTable = [{0: 1}]
     for r in range(1, M + 1):
@@ -94,10 +99,11 @@ def reduced_weight_table(params: WallParams, M: int) -> WeightTable:
 
 def unpack_weight(code: int, params: WallParams, M: int) -> WeightVector:
     """The weight vector that a table built for bound ``M`` packs as ``code``."""
-    vector = []
-    for _ in range(params.delta):
-        code, a = divmod(code, M + 1)
-        vector.append(a)
+    vector = [0] * params.delta
+    for c in range(params.delta):
+        if not code:
+            break
+        code, vector[c] = divmod(code, M + 1)
     return tuple(vector)
 
 

@@ -16,7 +16,8 @@ import sys
 from typing import Any, Iterator
 
 from .bijections import phi, phi_inv, psi, psi_inv
-from .characters import principal_character, virtual_character
+from .characters import (_window_weight_table, principal_character,
+                         strict_weight_table, unpack_weight)
 from .partitions import Partition, enumerate_strict, strict_counts
 from .verify import ALL_CHECKS, run_checks
 from .walls import (
@@ -152,10 +153,20 @@ def text_map(payload: dict[str, Any]) -> Iterator[str]:
 
 
 def cmd_vch(args: argparse.Namespace) -> Record:
-    vch = virtual_character(_members(args.set, args.n, args.m), WallParams(args.n))
-    terms = [{"weight": list(v), "multiplicity": c} for v, c in sorted(vch.items())]
-    params = {"set": args.set, "n": args.n, "m": args.m}
-    return params, {"total": sum(vch.values()), "terms": terms}
+    wall_params, m = WallParams(args.n), args.m
+    members = _counts(args.set, args.n, m)[m]
+    _within_budget(members, "--m")
+    # a table entry has at most one term per member, each of n + 1 numbers
+    _within_budget(members * (args.n + 1), "--n")
+    if args.set == "strict":
+        entry = strict_weight_table(wall_params, m)[m]
+    else:
+        gap = m + 1 if args.set == "proper" else wall_params.period
+        entry = _window_weight_table(wall_params, m, gap)[m]
+    vch = sorted((unpack_weight(code, wall_params, m), c) for code, c in entry.items())
+    terms = [{"weight": list(v), "multiplicity": c} for v, c in vch]
+    params = {"set": args.set, "n": args.n, "m": m}
+    return params, {"total": sum(entry.values()), "terms": terms}
 
 
 def text_vch(payload: dict[str, Any]) -> Iterator[str]:
@@ -291,10 +302,11 @@ MAX_RANK = 10**6
 #: size already takes about a second and 90 MB.
 MAX_SIZE = 2000
 
-#: Most objects a request may enumerate, read off the count tables first:
-#: the members listed by ``enum`` and ``vch``, the proper walls walked by
-#: ``verify`` (once per rank and enumerating check), and the table cells,
-#: (n + 1) * (max_m + 1) per rank, that ``verify``'s per-rank checks build.
+#: Most objects a request may handle, read off the count tables first: the
+#: members of an ``enum`` or ``vch`` set, the numbers ``vch``'s terms may
+#: print (members * (n + 1)), the proper walls walked by ``verify`` (once per
+#: rank and enumerating check), and the table cells, (n + 1) * (max_m + 1)
+#: per rank, that ``verify``'s per-rank checks build.
 MAX_OBJECTS = 10**6
 
 

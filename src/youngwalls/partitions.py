@@ -29,12 +29,10 @@ class Partition(tuple):
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
         if parts and parts[-1] < 0:
             raise ValueError(f"parts must be non-negative, got {parts}")
-        if parts and parts[-1] == 0:
-            k = len(parts)
-            while k > 0 and parts[k - 1] == 0:
-                k -= 1
-            parts = parts[:k]
-        return super().__new__(cls, parts)
+        k = len(parts)
+        while k and parts[k - 1] == 0:
+            k -= 1
+        return super().__new__(cls, parts[:k])
 
     @property
     def size(self) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .bijections import CertificationError, phi, phi_rebuild, psi, psi_rebuild
 from .characters import reduced_weight_table, strict_weight_table, unpack_weight
@@ -86,16 +86,18 @@ def _witness_key(failure: dict[str, Any]) -> tuple:
 
 
 def _agree(check: str, params: dict[str, Any], max_m: int, started: float,
-           /, **columns: list[int]) -> VerificationReport:
+           /, record: Callable = dict, **columns: list) -> VerificationReport:
     """Report every m <= max_m where the named per-m columns do not all
-    agree, as {"m": m, <column>: value, ...}.  A column that ends before m
-    reads None there, so a short column fails at its first missing m."""
+    agree, as {"m": m, **record(<column>=value, ...)}; the default record is
+    the values themselves.  A column that ends before m reads None there,
+    so a short column fails at its first missing m."""
     failures = []
     for m in range(max_m + 1):
         values = {name: column[m] if m < len(column) else None
                   for name, column in columns.items()}
-        if None in values.values() or len(set(values.values())) != 1:
-            failures.append({"m": m, **values})
+        first, *rest = values.values()
+        if None in values.values() or any(value != first for value in rest):
+            failures.append({"m": m, **record(**values)})
     return _report(check, params, failures, started)
 
 
@@ -139,24 +141,16 @@ def verify_vch_identity(params: WallParams, max_m: int) -> VerificationReport:
     m <= max_m, with no enumeration.  A table that ends before m fails m."""
     started = time.perf_counter()
 
-    def decoded(terms: Counter) -> dict[str, int]:
-        return {str(unpack_weight(code, params, max_m)): count
-                for code, count in terms.items()}
+    def only(strict: dict | None, reduced: dict | None) -> dict[str, Any]:
+        # each side's excess over the other, decoded; a missing entry is empty
+        sides = {"strict_only": (strict, reduced), "reduced_only": (reduced, strict)}
+        return {key: {str(unpack_weight(code, params, max_m)): count for code, count
+                      in (Counter(excess or {}) - Counter(other or {})).items()}
+                for key, (excess, other) in sides.items()}
 
-    failures = []
-    tables = strict_weight_table(params, max_m), reduced_weight_table(params, max_m)
-    for m in range(max_m + 1):
-        strict, reduced = (table[m] if m < len(table) else None for table in tables)
-        if None in (strict, reduced) or strict != reduced:
-            strict, reduced = Counter(strict or {}), Counter(reduced or {})
-            failures.append(
-                {
-                    "m": m,
-                    "strict_only": decoded(strict - reduced),
-                    "reduced_only": decoded(reduced - strict),
-                }
-            )
-    return _report("vch", {"n": params.n, "max_m": max_m}, failures, started)
+    return _agree("vch", {"n": params.n, "max_m": max_m}, max_m, started, only,
+                  strict=strict_weight_table(params, max_m),
+                  reduced=reduced_weight_table(params, max_m))
 
 
 def verify_reduced_equivalence(params: WallParams, max_m: int) -> VerificationReport:

@@ -3,16 +3,21 @@ from collections import Counter
 import pytest
 
 from youngwalls import (
+    Partition,
     WallParams,
     count_strict,
+    enumerate_proper,
     enumerate_reduced,
     enumerate_strict,
     principal_character,
     series_product_strict,
     strict_counts,
     virtual_character,
+    weight,
 )
 from youngwalls.characters import (
+    _column_codes,
+    _window_weight_table,
     reduced_weight_table,
     strict_weight_table,
     unpack_weight,
@@ -74,8 +79,10 @@ class TestWeightTables:
     @pytest.mark.parametrize(
         "table, enumerate_side",
         [(strict_weight_table, lambda params, m: enumerate_strict(m)),
-         (reduced_weight_table, enumerate_reduced)],
-        ids=["strict", "reduced"],
+         (reduced_weight_table, enumerate_reduced),
+         # a gap above M leaves every window unbounded below: proper walls
+         (lambda params, M: _window_weight_table(params, M, M + 1), enumerate_proper)],
+        ids=["strict", "reduced", "proper"],
     )
     def test_matches_enumeration_to_thirty(self, n, table, enumerate_side):
         params = WallParams(n)
@@ -94,6 +101,15 @@ class TestWeightTables:
         table = strict_weight_table(P2, 7)
         assert table[7] == {3 + 16 + 128: 3, 2 + 24 + 128: 1, 2 + 16 + 192: 1}
         assert unpack_weight(147, P2, 7) == (3, 2, 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    @pytest.mark.parametrize("M", [0, 1, 5, 20])
+    def test_column_codes_pack_each_column_weight(self, n, M):
+        params = WallParams(n)
+        assert _column_codes(params, M) == [
+            sum(a * (M + 1) ** c for c, a in enumerate(weight(Partition((h,)), params)))
+            for h in range(M + 1)
+        ]
 
     @pytest.mark.parametrize("table", [strict_weight_table, reduced_weight_table])
     def test_degree_zero_and_negative(self, table):

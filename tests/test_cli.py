@@ -4,7 +4,19 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from youngwalls import Partition, cli, verify
+from youngwalls import (
+    Partition,
+    WallParams,
+    cli,
+    enumerate_proper,
+    enumerate_reduced,
+    enumerate_strict,
+    proper_counts,
+    reduced_counts,
+    strict_counts,
+    verify,
+    virtual_character,
+)
 from youngwalls.cli import main, parse_n_range, parse_partition
 from youngwalls.verify import VerificationReport
 
@@ -84,6 +96,8 @@ TOO_LARGE = str(sys.maxsize + 1)
         (["enum", "--set", "reduced", "--n", "2", "--m", "200"], "--m"),
         (["verify", "--max-m", "100"], "--max-m"),
         (["verify", "--n-range", "2..1000000", "--max-m", "20"], "--n-range"),
+        # 64 members within the member budget, but each prints 10**6 + 1 numbers
+        (["vch", "--set", "strict", "--n", "1000000", "--m", "20"], "--n"),
     ],
 )
 def test_too_large_input_exits_two(capsys, argv, option):
@@ -106,6 +120,19 @@ def test_enumeration_budget_boundary(capsys, monkeypatch):
     assert (code, out.splitlines()[0]) == (0, "count: 10")
     code, out, err = run_cli(capsys, "enum", "--set", "strict", "--m", "11")
     assert (code, out, err) == (2, "", "error: --m is too large\n")
+
+
+def test_vch_width_budget_boundary(capsys, monkeypatch):
+    # strict partitions of 7: 5 members, each weight of n + 1 = 3 numbers
+    argv = ["vch", "--set", "strict", "--n", "2", "--m", "7"]
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 15)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out.splitlines()[0]) == (0, "terms: 3")
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 14)
+    assert run_cli(capsys, *argv) == (2, "", "error: --n is too large\n")
+    # the member count is checked first, with its own message
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 4)
+    assert run_cli(capsys, *argv) == (2, "", "error: --m is too large\n")
 
 
 def test_verify_budget_counts_only_enumerating_checks(capsys, monkeypatch):
@@ -336,6 +363,41 @@ class TestVch:
             capsys, "vch", "--set", "reduced", "--n", "3", "--m", "7"
         )
         assert strict_out == reduced_out
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "set_name, enumerate_set, counts",
+        [("strict", lambda params, m: enumerate_strict(m),
+          lambda params, M: strict_counts(M)),
+         ("reduced", enumerate_reduced, reduced_counts),
+         ("proper", enumerate_proper, proper_counts)],
+        ids=["strict", "reduced", "proper"],
+    )
+    def test_terms_match_enumeration(self, capsys, set_name, enumerate_set, counts, n):
+        params = WallParams(n)
+        totals = counts(params, 20)
+        for m in range(21):
+            code, out, _ = run_cli(capsys, "vch", "--set", set_name, "--n", str(n),
+                                   "--m", str(m), "--format", "json")
+            assert code == 0
+            payload = json.loads(out)["payload"]
+            oracle = virtual_character(enumerate_set(params, m), params)
+            assert payload["terms"] == [{"weight": list(w), "multiplicity": c}
+                                        for w, c in sorted(oracle.items())], m
+            assert payload["total"] == totals[m], m
+
+    @pytest.mark.parametrize("set_name", ["strict", "reduced", "proper"])
+    def test_reads_the_weight_tables_only(self, capsys, monkeypatch, set_name):
+        def refuse(*args):
+            raise AssertionError("vch enumerated or weighed a member")
+
+        for name in ("enumerate_strict", "enumerate_reduced", "enumerate_proper",
+                     "weight"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, _ = run_cli(capsys, "vch", "--set", set_name, "--n", "3",
+                               "--m", "12")
+        assert code == 0
+        assert out.startswith("terms: ")
 
 
 class TestPschar:

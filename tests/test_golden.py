@@ -36,6 +36,7 @@ COMMANDS = {
     "map-phi-inv": ["map", "--alg", "phi-inv", "--n", "2", "--partition", "",
                     "--hat", "2,1"],
     "vch-reduced": ["vch", "--set", "reduced", "--n", "3", "--m", "7"],
+    "vch-proper": ["vch", "--set", "proper", "--n", "2", "--m", "12"],
 }
 
 

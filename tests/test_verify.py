@@ -1,4 +1,5 @@
 import re
+import time
 
 import pytest
 
@@ -49,6 +50,12 @@ class TestIndividualVerifiers:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_reduced_equivalence(self, n):
         assert verify_reduced_equivalence(WallParams(n), 16).passed
+
+    def test_vch_at_a_high_rank_is_fast(self):
+        # 20001-digit weight codes: packing must not cost a power per color
+        started = time.perf_counter()
+        assert verify_vch_identity(WallParams(20000), 8).passed
+        assert time.perf_counter() - started < 5
 
     def test_vch_enumerates_nothing(self, monkeypatch):
         def refuse(*args):
