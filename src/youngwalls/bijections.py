@@ -10,20 +10,23 @@ one pass over the wall.
 * ``phi`` halves every run of equal parts (equal parts in a proper wall sit
   at multiples of delta), ending on a strict partition.
 
-Each inverse is a rebuild core (``psi_rebuild``, ``phi_rebuild``) that
-checks its arguments and rebuilds the wall without replaying anything.  The
-public inverses ``psi_inv`` and ``phi_inv`` certify the core at runtime: they
-replay the forward map on the rebuilt wall and insist on getting their
-arguments back.  A failed certification raises ``CertificationError``, which
-``python -O`` keeps.  ``verify`` calls the cores instead and compares the
-rebuilt wall with the one it started from; the maps are deterministic, so
-once that holds a replay would only return the result already checked.
+Each map and each rebuild is a core on plain tuples (``_psi_core``,
+``_phi_core``, ``_psi_rebuild_core``, ``_phi_rebuild_core``) that checks
+nothing.  The public functions wrap the cores: ``psi`` and ``phi`` with
+input guards (``ValueError``), the trace and a runtime certification of the
+result; ``psi_rebuild`` and ``phi_rebuild`` with guards; ``psi_inv`` and
+``phi_inv`` with a replay of the forward map that must give their arguments
+back.  A failed certification raises ``CertificationError``, which
+``python -O`` keeps.  ``verify`` calls the same cores on walls it has
+classified, compares the rebuilt wall with the one it started from and
+tests each image's membership itself; the maps are deterministic, so a
+replay would only return the result already checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, groupby, zip_longest
+from itertools import groupby, zip_longest
 
 from .partitions import Partition
 from .walls import WallParams, is_proper, is_reduced
@@ -69,58 +72,65 @@ class MapResult:
         return (self.reduced_part, self.hat_part)
 
 
-def _max_quanta(hi: int, lo: int, delta: int) -> int:
-    """Largest t >= 0 with hi - lo >= 2*t*delta, where equality is
-    permitted only if hi is a multiple of delta: off the delta grid the gap
-    must exceed 2*t*delta, so it is counted one block short."""
-    return (hi - lo - (hi % delta != 0)) // (2 * delta)
+def _psi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple, int]:
+    """``psi`` on a proper, non-reduced wall, unchecked, on plain tuples.
+
+    Gap j lies between parts j and j+1 (the last part is paired against 0)
+    and admits t_j quanta: the largest t with gap >= 2*t*delta, equality
+    allowed only when part j is a multiple of delta.  Shrinking the prefix
+    above a gap changes no gap above it and no residue mod delta, so every
+    t_j is read off the input: part j loses 2*delta*(t_j + t_{j+1} + ...),
+    and that suffix sum is part j of the bookkeeping partition.
+    """
+    delta, period = params.delta, params.period
+    part, hat, total, lo = [], [], 0, 0
+    for a in reversed(lam):
+        # off the delta grid the gap must exceed 2*t*delta: one block short
+        total += (a - lo - (a % delta != 0)) // period
+        lo = a
+        if total:
+            hat.append(total)
+            a -= period * total
+        if a:
+            part.append(a)
+    return tuple(part[::-1]), tuple(hat[::-1]), sum(hat)
 
 
 def psi(lam: Partition, params: WallParams) -> MapResult:
-    """Carry a proper, non-reduced wall to a reduced wall plus bookkeeping.
-
-    Gap j lies between parts j and j+1 (the last part is paired against 0)
-    and admits t_j quanta, the largest count the reduced-gap rule allows.
-    Shrinking the prefix above a gap changes no gap above it and no residue
-    mod delta, so every t_j is read off the input: part j loses
-    2*delta*(t_j + t_{j+1} + ...), and that suffix sum is part j of the
-    bookkeeping partition.  The trace lists the nonzero t_j, deepest gap
-    first, at i = j + 2.
-    """
+    """Carry a proper, non-reduced wall to a reduced wall plus bookkeeping
+    (``_psi_core``).  The trace lists the nonzero t_j (bookkeeping part j
+    less part j+1), deepest gap first, at i = j + 2."""
     if not is_proper(lam, params):
         raise ValueError(f"{lam!r} is not a proper wall")
     if is_reduced(lam, params):
         raise ValueError(f"{lam!r} is already reduced; nothing to strip")
 
-    delta = params.delta
-    quanta = [_max_quanta(a, b, delta) for a, b in zip(lam, lam[1:] + (0,))]
-    totals = list(accumulate(reversed(quanta)))[::-1]
-    deepest_first = [(j + 2, t) for j, t in enumerate(quanta) if t][::-1]
+    part, totals, k = _psi_core(lam, params)
+    reduced, hat = Partition(part), Partition(totals)
+    deepest_first = [(j + 2, a - b) for j, (a, b)
+                     in enumerate(zip(hat, hat[1:] + (0,))) if a != b][::-1]
     trace = [MapStep(l, i, t) for l, (i, t) in enumerate(deepest_first, 1)]
 
-    reduced = Partition(a - 2 * delta * h for a, h in zip(lam, totals))
     _certify(is_reduced(reduced, params), "psi result not reduced")
     stripped = lam.size - reduced.size
-    _certify(stripped > 0 and stripped % (2 * delta) == 0, "psi strip size")
-    k = stripped // (2 * delta)
-    hat = Partition(totals)
-    _certify(hat.size == k, "psi hat size")
+    _certify(stripped > 0 and stripped % params.period == 0, "psi strip size")
+    _certify(hat.size == k == stripped // params.period, "psi hat size")
     return MapResult(reduced, hat, k, tuple(trace))
 
 
-def psi_rebuild(reduced: Partition, hat: Partition, params: WallParams) -> Partition:
-    """The wall ``psi`` maps to (reduced, hat), without certification.
+def _psi_rebuild_core(reduced: tuple, hat: tuple, params: WallParams) -> tuple:
+    """``psi_rebuild`` unchecked: adds 2 * hat_i * delta to part i."""
+    period = params.period
+    return tuple(a + period * h for a, h in zip_longest(reduced, hat, fillvalue=0))
 
-    Adds 2 * hat_i * delta to part i of the reduced wall.
-    """
+
+def psi_rebuild(reduced: Partition, hat: Partition, params: WallParams) -> Partition:
+    """The wall ``psi`` maps to (reduced, hat), without certification."""
     if not is_reduced(reduced, params):
         raise ValueError(f"{reduced!r} is not a reduced wall")
     if not hat:
         raise ValueError("bookkeeping partition must be non-empty")
-    period = params.period
-    return Partition(
-        a + period * h for a, h in zip_longest(reduced, hat, fillvalue=0)
-    )
+    return Partition(_psi_rebuild_core(reduced, hat, params))
 
 
 def psi_inv(reduced: Partition, hat: Partition, params: WallParams) -> Partition:
@@ -132,53 +142,65 @@ def psi_inv(reduced: Partition, hat: Partition, params: WallParams) -> Partition
     return lam
 
 
-def phi(lam: Partition, params: WallParams) -> MapResult:
-    """Carry a proper, non-strict partition to a strict one plus bookkeeping.
+def _phi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple, int]:
+    """``phi`` on a proper, non-strict partition, unchecked, on plain tuples.
 
     A run of c equal parts v (necessarily a multiple of delta by
     properness) keeps c % 2 of them and gives the bookkeeping partition
-    c // 2 parts v / delta.  Runs are deleted deepest first, each pair
-    deepest first, so a run ending at 1-based position e logs its pairs at
-    i = e, e - 2, ... with value v.
+    c // 2 parts v / delta.
     """
+    delta, part, hat = params.delta, [], []
+    for height, run in groupby(lam):
+        count = len(list(run))
+        if count % 2:
+            part.append(height)
+        if count > 1:
+            hat += [height // delta] * (count // 2)
+    return tuple(part), tuple(hat), sum(hat)
+
+
+def phi(lam: Partition, params: WallParams) -> MapResult:
+    """Carry a proper, non-strict partition to a strict one plus bookkeeping
+    (``_phi_core``).  Runs are deleted deepest first, each pair deepest
+    first, so a run of v ending at 1-based position e logs its pairs at
+    i = e, e - 2, ... with value v."""
     if not is_proper(lam, params):
         raise ValueError(f"{lam!r} is not a proper wall")
     if lam.is_strict():
         raise ValueError(f"{lam!r} is already strict; nothing to delete")
 
-    delta = params.delta
-    runs = [(height, len(list(run))) for height, run in groupby(lam)]
-    end = len(lam)  # 1-based position of the current run's last part
-    trace: list[MapStep] = []
-    for height, count in reversed(runs):
-        for i in range(end, end - count + 1, -2):
-            _certify(height % delta == 0, "phi pair off the delta grid")
-            trace.append(MapStep(len(trace) + 1, i, height))
-        end -= count
+    part, values, k = _phi_core(lam, params)
+    strict_part, hat = Partition(part), Partition(values)
+    # 1-based positions i with part i equal to part i - 1, deepest first;
+    # a pair's upper member i - 1 does not start another pair
+    equal = [i for i, (a, b) in enumerate(zip(lam, lam[1:]), 2) if a == b]
+    delta, paired, trace = params.delta, 0, []
+    for i in reversed(equal):
+        if i != paired - 1:
+            _certify(lam[i - 1] % delta == 0, "phi pair off the delta grid")
+            trace.append(MapStep(len(trace) + 1, i, lam[i - 1]))
+            paired = i
 
-    hat = Partition(step.value // delta for step in reversed(trace))
-    strict_part = Partition(height for height, count in runs if count % 2)
     _certify(strict_part.is_strict(), "phi result not strict")
-    k = hat.size
     _certify(lam.size - strict_part.size == k * params.period, "phi delete size")
     return MapResult(strict_part, hat, k, tuple(trace))
 
 
-def phi_rebuild(
-    strict_part: Partition, hat: Partition, params: WallParams
-) -> Partition:
-    """The proper partition ``phi`` maps to (strict_part, hat), without
-    certification.
+def _phi_rebuild_core(strict_part: tuple, hat: tuple, params: WallParams) -> tuple:
+    """``phi_rebuild`` unchecked: adds a pair of parts v * delta for each
+    bookkeeping part v; a partition is the sorted multiset of its parts."""
+    pairs = [v * params.delta for v in hat]
+    return tuple(sorted([*strict_part, *pairs, *pairs], reverse=True))
 
-    Adds a pair of parts v * delta for each bookkeeping part v; a partition
-    is the sorted multiset of its parts.
-    """
+
+def phi_rebuild(strict_part: Partition, hat: Partition,
+                params: WallParams) -> Partition:
+    """The partition ``phi`` maps to (strict_part, hat), without certification."""
     if not strict_part.is_strict():
         raise ValueError(f"{strict_part!r} is not strict")
     if not hat:
         raise ValueError("bookkeeping partition must be non-empty")
-    pairs = [v * params.delta for v in hat for _ in range(2)]
-    return Partition(sorted([*strict_part, *pairs], reverse=True))
+    return Partition(_phi_rebuild_core(strict_part, hat, params))
 
 
 def phi_inv(strict_part: Partition, hat: Partition, params: WallParams) -> Partition:

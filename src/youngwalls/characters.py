@@ -6,8 +6,8 @@ the cardinality of the set.  The weight-graded tables give the same
 multisets for every size m = 0..M at once, without enumerating: entry m maps
 a packed weight code to the number of members with m blocks and that
 weight.  A code packs the vector (a_0, ..., a_n) as the base-(M+1) number
-with digit c equal to a_c; no color count of m <= M blocks exceeds M, so
-adding the codes of columns adds their weights.  The specialized character
+with digit c equal to a_c (``walls.column_codes``), so adding the codes of
+columns adds their weights.  The specialized character
 collapses every color to a single grading variable: coefficient m counts
 the reduced walls with m blocks.
 """
@@ -18,7 +18,7 @@ from collections import Counter
 from typing import Iterable
 
 from .partitions import Partition, _check_non_negative
-from .walls import WallParams, WeightVector, reduced_counts, weight
+from .walls import WallParams, WeightVector, column_codes, reduced_counts, weight
 
 #: One entry per size m: packed weight code -> number of members.
 WeightTable = list[dict[int, int]]
@@ -28,16 +28,6 @@ def virtual_character(partitions: Iterable[Partition],
                       params: WallParams) -> "Counter[WeightVector]":
     """Multiset of the weight vectors of the given walls."""
     return Counter(weight(lam, params) for lam in partitions)
-
-
-def _column_codes(params: WallParams, M: int) -> list[int]:
-    """codes[h]: the packed weight of one column of h blocks, h = 0..M, by
-    Horner's rule from color n down, so a short column's zeros cost nothing."""
-    codes = [0] * (M + 1)
-    for h in range(M + 1):
-        for a in reversed(weight(Partition((h,)), params)):
-            codes[h] = codes[h] * (M + 1) + a
-    return codes
 
 
 def _add_shifted(acc: dict[int, int], terms: dict[int, int], shift: int) -> None:
@@ -52,7 +42,7 @@ def strict_weight_table(params: WallParams, M: int) -> WeightTable:
     (1 + x^w(i)) over the column heights i <= M, expanded one factor at a
     time with the degrees descending so that each height is used once."""
     _check_non_negative(M)
-    codes = _column_codes(params, M)
+    codes = column_codes(params, M)
     table: WeightTable = [{} for _ in range(M + 1)]
     table[0][0] = 1
     for i in range(1, M + 1):
@@ -76,7 +66,7 @@ def _window_weight_table(params: WallParams, M: int, gap: int) -> WeightTable:
     ``b``'s code, over the at most ``gap`` parts ``b`` in ``a``'s window.
     """
     _check_non_negative(M)
-    codes = _column_codes(params, M)
+    codes = column_codes(params, M)
     # a's window is [top - gap + 1, top]; a may end a wall when top < gap
     tops = [a - 1 + (a % params.delta == 0) for a in range(M + 1)]
     after = [[{0: 1} if top < gap else {} for top in tops]]

@@ -11,13 +11,14 @@ pentagonal partition table.  ``vch`` compares two weight-graded tables
 (1 + x^w(i)) over column heights i for strict partitions, and the
 window-rule DP with weight-graded entries for reduced walls; it enumerates
 nothing.  Only ``bijections`` and ``reduced-equivalence`` enumerate, and
-only proper walls (``enumerate_proper``).  ``bijections`` inverts through
-the rebuild cores, not the replaying public inverses, comparing the rebuilt
-wall with the wall mapped, and checks each map's images against its
-codomain by count: the reduced or strict table times the partition table,
-never a listing.  A failing report carries the smallest offending cell and,
-where applicable, the lexicographically smallest offending object, so
-failures reproduce deterministically.
+only proper walls (``enumerate_proper``).  ``bijections`` runs the tuple
+cores that the public maps and inverses wrap, compares the rebuilt wall
+with the wall mapped and the packed weights of wall and image, and checks
+each map's images against its codomain by count: the reduced or strict
+table times the partition table, never a listing.  A failing report
+carries the smallest offending cell and, where applicable, the
+lexicographically smallest offending object, so failures reproduce
+deterministically.
 """
 
 from __future__ import annotations
@@ -27,19 +28,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .bijections import CertificationError, phi, phi_rebuild, psi, psi_rebuild
+from .bijections import (CertificationError, _phi_core, _phi_rebuild_core,
+                         _psi_core, _psi_rebuild_core)
 from .characters import reduced_weight_table, strict_weight_table, unpack_weight
-from .partitions import odd_counts, partition_counts, strict_counts
+from .partitions import Partition, odd_counts, partition_counts, strict_counts
 from .series import series_product_odd, series_product_strict
-from .walls import (
-    WallParams,
-    enumerate_proper,
-    has_removable_delta,
-    is_reduced,
-    proper_counts,
-    reduced_counts,
-    weight,
-)
+from .walls import (WallParams, column_codes, enumerate_proper, has_removable_delta,
+                    is_reduced, proper_counts, reduced_counts)
 
 
 @dataclass
@@ -185,10 +180,16 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
     started = time.perf_counter()
     period = params.period
     partitions = partition_counts(max_m // period)
+    # packed weights differ by 2k * (1, ..., 1) without a borrow: after a round
+    # trip |part| = m - 2*delta*k, so b_c + 2k <= m - 2*k*delta + 2k <= max_m
+    # for each color count b_c of part, and every digit lies in [-max_m, max_m]
+    codes = column_codes(params, max_m)
+    ones = sum((max_m + 1) ** c for c in range(params.delta))
     jobs = (
-        ("psi", psi, psi_rebuild, is_reduced, reduced_counts(params, max_m)),
-        ("phi", phi, phi_rebuild, lambda lam, p: lam.is_strict(),
-         strict_counts(max_m)),
+        ("psi", _psi_core, _psi_rebuild_core, is_reduced,
+         reduced_counts(params, max_m)),
+        ("phi", _phi_core, _phi_rebuild_core,
+         lambda lam, p: Partition.is_strict(lam), strict_counts(max_m)),
     )
     failures = []
     for m in range(max_m + 1):
@@ -199,12 +200,11 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
             for lam in domain:
                 error = None
                 try:
-                    result = forward(lam, params)
-                    part, hat = result.pair()
+                    part, hat, k = forward(lam, params)
                     if rebuild(part, hat, params) != lam:
                         error = "round trip mismatch"
-                    elif any(a - b != 2 * result.k for a, b in
-                             zip(weight(lam, params), weight(part, params))):
+                    elif (sum(map(codes.__getitem__, lam))
+                          - sum(map(codes.__getitem__, part)) != 2 * k * ones):
                         error = "weight shift mismatch"
                 except (ValueError, CertificationError) as exc:
                     error = str(exc)

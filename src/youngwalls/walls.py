@@ -69,19 +69,17 @@ def has_removable_delta(lam: Partition, params: WallParams) -> bool:
     """Whether some column can drop 2*delta blocks and leave a proper wall.
 
     Removal keeps the columns weakly decreasing only if the shortened column
-    does not sink below its right neighbour, so a column qualifies when its
-    height is at least 2*delta above that neighbour and the shortened wall is
-    still proper.  Input must be proper.
+    does not sink below its right neighbour.  It stays below its left one,
+    and properness is adjacency-local, so the shortened wall is proper when
+    the one adjacency it changes is.  Input must be proper.
     """
     if not is_proper(lam, params):
         raise ValueError(f"wall {lam!r} is not proper")
-    period = params.period
-    for i, (a, b) in enumerate(zip(lam, lam[1:] + (0,))):
-        if a - period >= b:
-            shortened = list(lam)
-            shortened[i] -= period
-            if is_proper(Partition(shortened), params):
-                return True
+    delta, period = params.delta, params.period
+    for a, b in zip(lam, lam[1:] + (0,)):
+        shortened = a - period
+        if shortened >= b and (shortened != b or shortened % delta == 0):
+            return True
     return False
 
 
@@ -126,3 +124,20 @@ def weight(lam: Partition, params: WallParams) -> WeightVector:
         diff[min(r, n + 1)] -= 1
         diff[min(period - r, n + 1)] += 1
     return tuple(2 * cycles + c for c in accumulate(diff[: n + 1]))
+
+
+def column_codes(params: WallParams, M: int) -> list[int]:
+    """codes[h]: the packed weight of one column of h blocks, h = 0..M: the
+    base-(M+1) number with digit c the count of color c.  No color count of
+    m <= M blocks exceeds M, so a wall's code is its columns' sum.  As in
+    ``weight``, q cycles and remainder r give every digit 2q, plus 1 on the
+    colors c < r and c >= 2*delta - r: two geometric runs."""
+    base, delta, period = M + 1, params.delta, params.period
+
+    def run(k: int) -> int:  # digits 0..k-1 set to 1; M = 0 packs nothing
+        return (base ** k - 1) // M if M else 0
+
+    ones = run(delta) if M > delta else 0  # read only by columns above delta
+    return [2 * q * ones + run(min(r, delta))
+            + (ones - run(period - r) if r > delta else 0)
+            for q, r in (divmod(h, period) for h in range(M + 1))]

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import youngwalls
+from youngwalls import bijections
 from youngwalls import (
     CertificationError,
-    MapResult,
     MapStep,
     Partition,
     WallParams,
@@ -334,26 +334,24 @@ def test_one_pass_maps_match_iterative_oracles(n):
                 assert got == oracle(lam, params), (n, lam, forward.__name__)
 
 
-def _psi_with_wrong_hat(lam, params):
-    """Stand-in for ``bijections.psi`` that returns a wrong bookkeeping part."""
-    result = psi(lam, params)
-    hat = Partition(result.hat_part + (1,))
-    return MapResult(result.reduced_part, hat, result.k, result.trace)
+def _psi_core_with_wrong_hat(lam, params):
+    """Stand-in for ``bijections._psi_core`` that returns a wrong bookkeeping
+    part."""
+    part, hat, k = bijections._psi_core(lam, params)
+    return part, hat + (1,), k
 
 
 class TestCertification:
     def test_verify_catches_certification_failure(self, monkeypatch):
-        # verify calls its own import of psi; psi_inv calls bijections.psi
-        monkeypatch.setattr("youngwalls.bijections.psi", _psi_with_wrong_hat)
-        monkeypatch.setattr("youngwalls.verify.psi", _psi_with_wrong_hat)
+        # verify calls its own import of the core
+        monkeypatch.setattr("youngwalls.verify._psi_core", _psi_core_with_wrong_hat)
         assert not verify_bijections(P2, 7).passed
 
     def test_broken_rebuild_core_is_a_round_trip_mismatch(self, monkeypatch):
         def off_by_one_column(reduced, hat, params):
-            lam = psi_rebuild(reduced, hat, params)
-            return Partition(lam + (1,))
+            return bijections._psi_rebuild_core(reduced, hat, params) + (1,)
 
-        monkeypatch.setattr("youngwalls.verify.psi_rebuild", off_by_one_column)
+        monkeypatch.setattr("youngwalls.verify._psi_rebuild_core", off_by_one_column)
         report = verify_bijections(P2, 7)
         assert not report.passed
         assert report.counterexample == {"m": 6, "map": "psi", "partition": (6,),
@@ -363,7 +361,7 @@ class TestCertification:
         def refusing(lam, params):
             raise CertificationError("psi result not reduced")
 
-        monkeypatch.setattr("youngwalls.verify.psi", refusing)
+        monkeypatch.setattr("youngwalls.verify._psi_core", refusing)
         report = verify_bijections(P2, 7)
         assert not report.passed
         # the wall's own failure, not the image loss it causes at m = 6
@@ -397,3 +395,37 @@ class TestCertification:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "debug: False\nraised: psi_inv round trip mismatch\n"
+
+
+def _nothing_stripped(lam, params):
+    """A broken forward core: strips nothing, yet books one quantum."""
+    return tuple(lam), (1,), 1
+
+
+def _nothing_added(part, hat, params):
+    """A broken rebuild core: adds nothing back."""
+    return tuple(part)
+
+
+@pytest.mark.parametrize(
+    "core, body, public_call, name, first_wall",
+    [("_psi_core", _nothing_stripped, lambda: psi(Partition((7,)), P2),
+      "psi", (6,)),
+     ("_phi_core", _nothing_stripped, lambda: phi(Partition((3, 3, 1)), P2),
+      "phi", (3, 3)),
+     ("_psi_rebuild_core", _nothing_added,
+      lambda: psi_inv(Partition((1,)), Partition((1,)), P2), "psi", (6,)),
+     ("_phi_rebuild_core", _nothing_added,
+      lambda: phi_inv(Partition((1,)), Partition((1,)), P2), "phi", (3, 3))],
+    ids=["psi_core", "phi_core", "psi_rebuild_core", "phi_rebuild_core"],
+)
+def test_one_core_serves_map_and_verify(monkeypatch, core, body, public_call,
+                                        name, first_wall):
+    # swapping the body of the one function object breaks it for every
+    # caller that holds it: the public map and verify alike
+    monkeypatch.setattr(getattr(bijections, core), "__code__", body.__code__)
+    with pytest.raises((ValueError, CertificationError)):
+        public_call()
+    assert verify_bijections(P2, 7).counterexample == {
+        "m": 6, "map": name, "partition": first_wall, "error": "round trip mismatch"
+    }

@@ -16,12 +16,12 @@ from youngwalls import (
     weight,
 )
 from youngwalls.characters import (
-    _column_codes,
     _window_weight_table,
     reduced_weight_table,
     strict_weight_table,
     unpack_weight,
 )
+from youngwalls.walls import column_codes
 
 P2 = WallParams(2)
 P3 = WallParams(3)
@@ -102,11 +102,11 @@ class TestWeightTables:
         assert table[7] == {3 + 16 + 128: 3, 2 + 24 + 128: 1, 2 + 16 + 192: 1}
         assert unpack_weight(147, P2, 7) == (3, 2, 2)
 
-    @pytest.mark.parametrize("n", [2, 3, 7])
-    @pytest.mark.parametrize("M", [0, 1, 5, 20])
+    @pytest.mark.parametrize("n", [2, 3, 7, 20])
+    @pytest.mark.parametrize("M", [0, 1, 5, 20, 60])
     def test_column_codes_pack_each_column_weight(self, n, M):
         params = WallParams(n)
-        assert _column_codes(params, M) == [
+        assert column_codes(params, M) == [
             sum(a * (M + 1) ** c for c, a in enumerate(weight(Partition((h,)), params)))
             for h in range(M + 1)
         ]

@@ -5,7 +5,6 @@ import pytest
 
 from youngwalls import (
     ALL_CHECKS,
-    MapResult,
     Partition,
     WallParams,
     run_checks,
@@ -16,7 +15,10 @@ from youngwalls import (
     verify_reduced_equivalence,
     verify_vch_identity,
 )
-from youngwalls import enumerate_strict, verify, virtual_character
+from youngwalls import enumerate_proper, enumerate_strict, is_reduced, verify
+from youngwalls import virtual_character, weight
+from youngwalls.bijections import _phi_core, _psi_core
+from youngwalls.walls import column_codes
 from youngwalls.verify import _report, _witness_key
 
 
@@ -128,25 +130,25 @@ def walls_edited_at(m0, edit):
 
 
 def psi_image_forged(wall, part, hat, k):
-    """``psi`` sending ``wall`` to (part, hat) with k quanta, and a
-    ``psi_rebuild`` that still returns ``wall`` from it, so only the
-    membership test can tell."""
+    """A ``psi`` core sending ``wall`` to (part, hat) with k quanta, and a
+    rebuild core that still returns ``wall`` from it, so only the membership
+    test can tell."""
 
     def perturb(monkeypatch):
-        real_psi, real_rebuild = verify.psi, verify.psi_rebuild
+        real_psi, real_rebuild = verify._psi_core, verify._psi_rebuild_core
 
         def forged(lam, params):
             if lam == wall:
-                return MapResult(part, hat, k, ())
+                return part, hat, k
             return real_psi(lam, params)
 
         def rebuild(reduced, bookkeeping, params):
             if (reduced, bookkeeping) == (part, hat):
-                return Partition(wall)
+                return tuple(wall)
             return real_rebuild(reduced, bookkeeping, params)
 
-        monkeypatch.setattr(verify, "psi", forged)
-        monkeypatch.setattr(verify, "psi_rebuild", rebuild)
+        monkeypatch.setattr(verify, "_psi_core", forged)
+        monkeypatch.setattr(verify, "_psi_rebuild_core", rebuild)
 
     return perturb
 
@@ -261,6 +263,45 @@ class TestEverySideIsRead:
         report = check(WallParams(2), 20)
         assert not report.passed
         assert report.counterexample["m"] == 16
+
+
+class TestPackedWeightCheck:
+    def test_the_packed_check_is_read(self, monkeypatch):
+        real = verify.column_codes
+
+        def one_color_off(params, M):
+            codes = real(params, M)
+            codes[1] += 1  # color 0 of a one-block column counts twice
+            return codes
+
+        monkeypatch.setattr(verify, "column_codes", one_color_off)
+        report = verify_bijections(WallParams(2), 20)
+        # psi sends (7,) to ((1,), (1,)), the first image with a one-block
+        # column that its wall lacks
+        assert report.counterexample == {"m": 7, "map": "psi", "partition": (7,),
+                                         "error": "weight shift mismatch"}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_packed_comparison_matches_per_color_weights(self, n):
+        params, max_m = WallParams(n), 30
+        codes = column_codes(params, max_m)
+        ones = sum((max_m + 1) ** c for c in range(params.delta))
+        compared = 0
+        for m in range(max_m + 1):
+            for lam in enumerate_proper(params, m):
+                for core, in_domain in ((_psi_core, not is_reduced(lam, params)),
+                                        (_phi_core, not lam.is_strict())):
+                    if not in_domain:
+                        continue
+                    part, _, k = core(lam, params)
+                    shift = sum(codes[a] for a in lam) - sum(codes[a] for a in part)
+                    # a wrong k must fail both ways as well
+                    for j in (k - 1, k, k + 1):
+                        per_color = all(a - b == 2 * j for a, b in
+                                        zip(weight(lam, params), weight(part, params)))
+                        assert (shift == 2 * j * ones) == per_color == (j == k)
+                    compared += 1
+        assert compared > 1000
 
 
 class TestReportPlumbing:

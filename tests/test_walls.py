@@ -221,6 +221,34 @@ class TestWeight:
         assert sum(weight(lam, params)) == lam.size
 
 
+def removable_by_whole_wall(lam, params):
+    """Oracle: shorten each column that stays at or above its right
+    neighbour and test the whole shortened wall for properness."""
+    period = params.period
+    for i, (a, b) in enumerate(zip(lam, lam[1:] + (0,))):
+        if a - period >= b:
+            shortened = list(lam)
+            shortened[i] -= period
+            if is_proper(Partition(shortened), params):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_removable_segment_matches_whole_wall_oracle(n):
+    params = WallParams(n)
+    for m in range(31):
+        for lam in enumerate_proper(params, m):
+            assert has_removable_delta(lam, params) == removable_by_whole_wall(
+                lam, params
+            ), (n, lam)
+    for m in range(13):
+        for lam in enumerate_partitions(m):
+            if not is_proper(lam, params):
+                with pytest.raises(ValueError):
+                    has_removable_delta(lam, params)
+
+
 class TestCountingIdentities:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_reduced_iff_no_removable_segment(self, n):
