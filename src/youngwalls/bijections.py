@@ -163,24 +163,24 @@ def phi(lam: Partition, params: WallParams) -> MapResult:
     """Carry a proper, non-strict partition to a strict one plus bookkeeping
     (``_phi_core``).  Runs are deleted deepest first, each pair deepest
     first, so a run of v ending at 1-based position e logs its pairs at
-    i = e, e - 2, ... with value v."""
+    i = e, e - 2, ... with value v; the core's hat must list the trace's
+    values over delta, deepest last."""
     if not is_proper(lam, params):
         raise ValueError(f"{lam!r} is not a proper wall")
     if lam.is_strict():
         raise ValueError(f"{lam!r} is already strict; nothing to delete")
 
     part, values, k = _phi_core(lam, params)
-    strict_part, hat = Partition(part), Partition(values)
-    # 1-based positions i with part i equal to part i - 1, deepest first;
-    # a pair's upper member i - 1 does not start another pair
-    equal = [i for i, (a, b) in enumerate(zip(lam, lam[1:]), 2) if a == b]
-    delta, paired, trace = params.delta, 0, []
-    for i in reversed(equal):
-        if i != paired - 1:
-            _certify(lam[i - 1] % delta == 0, "phi pair off the delta grid")
-            trace.append(MapStep(len(trace) + 1, i, lam[i - 1]))
-            paired = i
+    delta, end, trace = params.delta, len(lam), []
+    for height, count in reversed([(h, len(list(run))) for h, run in groupby(lam)]):
+        for i in range(end, end - count + 1, -2):
+            _certify(height % delta == 0, "phi pair off the delta grid")
+            trace.append(MapStep(len(trace) + 1, i, height))
+        end -= count
 
+    strict_part, hat = Partition(part), Partition(values)
+    _certify(hat == tuple(step.value // delta for step in reversed(trace)),
+             "phi hat disagrees with its trace")
     _certify(strict_part.is_strict(), "phi result not strict")
     _certify(lam.size - strict_part.size == k * params.period, "phi delete size")
     return MapResult(strict_part, hat, k, tuple(trace))

@@ -20,8 +20,14 @@ from .characters import (_window_weight_table, principal_character,
                          strict_weight_table, unpack_weight)
 from .partitions import Partition, enumerate_strict, strict_counts
 from .verify import ALL_CHECKS, run_checks
-from .walls import (WallParams, enumerate_proper, enumerate_reduced, proper_counts,
-                    reduced_counts, weight)
+from .walls import (
+    WallParams,
+    enumerate_proper,
+    enumerate_reduced,
+    proper_counts,
+    reduced_counts,
+    weight,
+)
 
 Record = tuple[dict[str, Any], dict[str, Any]]
 

@@ -28,13 +28,25 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .bijections import (CertificationError, _phi_core, _phi_rebuild_core,
-                         _psi_core, _psi_rebuild_core)
+from .bijections import (
+    CertificationError,
+    _phi_core,
+    _phi_rebuild_core,
+    _psi_core,
+    _psi_rebuild_core,
+)
 from .characters import reduced_weight_table, strict_weight_table, unpack_weight
 from .partitions import Partition, odd_counts, partition_counts, strict_counts
 from .series import series_product_odd, series_product_strict
-from .walls import (WallParams, column_codes, enumerate_proper, has_removable_delta,
-                    is_reduced, proper_counts, reduced_counts)
+from .walls import (
+    WallParams,
+    column_codes,
+    enumerate_proper,
+    has_removable_delta,
+    is_reduced,
+    proper_counts,
+    reduced_counts,
+)
 
 
 @dataclass
@@ -180,11 +192,16 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
     started = time.perf_counter()
     period = params.period
     partitions = partition_counts(max_m // period)
-    # packed weights differ by 2k * (1, ..., 1) without a borrow: after a round
-    # trip |part| = m - 2*delta*k, so b_c + 2k <= m - 2*k*delta + 2k <= max_m
-    # for each color count b_c of part, and every digit lies in [-max_m, max_m]
+    # a column of 2*delta blocks holds every color twice, so the packed
+    # weights of a wall and its image must differ by k such columns,
+    # (2k, ..., 2k).  For a member with k = |hat|, |part| = m - 2*delta*k, so
+    # b_c + 2k <= m - 2*k*delta + 2k <= max_m for each color count b_c of
+    # part: every digit of the difference lies in [-max_m, max_m], no borrow
+    # crosses a digit, and the one comparison is the per-color one.  Any
+    # other k fails per color too, as the counts differ by 2*delta*|hat| in
+    # all.  No wall below 2*delta blocks is in a domain.
     codes = column_codes(params, max_m)
-    ones = sum((max_m + 1) ** c for c in range(params.delta))
+    cycle = codes[period] if period <= max_m else 0
     jobs = (
         ("psi", _psi_core, _psi_rebuild_core, is_reduced,
          reduced_counts(params, max_m)),
@@ -198,22 +215,25 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
             domain = [lam for lam in walls if not in_target(lam, params)]
             images = set()
             for lam in domain:
-                error = None
+                error = member = None
                 try:
                     part, hat, k = forward(lam, params)
+                    # a non-member is no image; its parts may lie outside codes
+                    member = (_canonical(part) and _canonical(hat) and hat
+                              and in_target(part, params)
+                              and sum(part) + period * sum(hat) == m)
                     if rebuild(part, hat, params) != lam:
                         error = "round trip mismatch"
-                    elif (sum(map(codes.__getitem__, lam))
-                          - sum(map(codes.__getitem__, part)) != 2 * k * ones):
+                    elif member and (k != sum(hat)
+                                     or sum(map(codes.__getitem__, lam))
+                                     - sum(map(codes.__getitem__, part)) != k * cycle):
                         error = "weight shift mismatch"
                 except (ValueError, CertificationError) as exc:
                     error = str(exc)
                 if error is not None:
                     failures.append({"m": m, "map": name, "partition": lam,
                                      "error": error})
-                elif (_canonical(part) and _canonical(hat) and hat
-                      and in_target(part, params)
-                      and sum(part) + period * sum(hat) == m):
+                elif member:
                     images.add((part, hat))
             expected = sum(family[m - period * k] * partitions[k]
                            for k in range(1, m // period + 1))

@@ -341,6 +341,9 @@ def _psi_core_with_wrong_hat(lam, params):
     return part, hat + (1,), k
 
 
+_real_phi_core = bijections._phi_core
+
+
 class TestCertification:
     def test_verify_catches_certification_failure(self, monkeypatch):
         # verify calls its own import of the core
@@ -367,6 +370,15 @@ class TestCertification:
         # the wall's own failure, not the image loss it causes at m = 6
         assert report.counterexample == {"m": 6, "map": "psi", "partition": (6,),
                                          "error": "psi result not reduced"}
+
+    def test_phi_hat_is_certified_against_its_trace(self, monkeypatch):
+        def wrong_hat(lam, params):
+            part, hat, k = _real_phi_core(lam, params)
+            return part, hat + (1,), k + 1
+
+        monkeypatch.setattr(bijections, "_phi_core", wrong_hat)
+        with pytest.raises(CertificationError, match="phi hat disagrees"):
+            phi(Partition((3, 3, 1)), P2)
 
     def test_survives_optimized_mode(self):
         script = textwrap.dedent("""

@@ -59,6 +59,14 @@ class TestIndividualVerifiers:
         assert verify_vch_identity(WallParams(20000), 8).passed
         assert time.perf_counter() - started < 5
 
+    @pytest.mark.parametrize("n, max_m", [(100000, 8), (500000, 1)])
+    def test_bijections_at_a_high_rank_is_fast(self, n, max_m):
+        # both domains are empty below 2*delta blocks; the packed cycle
+        # code must not cost a power per color either
+        started = time.perf_counter()
+        assert verify_bijections(WallParams(n), max_m).passed
+        assert time.perf_counter() - started < 5
+
     def test_vch_enumerates_nothing(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("vch enumerated")
@@ -231,11 +239,14 @@ class TestEverySideIsRead:
          (psi_image_forged((13,), Partition((1,)), Partition((2, 1)), 2), 13, "psi"),
          (psi_image_forged((13,), Partition((7,)), Partition((1,)), 1), 13, "psi"),
          # a reduced wall of the same size and weight, nothing stripped
-         (psi_image_forged((13,), Partition((8, 4, 1)), Partition(), 0), 13, "psi")],
+         (psi_image_forged((13,), Partition((8, 4, 1)), Partition(), 0), 13, "psi"),
+         # parts that no column code covers: no image, and no crash
+         (psi_image_forged((13,), unchecked(25), unchecked(-2), -2), 13, "psi"),
+         (psi_image_forged((13,), unchecked(-5), Partition((3,)), 3), 13, "psi")],
         ids=["reduced_counts", "strict_counts", "partition_counts",
              "enumerate_proper", "enumerate_proper_twice", "non_canonical_hat",
              "non_canonical_part", "outside_codomain", "outside_family",
-             "empty_hat"],
+             "empty_hat", "part_above_max_m", "negative_part"],
     )
     def test_bijections(self, monkeypatch, perturb, m, name):
         perturb(monkeypatch)
@@ -285,7 +296,7 @@ class TestPackedWeightCheck:
     def test_packed_comparison_matches_per_color_weights(self, n):
         params, max_m = WallParams(n), 30
         codes = column_codes(params, max_m)
-        ones = sum((max_m + 1) ** c for c in range(params.delta))
+        cycle = codes[params.period]
         compared = 0
         for m in range(max_m + 1):
             for lam in enumerate_proper(params, m):
@@ -299,7 +310,7 @@ class TestPackedWeightCheck:
                     for j in (k - 1, k, k + 1):
                         per_color = all(a - b == 2 * j for a, b in
                                         zip(weight(lam, params), weight(part, params)))
-                        assert (shift == 2 * j * ones) == per_color == (j == k)
+                        assert (shift == j * cycle) == per_color == (j == k)
                     compared += 1
         assert compared > 1000
 
