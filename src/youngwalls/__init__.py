@@ -6,10 +6,8 @@ from .bijections import (
     MapStep,
     phi,
     phi_inv,
-    phi_rebuild,
     psi,
     psi_inv,
-    psi_rebuild,
 )
 from .characters import principal_character, virtual_character
 from .partitions import (

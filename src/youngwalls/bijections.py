@@ -12,21 +12,22 @@ one pass over the wall.
 
 Each map and each rebuild is a core on plain tuples (``_psi_core``,
 ``_phi_core``, ``_psi_rebuild_core``, ``_phi_rebuild_core``) that checks
-nothing.  The public functions wrap the cores: ``psi`` and ``phi`` with
-input guards (``ValueError``), the trace and a runtime certification of the
-result; ``psi_rebuild`` and ``phi_rebuild`` with guards; ``psi_inv`` and
-``phi_inv`` with a replay of the forward map that must give their arguments
+nothing.  ``psi`` and ``phi`` share one wrapper, ``_forward``: the input
+guards (``ValueError``), the core, and one certificate of the image (part,
+hat, k): part is in the target family, |hat| == k >= 1, and the map's
+rebuild core gives the input wall back.  Each map derives its trace from
+that image alone.  ``psi_inv`` and ``phi_inv`` share ``_inverse``: guards,
+rebuild core, and a replay of the forward map that must give the arguments
 back.  A failed certification raises ``CertificationError``, which
 ``python -O`` keeps.  ``verify`` calls the same cores on walls it has
-classified, compares the rebuilt wall with the one it started from and
-tests each image's membership itself; the maps are deterministic, so a
-replay would only return the result already checked.
+classified and checks the same facts itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby, zip_longest
+from typing import Callable
 
 from .partitions import Partition
 from .walls import WallParams, is_proper, is_reduced
@@ -72,6 +73,39 @@ class MapResult:
         return (self.reduced_part, self.hat_part)
 
 
+def _forward(name: str, lam: Partition, params: WallParams, core: Callable,
+             rebuild: Callable, in_target: Callable, family: str,
+             verb: str) -> tuple[Partition, Partition, int]:
+    """Guard ``lam``, map it by ``core`` and certify the image (part, hat, k):
+    part is in the target family, |hat| == k >= 1, and ``rebuild`` gives
+    ``lam`` back."""
+    if not is_proper(lam, params):
+        raise ValueError(f"{lam!r} is not a proper wall")
+    if in_target(lam, params):
+        raise ValueError(f"{lam!r} is already {family}; nothing to {verb}")
+    part, hat, k = core(lam, params)
+    part, hat = Partition(part), Partition(hat)
+    _certify(in_target(part, params), f"{name} result not {family}")
+    _certify(hat.size == k >= 1, f"{name} hat size")
+    _certify(rebuild(part, hat, params) == lam, f"{name} round trip mismatch")
+    return part, hat, k
+
+
+def _inverse(name: str, part: Partition, hat: Partition, params: WallParams,
+             forward: Callable, rebuild: Callable, in_target: Callable,
+             member: str) -> Partition:
+    """Guard (part, hat), rebuild the wall and certify that ``forward`` (the
+    public map as bound when the inverse runs) sends it back to them."""
+    if not in_target(part, params):
+        raise ValueError(f"{part!r} is not {member}")
+    if not hat:
+        raise ValueError("bookkeeping partition must be non-empty")
+    lam = Partition(rebuild(part, hat, params))
+    back = forward(lam, params)
+    _certify(back.pair() == (part, hat), f"{name}_inv round trip mismatch")
+    return lam
+
+
 def _psi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple, int]:
     """``psi`` on a proper, non-reduced wall, unchecked, on plain tuples.
 
@@ -96,50 +130,29 @@ def _psi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple, int]:
     return tuple(part[::-1]), tuple(hat[::-1]), sum(hat)
 
 
-def psi(lam: Partition, params: WallParams) -> MapResult:
-    """Carry a proper, non-reduced wall to a reduced wall plus bookkeeping
-    (``_psi_core``).  The trace lists the nonzero t_j (bookkeeping part j
-    less part j+1), deepest gap first, at i = j + 2."""
-    if not is_proper(lam, params):
-        raise ValueError(f"{lam!r} is not a proper wall")
-    if is_reduced(lam, params):
-        raise ValueError(f"{lam!r} is already reduced; nothing to strip")
-
-    part, totals, k = _psi_core(lam, params)
-    reduced, hat = Partition(part), Partition(totals)
-    deepest_first = [(j + 2, a - b) for j, (a, b)
-                     in enumerate(zip(hat, hat[1:] + (0,))) if a != b][::-1]
-    trace = [MapStep(l, i, t) for l, (i, t) in enumerate(deepest_first, 1)]
-
-    _certify(is_reduced(reduced, params), "psi result not reduced")
-    stripped = lam.size - reduced.size
-    _certify(stripped > 0 and stripped % params.period == 0, "psi strip size")
-    _certify(hat.size == k == stripped // params.period, "psi hat size")
-    return MapResult(reduced, hat, k, tuple(trace))
-
-
 def _psi_rebuild_core(reduced: tuple, hat: tuple, params: WallParams) -> tuple:
-    """``psi_rebuild`` unchecked: adds 2 * hat_i * delta to part i."""
+    """``psi_inv`` unchecked: adds 2 * hat_i * delta to part i."""
     period = params.period
     return tuple(a + period * h for a, h in zip_longest(reduced, hat, fillvalue=0))
 
 
-def psi_rebuild(reduced: Partition, hat: Partition, params: WallParams) -> Partition:
-    """The wall ``psi`` maps to (reduced, hat), without certification."""
-    if not is_reduced(reduced, params):
-        raise ValueError(f"{reduced!r} is not a reduced wall")
-    if not hat:
-        raise ValueError("bookkeeping partition must be non-empty")
-    return Partition(_psi_rebuild_core(reduced, hat, params))
+def psi(lam: Partition, params: WallParams) -> MapResult:
+    """Carry a proper, non-reduced wall to a reduced wall plus bookkeeping
+    (``_psi_core``).  The trace lists the nonzero t_j (bookkeeping part j
+    less part j+1), deepest gap first, at i = j + 2."""
+    reduced, hat, k = _forward("psi", lam, params, _psi_core, _psi_rebuild_core,
+                               is_reduced, "reduced", "strip")
+    steps = [(j + 2, a - b) for j, (a, b)
+             in enumerate(zip(hat, hat[1:] + (0,))) if a != b][::-1]
+    trace = tuple(MapStep(l, *step) for l, step in enumerate(steps, 1))
+    return MapResult(reduced, hat, k, trace)
 
 
 def psi_inv(reduced: Partition, hat: Partition, params: WallParams) -> Partition:
     """Rebuild the proper wall mapped by ``psi`` to (reduced, hat), replaying
     the forward map to certify the round trip."""
-    lam = psi_rebuild(reduced, hat, params)
-    back = psi(lam, params)
-    _certify(back.pair() == (reduced, hat), "psi_inv round trip mismatch")
-    return lam
+    return _inverse("psi", reduced, hat, params, psi, _psi_rebuild_core,
+                    is_reduced, "a reduced wall")
 
 
 def _phi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple, int]:
@@ -159,54 +172,29 @@ def _phi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple, int]:
     return tuple(part), tuple(hat), sum(hat)
 
 
-def phi(lam: Partition, params: WallParams) -> MapResult:
-    """Carry a proper, non-strict partition to a strict one plus bookkeeping
-    (``_phi_core``).  Runs are deleted deepest first, each pair deepest
-    first, so a run of v ending at 1-based position e logs its pairs at
-    i = e, e - 2, ... with value v; the core's hat must list the trace's
-    values over delta, deepest last."""
-    if not is_proper(lam, params):
-        raise ValueError(f"{lam!r} is not a proper wall")
-    if lam.is_strict():
-        raise ValueError(f"{lam!r} is already strict; nothing to delete")
-
-    part, values, k = _phi_core(lam, params)
-    delta, end, trace = params.delta, len(lam), []
-    for height, count in reversed([(h, len(list(run))) for h, run in groupby(lam)]):
-        for i in range(end, end - count + 1, -2):
-            _certify(height % delta == 0, "phi pair off the delta grid")
-            trace.append(MapStep(len(trace) + 1, i, height))
-        end -= count
-
-    strict_part, hat = Partition(part), Partition(values)
-    _certify(hat == tuple(step.value // delta for step in reversed(trace)),
-             "phi hat disagrees with its trace")
-    _certify(strict_part.is_strict(), "phi result not strict")
-    _certify(lam.size - strict_part.size == k * params.period, "phi delete size")
-    return MapResult(strict_part, hat, k, tuple(trace))
-
-
 def _phi_rebuild_core(strict_part: tuple, hat: tuple, params: WallParams) -> tuple:
-    """``phi_rebuild`` unchecked: adds a pair of parts v * delta for each
+    """``phi_inv`` unchecked: adds a pair of parts v * delta for each
     bookkeeping part v; a partition is the sorted multiset of its parts."""
     pairs = [v * params.delta for v in hat]
     return tuple(sorted([*strict_part, *pairs, *pairs], reverse=True))
 
 
-def phi_rebuild(strict_part: Partition, hat: Partition,
-                params: WallParams) -> Partition:
-    """The partition ``phi`` maps to (strict_part, hat), without certification."""
-    if not strict_part.is_strict():
-        raise ValueError(f"{strict_part!r} is not strict")
-    if not hat:
-        raise ValueError("bookkeeping partition must be non-empty")
-    return Partition(_phi_rebuild_core(strict_part, hat, params))
+def phi(lam: Partition, params: WallParams) -> MapResult:
+    """Carry a proper, non-strict partition to a strict one plus bookkeeping
+    (``_phi_core``).  Pairs are deleted deepest first, so the pair of
+    bookkeeping part j (from 0), of height h = hat_j * delta, goes from the
+    strict part plus the pairs of parts 0..j and logs at
+    i = #{strict parts >= h} + 2 * (j + 1) with value h."""
+    part, hat, k = _forward("phi", lam, params, _phi_core, _phi_rebuild_core,
+                            lambda wall, _: wall.is_strict(), "strict", "delete")
+    heights = [(j, v * params.delta) for j, v in enumerate(hat)][::-1]
+    steps = [(sum(a >= h for a in part) + 2 * j + 2, h) for j, h in heights]
+    trace = tuple(MapStep(l, *step) for l, step in enumerate(steps, 1))
+    return MapResult(part, hat, k, trace)
 
 
 def phi_inv(strict_part: Partition, hat: Partition, params: WallParams) -> Partition:
     """Rebuild the proper partition mapped by ``phi`` to (strict_part, hat),
     replaying the forward map to certify the round trip."""
-    lam = phi_rebuild(strict_part, hat, params)
-    back = phi(lam, params)
-    _certify(back.pair() == (strict_part, hat), "phi_inv round trip mismatch")
-    return lam
+    return _inverse("phi", strict_part, hat, params, phi, _phi_rebuild_core,
+                    lambda wall, _: wall.is_strict(), "strict")

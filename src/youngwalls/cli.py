@@ -198,7 +198,10 @@ def text_count(payload: dict[str, Any]) -> Iterator[str]:
 
 def cmd_verify(args: argparse.Namespace) -> Record:
     n_values = parse_n_range(args.n_range)
-    checks = tuple(dict.fromkeys(args.checks.split(",") if args.checks else ALL_CHECKS))
+    names = ALL_CHECKS if args.checks is None else args.checks.split(",")
+    if "" in names:
+        raise ValueError("--checks has an empty check name")
+    checks = tuple(dict.fromkeys(names))
     # per-rank tables grow with n too: vch's weight codes hold n + 1 counts
     if any(check != "euler" for check in checks):
         _within_budget((args.max_m + 1) * (sum(n_values) + len(n_values)), "--n-range")

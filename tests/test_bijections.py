@@ -23,10 +23,8 @@ from youngwalls import (
     is_reduced,
     phi,
     phi_inv,
-    phi_rebuild,
     psi,
     psi_inv,
-    psi_rebuild,
     verify_bijections,
     weight,
 )
@@ -36,23 +34,23 @@ P3 = WallParams(3)
 
 
 class TestInsertBlocks:
-    """``phi_rebuild`` inserts a pair of parts v * delta per bookkeeping part v."""
+    """``phi_inv`` inserts a pair of parts v * delta per bookkeeping part v."""
 
     def test_insert_between(self):
-        assert phi_rebuild(Partition((7, 1)), Partition((2,)), P2) == (7, 6, 6, 1)
+        assert phi_inv(Partition((7, 1)), Partition((2,)), P2) == (7, 6, 6, 1)
 
     def test_insert_pair(self):
-        assert phi_rebuild(Partition((1,)), Partition((1,)), P2) == (3, 3, 1)
+        assert phi_inv(Partition((1,)), Partition((1,)), P2) == (3, 3, 1)
 
     def test_insert_after_equal_parts(self):
-        rebuilt = phi_rebuild(Partition((7, 6, 1)), Partition((2, 2, 1)), P2)
+        rebuilt = phi_inv(Partition((7, 6, 1)), Partition((2, 2, 1)), P2)
         assert rebuilt == (7, 6, 6, 6, 6, 6, 3, 3, 1)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            phi_rebuild(Partition((3, 3)), Partition((1,)), P2)
-        with pytest.raises(ValueError):
-            phi_rebuild(Partition((3,)), Partition(), P2)
+        with pytest.raises(ValueError, match="is not strict"):
+            phi_inv(Partition((3, 3)), Partition((1,)), P2)
+        with pytest.raises(ValueError, match="must be non-empty"):
+            phi_inv(Partition((3,)), Partition(), P2)
 
 
 class TestPrefixStripMap:
@@ -264,11 +262,13 @@ def test_rebuild_cores_match_public_inverses(n):
         for lam in enumerate_proper(params, m):
             if not is_reduced(lam, params):
                 r = psi(lam, params)
-                rebuilt = psi_rebuild(r.reduced_part, r.hat_part, params)
+                rebuilt = bijections._psi_rebuild_core(r.reduced_part, r.hat_part,
+                                                       params)
                 assert rebuilt == psi_inv(r.reduced_part, r.hat_part, params) == lam
             if not lam.is_strict():
                 r = phi(lam, params)
-                rebuilt = phi_rebuild(r.reduced_part, r.hat_part, params)
+                rebuilt = bijections._phi_rebuild_core(r.reduced_part, r.hat_part,
+                                                       params)
                 assert rebuilt == phi_inv(r.reduced_part, r.hat_part, params) == lam
 
 
@@ -341,9 +341,6 @@ def _psi_core_with_wrong_hat(lam, params):
     return part, hat + (1,), k
 
 
-_real_phi_core = bijections._phi_core
-
-
 class TestCertification:
     def test_verify_catches_certification_failure(self, monkeypatch):
         # verify calls its own import of the core
@@ -370,15 +367,6 @@ class TestCertification:
         # the wall's own failure, not the image loss it causes at m = 6
         assert report.counterexample == {"m": 6, "map": "psi", "partition": (6,),
                                          "error": "psi result not reduced"}
-
-    def test_phi_hat_is_certified_against_its_trace(self, monkeypatch):
-        def wrong_hat(lam, params):
-            part, hat, k = _real_phi_core(lam, params)
-            return part, hat + (1,), k + 1
-
-        monkeypatch.setattr(bijections, "_phi_core", wrong_hat)
-        with pytest.raises(CertificationError, match="phi hat disagrees"):
-            phi(Partition((3, 3, 1)), P2)
 
     def test_survives_optimized_mode(self):
         script = textwrap.dedent("""
@@ -441,3 +429,26 @@ def test_one_core_serves_map_and_verify(monkeypatch, core, body, public_call,
     assert verify_bijections(P2, 7).counterexample == {
         "m": 6, "map": name, "partition": first_wall, "error": "round trip mismatch"
     }
+
+
+@pytest.mark.parametrize("name, wall, family",
+                         [("psi", (7,), "reduced"), ("phi", (3, 3, 1), "strict")],
+                         ids=["psi", "phi"])
+@pytest.mark.parametrize(
+    "edit, message",
+    # each edit of the true image (part, hat, k) breaks one clause alone
+    [(lambda lam, part, hat, k: (tuple(lam), (1,), 1), "result not {family}"),
+     (lambda lam, part, hat, k: (part, hat, k + 1), "hat size"),
+     (lambda lam, part, hat, k: (part, (), 0), "hat size"),
+     # the wrong hat that phi once caught against its trace
+     (lambda lam, part, hat, k: (part, hat + (1,), k + 1), "round trip mismatch")],
+    ids=["target_family", "hat_size", "empty_hat", "round_trip"],
+)
+def test_each_certificate_clause_is_read(monkeypatch, name, wall, family, edit,
+                                         message):
+    real = getattr(bijections, f"_{name}_core")
+    monkeypatch.setattr(bijections, f"_{name}_core",
+                        lambda lam, params: edit(lam, *real(lam, params)))
+    expected = f"{name} {message.format(family=family)}"
+    with pytest.raises(CertificationError, match=f"^{expected}$"):
+        getattr(bijections, name)(Partition(wall), P2)

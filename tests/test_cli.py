@@ -107,6 +107,16 @@ def test_too_large_input_exits_two(capsys, argv, option):
     assert err == f"error: {option} is too large\n"
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["enum", "--set", "strict", "--m", "-1"], "--m"),
+     (["count", "--set", "proper", "--n", "2", "--max-m", "-3"], "--max-m"),
+     (["verify", "--degree", "-1"], "--degree")],
+)
+def test_negative_size_exits_two(capsys, argv, option):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {option} must be non-negative\n")
+
+
 def test_largest_size_is_accepted(capsys):
     assert cli.MAX_SIZE == 2000
     code, out, _ = run_cli(capsys, "count", "--set", "strict", "--max-m", "2000")
@@ -462,6 +472,12 @@ class TestVerify:
         )
         assert code == 2
         assert "unknown checks" in err
+
+    @pytest.mark.parametrize("checks", ["", ",", "euler,,counts", "euler,"])
+    def test_empty_check_name_is_usage_error(self, capsys, checks):
+        # an empty value must not fall back to all six checks
+        assert run_cli(capsys, "verify", "--max-m", "4", "--checks", checks) == (
+            2, "", "error: --checks has an empty check name\n")
 
     def test_bad_range_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--n-range", "1..2")

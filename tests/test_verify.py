@@ -255,6 +255,19 @@ class TestEverySideIsRead:
             "m": m, "map": name, "error": "image does not match codomain"
         }
 
+    @pytest.mark.parametrize("side", ["is_reduced", "has_removable_delta"])
+    def test_reduced_equivalence(self, monkeypatch, side):
+        # (7,) is a proper wall of n = 2 that is not reduced
+        real, wall, m0 = getattr(verify, side), (7,), 7
+
+        def flipped(lam, params):
+            return real(lam, params) != (lam == wall)
+
+        monkeypatch.setattr(verify, side, flipped)
+        report = verify_reduced_equivalence(WallParams(2), 20)
+        assert not report.passed
+        assert report.counterexample == {"m": m0, "partition": wall}
+
     @pytest.mark.parametrize(
         "sides, check",
         [(("reduced_counts",), verify_count_identity),
