@@ -13,14 +13,14 @@ one pass over the wall.
 Each map and each rebuild is a core on plain tuples (``_psi_core``,
 ``_phi_core``, ``_psi_rebuild_core``, ``_phi_rebuild_core``) that checks
 nothing.  ``psi`` and ``phi`` share one wrapper, ``_forward``: the input
-guards (``ValueError``), the core, and one certificate of the image (part,
-hat, k): part is in the target family, |hat| == k >= 1, and the map's
-rebuild core gives the input wall back.  Each map derives its trace from
-that image alone.  ``psi_inv`` and ``phi_inv`` share ``_inverse``: guards,
-rebuild core, and a replay of the forward map that must give the arguments
-back.  A failed certification raises ``CertificationError``, which
-``python -O`` keeps.  ``verify`` calls the same cores on walls it has
-classified and checks the same facts itself.
+guards (``ValueError``), the core, and one certificate of the raw image
+(part, hat, k): part canonical and in the target family, hat canonical with
+|hat| == k >= 1, and the rebuild core gives the input wall back.  Each map
+derives its trace from that image.  ``psi_inv`` and ``phi_inv`` share
+``_inverse``: guards, rebuild core, and a replay of the forward core.  No
+``Partition`` wraps what is not yet certified; a failed certification
+raises ``CertificationError``, which ``python -O`` keeps.  ``verify`` calls
+the same cores on walls it has classified and checks the same facts itself.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import groupby, zip_longest
 from typing import Callable
 
-from .partitions import Partition
+from .partitions import Partition, _canonical
 from .walls import WallParams, is_proper, is_reduced
 
 
@@ -69,41 +69,41 @@ class MapResult:
     k: int
     trace: tuple[MapStep, ...]
 
-    def pair(self) -> tuple[Partition, Partition]:
-        return (self.reduced_part, self.hat_part)
-
 
 def _forward(name: str, lam: Partition, params: WallParams, core: Callable,
              rebuild: Callable, in_target: Callable, family: str,
              verb: str) -> tuple[Partition, Partition, int]:
-    """Guard ``lam``, map it by ``core`` and certify the image (part, hat, k):
-    part is in the target family, |hat| == k >= 1, and ``rebuild`` gives
-    ``lam`` back."""
+    """Guard ``lam``, map it by ``core`` and certify the raw image
+    (part, hat, k): part is canonical and in the target family, hat is
+    canonical with |hat| == k >= 1, and ``rebuild`` gives ``lam`` back."""
     if not is_proper(lam, params):
         raise ValueError(f"{lam!r} is not a proper wall")
     if in_target(lam, params):
         raise ValueError(f"{lam!r} is already {family}; nothing to {verb}")
     part, hat, k = core(lam, params)
-    part, hat = Partition(part), Partition(hat)
-    _certify(in_target(part, params), f"{name} result not {family}")
-    _certify(hat.size == k >= 1, f"{name} hat size")
+    _certify(_canonical(part) and in_target(part, params),
+             f"{name} result not {family}")
+    _certify(_canonical(hat) and sum(hat) == k >= 1, f"{name} hat size")
     _certify(rebuild(part, hat, params) == lam, f"{name} round trip mismatch")
-    return part, hat, k
+    return Partition(part), Partition(hat), k
 
 
 def _inverse(name: str, part: Partition, hat: Partition, params: WallParams,
-             forward: Callable, rebuild: Callable, in_target: Callable,
+             core: Callable, rebuild: Callable, in_target: Callable,
              member: str) -> Partition:
-    """Guard (part, hat), rebuild the wall and certify that ``forward`` (the
-    public map as bound when the inverse runs) sends it back to them."""
+    """Guard (part, hat), rebuild the wall and certify it as canonical, proper,
+    outside the target family and sent back to (part, hat) by ``core``: all
+    that a replay of the forward map would check."""
     if not in_target(part, params):
         raise ValueError(f"{part!r} is not {member}")
     if not hat:
         raise ValueError("bookkeeping partition must be non-empty")
-    lam = Partition(rebuild(part, hat, params))
-    back = forward(lam, params)
-    _certify(back.pair() == (part, hat), f"{name}_inv round trip mismatch")
-    return lam
+    lam = rebuild(part, hat, params)
+    _certify(_canonical(lam) and is_proper(lam, params)
+             and not in_target(lam, params)
+             and core(lam, params) == (part, hat, sum(hat)),
+             f"{name}_inv round trip mismatch")
+    return Partition(lam)
 
 
 def _psi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple, int]:
@@ -150,8 +150,8 @@ def psi(lam: Partition, params: WallParams) -> MapResult:
 
 def psi_inv(reduced: Partition, hat: Partition, params: WallParams) -> Partition:
     """Rebuild the proper wall mapped by ``psi`` to (reduced, hat), replaying
-    the forward map to certify the round trip."""
-    return _inverse("psi", reduced, hat, params, psi, _psi_rebuild_core,
+    the forward core to certify the round trip."""
+    return _inverse("psi", reduced, hat, params, _psi_core, _psi_rebuild_core,
                     is_reduced, "a reduced wall")
 
 
@@ -186,7 +186,8 @@ def phi(lam: Partition, params: WallParams) -> MapResult:
     strict part plus the pairs of parts 0..j and logs at
     i = #{strict parts >= h} + 2 * (j + 1) with value h."""
     part, hat, k = _forward("phi", lam, params, _phi_core, _phi_rebuild_core,
-                            lambda wall, _: wall.is_strict(), "strict", "delete")
+                            lambda wall, _: Partition.is_strict(wall), "strict",
+                            "delete")
     heights = [(j, v * params.delta) for j, v in enumerate(hat)][::-1]
     steps = [(sum(a >= h for a in part) + 2 * j + 2, h) for j, h in heights]
     trace = tuple(MapStep(l, *step) for l, step in enumerate(steps, 1))
@@ -195,6 +196,6 @@ def phi(lam: Partition, params: WallParams) -> MapResult:
 
 def phi_inv(strict_part: Partition, hat: Partition, params: WallParams) -> Partition:
     """Rebuild the proper partition mapped by ``phi`` to (strict_part, hat),
-    replaying the forward map to certify the round trip."""
-    return _inverse("phi", strict_part, hat, params, phi, _phi_rebuild_core,
-                    lambda wall, _: wall.is_strict(), "strict")
+    replaying the forward core to certify the round trip."""
+    return _inverse("phi", strict_part, hat, params, _phi_core, _phi_rebuild_core,
+                    lambda wall, _: Partition.is_strict(wall), "strict")

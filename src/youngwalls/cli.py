@@ -18,7 +18,7 @@ from typing import Any, Iterator
 from .bijections import phi, phi_inv, psi, psi_inv
 from .characters import (_window_weight_table, principal_character,
                          strict_weight_table, unpack_weight)
-from .partitions import Partition, enumerate_strict, strict_counts
+from .partitions import Partition, _canonical, enumerate_strict, strict_counts
 from .verify import ALL_CHECKS, run_checks
 from .walls import (
     WallParams,
@@ -42,12 +42,9 @@ def parse_partition(text: str) -> Partition:
     if not re.fullmatch(r"[0-9]+(,[0-9]+)*", text):
         raise ValueError(f"bad partition literal {text!r}: not integers")
     parts = tuple(int(tok) for tok in text.split(","))
-    if any(p < 1 for p in parts):
-        raise ValueError(f"bad partition literal {text!r}: parts must be positive")
-    if any(a < b for a, b in zip(parts, parts[1:])):
-        raise ValueError(
-            f"bad partition literal {text!r}: parts must be weakly decreasing"
-        )
+    if not _canonical(parts):
+        raise ValueError(f"bad partition literal {text!r}: "
+                         "parts must be positive and weakly decreasing")
     return Partition(parts)
 
 

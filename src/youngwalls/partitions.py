@@ -11,27 +11,28 @@ from itertools import accumulate
 from typing import Iterable
 
 
+def _canonical(parts: tuple) -> bool:
+    """The one canonical-form rule: weakly decreasing down to a last part >= 1."""
+    return all(a >= b for a, b in zip(parts, parts[1:] + (1,)))
+
+
 class Partition(tuple):
     """A weakly decreasing tuple of positive integers.
 
-    The constructor accepts any weakly decreasing sequence of non-negative
-    integers and drops the zeros, so callers may hand over sequences padded
-    with trailing zeros.  Increasing sequences and negative entries are
-    rejected.  Indexing, equality, hashing and ordering are the tuple's.
+    The constructor drops trailing zeros, so callers may pad with them, and
+    rejects what is then not canonical.  Indexing, equality, hashing and
+    ordering are the tuple's.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> Partition:
         parts = tuple(int(p) for p in parts)
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"parts must be weakly decreasing, got {parts}")
-        if parts and parts[-1] < 0:
-            raise ValueError(f"parts must be non-negative, got {parts}")
         k = len(parts)
         while k and parts[k - 1] == 0:
             k -= 1
+        if not _canonical(parts[:k]):
+            raise ValueError(f"parts must be positive and weakly decreasing: {parts}")
         return super().__new__(cls, parts[:k])
 
     @property

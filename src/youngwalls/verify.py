@@ -36,7 +36,8 @@ from .bijections import (
     _psi_rebuild_core,
 )
 from .characters import reduced_weight_table, strict_weight_table, unpack_weight
-from .partitions import Partition, odd_counts, partition_counts, strict_counts
+from .partitions import (Partition, _canonical, odd_counts, partition_counts,
+                         strict_counts)
 from .series import series_product_odd, series_product_strict
 from .walls import (
     WallParams,
@@ -172,11 +173,6 @@ def verify_reduced_equivalence(params: WallParams, max_m: int) -> VerificationRe
     return _report(
         "reduced-equivalence", {"n": params.n, "max_m": max_m}, failures, started
     )
-
-
-def _canonical(parts: tuple) -> bool:
-    """Weakly decreasing parts down to a last part >= 1 (so no trailing 0)."""
-    return all(a >= b for a, b in zip(parts, parts[1:] + (1,)))
 
 
 def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:

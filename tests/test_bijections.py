@@ -371,17 +371,16 @@ class TestCertification:
     def test_survives_optimized_mode(self):
         script = textwrap.dedent("""
             import youngwalls.bijections as b
-            from youngwalls import MapResult, Partition, WallParams
+            from youngwalls import Partition, WallParams
 
             print("debug:", __debug__)
-            real_psi = b.psi
+            real_core = b._psi_core
 
-            def wrong_psi(lam, params):
-                r = real_psi(lam, params)
-                hat = Partition(r.hat_part + (1,))
-                return MapResult(r.reduced_part, hat, r.k, r.trace)
+            def wrong_hat(lam, params):
+                part, hat, k = real_core(lam, params)
+                return part, hat + (1,), k
 
-            b.psi = wrong_psi
+            b._psi_core = wrong_hat
             try:
                 b.psi_inv(Partition((2, 1)), Partition((2,)), WallParams(2))
             except b.CertificationError as exc:
@@ -438,11 +437,16 @@ def test_one_core_serves_map_and_verify(monkeypatch, core, body, public_call,
     "edit, message",
     # each edit of the true image (part, hat, k) breaks one clause alone
     [(lambda lam, part, hat, k: (tuple(lam), (1,), 1), "result not {family}"),
+     # non-canonical images fail their clause, unrepaired and unparsed
+     (lambda lam, part, hat, k: ((1, 3), hat, k), "result not {family}"),
+     (lambda lam, part, hat, k: (part + (-1,), hat, k), "result not {family}"),
      (lambda lam, part, hat, k: (part, hat, k + 1), "hat size"),
      (lambda lam, part, hat, k: (part, (), 0), "hat size"),
+     (lambda lam, part, hat, k: (part, hat + (0,), k), "hat size"),
      # the wrong hat that phi once caught against its trace
      (lambda lam, part, hat, k: (part, hat + (1,), k + 1), "round trip mismatch")],
-    ids=["target_family", "hat_size", "empty_hat", "round_trip"],
+    ids=["target_family", "increasing_part", "negative_part", "hat_size",
+         "empty_hat", "hat_trailing_zero", "round_trip"],
 )
 def test_each_certificate_clause_is_read(monkeypatch, name, wall, family, edit,
                                          message):
@@ -452,3 +456,20 @@ def test_each_certificate_clause_is_read(monkeypatch, name, wall, family, edit,
     expected = f"{name} {message.format(family=family)}"
     with pytest.raises(CertificationError, match=f"^{expected}$"):
         getattr(bijections, name)(Partition(wall), P2)
+
+
+@pytest.mark.parametrize(
+    "cores, part, hat",
+    # each rebuilt wall fails one clause of the inverse's certificate alone:
+    # psi's core sends the improper (7, 7) to ((7, 1), (1,)), and a core that
+    # strips nothing books the reduced (1,) as ((1,), (1,))
+    [({"_psi_rebuild_core": lambda part, hat, params: (7, 7)}, (7, 1), (1,)),
+     ({"_psi_rebuild_core": _nothing_added, "_psi_core": _nothing_stripped},
+      (1,), (1,))],
+    ids=["improper", "in_target"],
+)
+def test_each_inverse_clause_is_read(monkeypatch, cores, part, hat):
+    for core, body in cores.items():
+        monkeypatch.setattr(bijections, core, body)
+    with pytest.raises(CertificationError, match="^psi_inv round trip mismatch$"):
+        psi_inv(Partition(part), Partition(hat), P2)

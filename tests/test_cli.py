@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from youngwalls import (
     Partition,
     WallParams,
+    bijections,
     cli,
     enumerate_proper,
     enumerate_reduced,
@@ -323,6 +324,28 @@ class TestMap:
         )
         assert code == 0
         assert out.splitlines() == ["result: 6,6,3,3"]
+
+    @pytest.mark.parametrize(
+        "core, image, argv, failed",
+        # a malformed image is neither repaired nor a usage error
+        [("_psi_core", ((1,), (2, 0), 2), ["psi", "13"], "psi hat size"),
+         ("_psi_rebuild_core", (1, 3), ["psi-inv", "1", "--hat", "2"],
+          "psi_inv round trip mismatch"),
+         # psi maps (7, 0) to ((1,), (1,)), yet it is no wall to print
+         ("_psi_rebuild_core", (7, 0), ["psi-inv", "1", "--hat", "1"],
+          "psi_inv round trip mismatch"),
+         ("_phi_rebuild_core", (3, -3), ["phi-inv", "", "--hat", "1"],
+          "phi_inv round trip mismatch")],
+        ids=["psi_hat", "psi_inv_increasing", "psi_inv_trailing_zero",
+             "phi_inv_negative"],
+    )
+    def test_malformed_image_fails_its_certificate(self, capsys, monkeypatch,
+                                                   core, image, argv, failed):
+        monkeypatch.setattr(bijections, core, lambda *args: image)
+        alg, partition, *hat = argv
+        assert run_cli(capsys, "map", "--alg", alg, "--n", "2",
+                       "--partition", partition, *hat) == (
+            3, "", f"internal error: CertificationError: {failed}\n")
 
     def test_already_reduced_is_domain_error(self, capsys):
         code, _, err = run_cli(

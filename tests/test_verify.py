@@ -305,6 +305,15 @@ class TestPackedWeightCheck:
         assert report.counterexample == {"m": 7, "map": "psi", "partition": (7,),
                                          "error": "weight shift mismatch"}
 
+    def test_a_member_with_the_wrong_k_is_a_weight_shift_mismatch(self,
+                                                                  monkeypatch):
+        # psi sends (13,) to ((1,), (2,)) with k = 2; a k of 3 keeps the
+        # image a member and its round trip, so the weight check must refuse it
+        psi_image_forged((13,), Partition((1,)), Partition((2,)), 3)(monkeypatch)
+        report = verify_bijections(WallParams(2), 20)
+        assert report.counterexample == {"m": 13, "map": "psi", "partition": (13,),
+                                         "error": "weight shift mismatch"}
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_packed_comparison_matches_per_color_weights(self, n):
         params, max_m = WallParams(n), 30
