@@ -10,8 +10,8 @@ pentagonal partition table.  ``vch`` compares two weight-graded tables
 (weight multisets per size, by packed weight code): the product of
 (1 + x^w(i)) over column heights i for strict partitions, and the
 window-rule DP with weight-graded entries for reduced walls; it enumerates
-nothing.  Only ``bijections`` and ``reduced-equivalence`` enumerate, and
-only proper walls (``enumerate_proper``).  ``bijections`` runs the tuple
+nothing.  Only ``bijections`` and ``reduced-equivalence`` enumerate: one
+walk of the proper walls per rank serves both.  ``bijections`` runs the tuple
 cores that the public maps and inverses wrap, compares the rebuilt wall
 with the wall mapped and the packed weights of wall and image, and checks
 each map's images against its codomain by count: the reduced or strict
@@ -39,15 +39,8 @@ from .characters import reduced_weight_table, strict_weight_table, unpack_weight
 from .partitions import (Partition, _canonical, odd_counts, partition_counts,
                          strict_counts)
 from .series import series_product_odd, series_product_strict
-from .walls import (
-    WallParams,
-    column_codes,
-    enumerate_proper,
-    has_removable_delta,
-    is_reduced,
-    proper_counts,
-    reduced_counts,
-)
+from .walls import (WallParams, _walk_proper, column_codes, is_reduced, proper_counts,
+                    reduced_counts)
 
 
 @dataclass
@@ -164,15 +157,7 @@ def verify_vch_identity(params: WallParams, max_m: int) -> VerificationReport:
 def verify_reduced_equivalence(params: WallParams, max_m: int) -> VerificationReport:
     """The gap characterization of reducedness matches the removable-segment
     definition on every proper wall up to the block bound."""
-    started = time.perf_counter()
-    failures = []
-    for m in range(max_m + 1):
-        for lam in enumerate_proper(params, m):
-            if is_reduced(lam, params) != (not has_removable_delta(lam, params)):
-                failures.append({"m": m, "partition": lam})
-    return _report(
-        "reduced-equivalence", {"n": params.n, "max_m": max_m}, failures, started
-    )
+    return _walk_checks(params, max_m, ("reduced-equivalence",))[0]
 
 
 def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
@@ -185,6 +170,14 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
     the domain's walls and the tables' sum over k >= 1 of
     family(m - 2*delta*k) * P(k), they are the whole codomain.
     """
+    return _walk_checks(params, max_m, ("bijections",))[0]
+
+
+def _walk_checks(params: WallParams, max_m: int,
+                 checks: tuple[str, ...]) -> list[VerificationReport]:
+    """The reports of the enumerating ``checks`` (``bijections``,
+    ``reduced-equivalence``), in that order, from one walk of the proper
+    walls of at most max_m blocks; both carry the walk's time."""
     started = time.perf_counter()
     period = params.period
     partitions = partition_counts(max_m // period)
@@ -198,47 +191,52 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
     # all.  No wall below 2*delta blocks is in a domain.
     codes = column_codes(params, max_m)
     cycle = codes[period] if period <= max_m else 0
-    jobs = (
-        ("psi", _psi_core, _psi_rebuild_core, is_reduced,
-         reduced_counts(params, max_m)),
-        ("phi", _phi_core, _phi_rebuild_core,
-         lambda lam, p: Partition.is_strict(lam), strict_counts(max_m)),
-    )
-    failures = []
+    maps = (("psi", _psi_core, _psi_rebuild_core, is_reduced,
+             reduced_counts(params, max_m)),
+            ("phi", _phi_core, _phi_rebuild_core,
+             lambda lam, p: Partition.is_strict(lam), strict_counts(max_m)),
+            ) if "bijections" in checks else ()
+    # per map and m, the domain size and the images, keyed part + (0,) + hat
+    # (injective, as a member's parts are >= 1) and made a set after the walk
+    jobs = [(*job, [0] * (max_m + 1), [[] for _ in range(max_m + 1)]) for job in maps]
+    failures = {"bijections": [], "reduced-equivalence": []}
+    for m, lam, reduced, removable in _walk_proper(params, max_m):
+        if reduced == removable:
+            failures["reduced-equivalence"].append({"m": m, "partition": lam})
+        for name, forward, rebuild, in_target, _, domain, images in jobs:
+            # psi's domain is read off the walk's flag
+            if reduced if name == "psi" else in_target(lam, params):
+                continue
+            domain[m] += 1
+            error = member = None
+            try:
+                part, hat, k = forward(lam, params)
+                # a non-member is no image; its parts may lie outside codes
+                member = (_canonical(part) and _canonical(hat) and hat
+                          and in_target(part, params)
+                          and sum(part) + period * sum(hat) == m)
+                if rebuild(part, hat, params) != lam:
+                    error = "round trip mismatch"
+                elif member and (k != sum(hat)
+                                 or sum(map(codes.__getitem__, lam))
+                                 - sum(map(codes.__getitem__, part)) != k * cycle):
+                    error = "weight shift mismatch"
+            except (ValueError, CertificationError) as exc:
+                error = str(exc)
+            if error is not None:
+                failures["bijections"].append({"m": m, "map": name, "partition": lam,
+                                               "error": error})
+            elif member:
+                images[m].append(part + (0,) + hat)
     for m in range(max_m + 1):
-        walls = enumerate_proper(params, m)
-        for name, forward, rebuild, in_target, family in jobs:
-            domain = [lam for lam in walls if not in_target(lam, params)]
-            images = set()
-            for lam in domain:
-                error = member = None
-                try:
-                    part, hat, k = forward(lam, params)
-                    # a non-member is no image; its parts may lie outside codes
-                    member = (_canonical(part) and _canonical(hat) and hat
-                              and in_target(part, params)
-                              and sum(part) + period * sum(hat) == m)
-                    if rebuild(part, hat, params) != lam:
-                        error = "round trip mismatch"
-                    elif member and (k != sum(hat)
-                                     or sum(map(codes.__getitem__, lam))
-                                     - sum(map(codes.__getitem__, part)) != k * cycle):
-                        error = "weight shift mismatch"
-                except (ValueError, CertificationError) as exc:
-                    error = str(exc)
-                if error is not None:
-                    failures.append({"m": m, "map": name, "partition": lam,
-                                     "error": error})
-                elif member:
-                    images.add((part, hat))
+        for name, *_, family, domain, images in jobs:
             expected = sum(family[m - period * k] * partitions[k]
                            for k in range(1, m // period + 1))
-            if not len(images) == len(domain) == expected:
-                failures.append({"m": m, "map": name,
-                                 "error": "image does not match codomain"})
-    return _report(
-        "bijections", {"n": params.n, "max_m": max_m}, failures, started
-    )
+            if not len(set(images[m])) == domain[m] == expected:
+                failures["bijections"].append(
+                    {"m": m, "map": name, "error": "image does not match codomain"})
+    return [_report(check, {"n": params.n, "max_m": max_m}, failures[check], started)
+            for check in checks]
 
 
 #: Check names accepted by run_checks, in canonical execution order.
@@ -266,20 +264,16 @@ def run_checks(
     # built per call, not at module level: the perfbench tracer rebinds the
     # module's verify_* globals, and a module-level dict would keep calling
     # the unwrapped functions and read zero for every verify.* layer metric
-    runners = {
-        "counts": verify_count_identity,
-        "fock": verify_fock,
-        "vch": verify_vch_identity,
-        "bijections": verify_bijections,
-        "reduced-equivalence": verify_reduced_equivalence,
-    }
-    reports = []
-    for check in ALL_CHECKS:
-        if check not in checks:
-            continue
-        if check == "euler":
-            reports.append(verify_euler(euler_degree))
-            continue
-        for n in n_values:
-            reports.append(runners[check](WallParams(n), max_m))
+    runners = {"counts": verify_count_identity, "fock": verify_fock,
+               "vch": verify_vch_identity}
+    walked = tuple(c for c in ("bijections", "reduced-equivalence") if c in checks)
+    reports = [verify_euler(euler_degree)] if "euler" in checks else []
+    for n in n_values:
+        params = WallParams(n)
+        reports += [run(params, max_m) for check, run in runners.items()
+                    if check in checks]
+        if walked:  # one walk per rank makes the reports of every walked check
+            reports += _walk_checks(params, max_m, walked)
+    # rank by rank, then a stable sort by check gives the (check, n) order
+    reports.sort(key=lambda report: ALL_CHECKS.index(report.check))
     return reports

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import Iterator
 
 from .partitions import Partition, _count_window, _enumerate_window
 
@@ -50,19 +51,26 @@ def is_proper(lam: Partition, params: WallParams) -> bool:
     return all(a != b or a % delta == 0 for a, b in zip(lam, lam[1:]))
 
 
+def _reduced_gap(a: int, b: int, delta: int) -> bool:
+    """The reduced-gap rule on one adjacency, part ``a`` over ``b`` (0 past
+    the last part): a gap below 2*delta, or exactly 2*delta with ``a`` off
+    the delta grid; gap 0 off the grid is an equal pair, not even proper."""
+    gap = a - b
+    return 0 < gap <= 2 * delta if a % delta else gap < 2 * delta
+
+
+def _removable_at(a: int, b: int, delta: int) -> bool:
+    """Whether part ``a`` can drop 2*delta blocks over its right neighbour
+    ``b`` and leave that adjacency weakly decreasing and proper."""
+    shortened = a - 2 * delta
+    return shortened >= b and (shortened != b or shortened % delta == 0)
+
+
 def is_reduced(lam: Partition, params: WallParams) -> bool:
     """Proper, and every adjacent gap (last part against 0) is below 2*delta,
     or exactly 2*delta with the taller part not a multiple of delta."""
-    delta, period = params.delta, params.period
-    for a, b in zip(lam, lam[1:] + (0,)):
-        gap = a - b
-        if a % delta:
-            # gap 0 is an equal pair off the delta grid: not even proper
-            if gap == 0 or gap > period:
-                return False
-        elif gap >= period:
-            return False
-    return True
+    delta = params.delta
+    return all(_reduced_gap(a, b, delta) for a, b in zip(lam, lam[1:] + (0,)))
 
 
 def has_removable_delta(lam: Partition, params: WallParams) -> bool:
@@ -75,12 +83,27 @@ def has_removable_delta(lam: Partition, params: WallParams) -> bool:
     """
     if not is_proper(lam, params):
         raise ValueError(f"wall {lam!r} is not proper")
-    delta, period = params.delta, params.period
-    for a, b in zip(lam, lam[1:] + (0,)):
-        shortened = a - period
-        if shortened >= b and (shortened != b or shortened % delta == 0):
-            return True
-    return False
+    delta = params.delta
+    return any(_removable_at(a, b, delta) for a, b in zip(lam, lam[1:] + (0,)))
+
+
+def _walk_proper(params: WallParams, M: int) -> Iterator[tuple]:
+    """Every proper wall of at most ``M`` blocks, the empty one included,
+    once each as ``(m, lam, reduced, removable)``, in no fixed order.
+
+    Dropping the tallest part of a proper wall leaves one, so the walk puts
+    a part a >= b on a wall of tallest part b (0 if empty), a == b only when
+    delta | b.  That adds one adjacency (a, b), whose rules of ``is_reduced``
+    and ``has_removable_delta`` fold into the parent's flags."""
+    delta, stack = params.delta, [(0, (), True, False)]
+    while stack:
+        node = stack.pop()
+        yield node
+        m, lam, reduced, removable = node
+        b = lam[0] if lam else 0
+        for a in range(b if lam and b % delta == 0 else b + 1, M - m + 1):
+            stack.append((m + a, (a,) + lam, reduced and _reduced_gap(a, b, delta),
+                          removable or _removable_at(a, b, delta)))
 
 
 def enumerate_proper(params: WallParams, m: int) -> list[Partition]:

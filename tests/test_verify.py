@@ -71,13 +71,16 @@ class TestIndividualVerifiers:
         def refuse(*args):
             raise AssertionError("vch enumerated")
 
-        monkeypatch.setattr(verify, "enumerate_proper", refuse)
+        monkeypatch.setattr(verify, "_walk_proper", refuse)
         assert verify_vch_identity(WallParams(3), 30).passed
 
     def test_verify_enumerates_only_proper_walls(self):
-        # codomains are counted from the tables, never listed
-        names = [name for name in vars(verify) if name.startswith("enumerate_")]
-        assert names == ["enumerate_proper"]
+        # codomains are counted from the tables, never listed; the one walk
+        # of the proper walls is verify's only enumerator
+        names = [name for name, value in vars(verify).items()
+                 if name.startswith(("enumerate_", "_walk_"))
+                 and getattr(value, "__module__", None) != verify.__name__]
+        assert names == ["_walk_proper"]
 
     def test_vacuous_bijection_domain(self):
         # below one quantum of blocks the complement domains are empty
@@ -125,14 +128,36 @@ def table_bumped_at(side, index):
 
 
 def walls_edited_at(m0, edit):
+    """``verify``'s walk with its walls of ``m0`` blocks, in descending
+    lexicographic order, replaced by ``edit`` of them."""
+
     def perturb(monkeypatch):
-        real = verify.enumerate_proper
+        real = verify._walk_proper
 
-        def edited(params, m):
-            walls = real(params, m)
-            return edit(walls) if m == m0 else walls
+        def edited(params, M):
+            nodes = list(real(params, M))
+            at_m0 = sorted((node for node in nodes if node[0] == m0),
+                           key=lambda node: node[1], reverse=True)
+            return [node for node in nodes if node[0] != m0] + edit(at_m0)
 
-        monkeypatch.setattr(verify, "enumerate_proper", edited)
+        monkeypatch.setattr(verify, "_walk_proper", edited)
+
+    return perturb
+
+
+def walk_flag_flipped(wall, index):
+    """``verify``'s walk with field ``index`` of ``wall``'s node negated."""
+
+    def perturb(monkeypatch):
+        real = verify._walk_proper
+
+        def flipped(params, M):
+            for node in real(params, M):
+                if node[1] == wall:
+                    node = node[:index] + (not node[index],) + node[index + 1:]
+                yield node
+
+        monkeypatch.setattr(verify, "_walk_proper", flipped)
 
     return perturb
 
@@ -232,6 +257,10 @@ class TestEverySideIsRead:
          (table_bumped_at("partition_counts", 2), 12, "psi"),
          (walls_edited_at(13, lambda walls: walls[1:]), 13, "psi"),
          (walls_edited_at(13, lambda walls: walls[:1] + walls), 13, "psi"),
+         # (13,) twice and (12, 1) not at all: the counts still match, and
+         # only the image set sees that one image is missing
+         (walls_edited_at(13, lambda walls: walls[:1] + walls[:1] + walls[2:]),
+          13, "psi"),
          # psi sends (13,) to ((1,), (2,)); each forgery keeps the round trip
          # and the weight shift
          (psi_image_forged((13,), Partition((1,)), unchecked(2, 0), 2), 13, "psi"),
@@ -244,7 +273,8 @@ class TestEverySideIsRead:
          (psi_image_forged((13,), unchecked(25), unchecked(-2), -2), 13, "psi"),
          (psi_image_forged((13,), unchecked(-5), Partition((3,)), 3), 13, "psi")],
         ids=["reduced_counts", "strict_counts", "partition_counts",
-             "enumerate_proper", "enumerate_proper_twice", "non_canonical_hat",
+             "enumerate_proper", "enumerate_proper_twice",
+             "walk_duplicates_one_and_drops_another", "non_canonical_hat",
              "non_canonical_part", "outside_codomain", "outside_family",
              "empty_hat", "part_above_max_m", "negative_part"],
     )
@@ -255,18 +285,15 @@ class TestEverySideIsRead:
             "m": m, "map": name, "error": "image does not match codomain"
         }
 
-    @pytest.mark.parametrize("side", ["is_reduced", "has_removable_delta"])
-    def test_reduced_equivalence(self, monkeypatch, side):
+    # the walk's node is (m, lam, reduced, removable)
+    @pytest.mark.parametrize("index", [2, 3],
+                             ids=["is_reduced", "has_removable_delta"])
+    def test_reduced_equivalence(self, monkeypatch, index):
         # (7,) is a proper wall of n = 2 that is not reduced
-        real, wall, m0 = getattr(verify, side), (7,), 7
-
-        def flipped(lam, params):
-            return real(lam, params) != (lam == wall)
-
-        monkeypatch.setattr(verify, side, flipped)
+        walk_flag_flipped((7,), index)(monkeypatch)
         report = verify_reduced_equivalence(WallParams(2), 20)
         assert not report.passed
-        assert report.counterexample == {"m": m0, "partition": wall}
+        assert report.counterexample == {"m": 7, "partition": (7,)}
 
     @pytest.mark.parametrize(
         "sides, check",
@@ -393,6 +420,23 @@ class TestRunChecks:
         assert [(r.check, tuple(r.params.items())) for r in a] == [
             (r.check, tuple(r.params.items())) for r in b
         ]
+
+    def test_both_walked_checks_share_one_walk_per_rank(self, monkeypatch):
+        real, walks = verify._walk_proper, []
+
+        def counted(params, M):
+            walks.append(params.n)
+            return real(params, M)
+
+        monkeypatch.setattr(verify, "_walk_proper", counted)
+        reports = run_checks((2, 3), 20, 50,
+                             checks=("reduced-equivalence", "bijections"))
+        assert walks == [2, 3]
+        assert [(r.check, r.params["n"]) for r in reports] == [
+            ("bijections", 2), ("bijections", 3),
+            ("reduced-equivalence", 2), ("reduced-equivalence", 3),
+        ]
+        assert all(r.passed and r.elapsed > 0 for r in reports)
 
     def test_all_checks_constant_matches_runners(self):
         reports = run_checks((2,), 6, 10, checks=ALL_CHECKS)

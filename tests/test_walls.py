@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,7 @@ from youngwalls import (
     reduced_counts,
     weight,
 )
+from youngwalls.walls import _walk_proper
 
 P2 = WallParams(2)
 P3 = WallParams(3)
@@ -247,6 +250,37 @@ def test_removable_segment_matches_whole_wall_oracle(n):
             if not is_proper(lam, params):
                 with pytest.raises(ValueError):
                     has_removable_delta(lam, params)
+
+
+class TestWalk:
+    """``_walk_proper`` against ``enumerate_proper``, the whole-wall flags
+    and the count tables."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_enumerator_and_flags(self, n):
+        params, M = WallParams(n), 30
+        nodes = list(_walk_proper(params, M))
+        walls = [(m, lam) for m, lam, _, _ in nodes]
+        assert len(walls) == len(set(walls))
+        counts = proper_counts(params, M)
+        for m in range(M + 1):
+            at_m = {lam for size, lam in walls if size == m}
+            assert at_m == set(enumerate_proper(params, m))
+            assert len(at_m) == counts[m]
+        for m, lam, reduced, removable in nodes:
+            assert sum(lam) == m
+            assert reduced == is_reduced(lam, params)
+            assert removable == has_removable_delta(lam, params)
+            assert removable == removable_by_whole_wall(lam, params)
+
+    def test_no_blocks_yields_the_empty_wall(self):
+        assert list(_walk_proper(P2, 0)) == [(0, (), True, False)]
+
+    def test_a_high_rank_is_fast(self):
+        started = time.perf_counter()
+        walls = [lam for _, lam, _, _ in _walk_proper(WallParams(100000), 8)]
+        assert len(walls) == sum(proper_counts(WallParams(100000), 8))
+        assert time.perf_counter() - started < 5
 
 
 class TestCountingIdentities:
