@@ -8,12 +8,13 @@ results are exact at any size.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import ge, gt
 from typing import Iterable
 
 
 def _canonical(parts: tuple) -> bool:
     """The one canonical-form rule: weakly decreasing down to a last part >= 1."""
-    return all(a >= b for a, b in zip(parts, parts[1:] + (1,)))
+    return all(map(ge, parts, parts[1:] + (1,)))
 
 
 class Partition(tuple):
@@ -42,7 +43,7 @@ class Partition(tuple):
 
     def is_strict(self) -> bool:
         """True when the positive parts are strictly decreasing."""
-        return all(a > b for a, b in zip(self, self[1:]))
+        return all(map(gt, self, self[1:]))
 
     def __repr__(self) -> str:
         return f"Partition({tuple(self)!r})"

@@ -11,11 +11,12 @@ pentagonal partition table.  ``vch`` compares two weight-graded tables
 (1 + x^w(i)) over column heights i for strict partitions, and the
 window-rule DP with weight-graded entries for reduced walls; it enumerates
 nothing.  Only ``bijections`` and ``reduced-equivalence`` enumerate: one
-walk of the proper walls per rank serves both.  ``bijections`` runs the tuple
-cores that the public maps and inverses wrap, compares the rebuilt wall
-with the wall mapped and the packed weights of wall and image, and checks
-each map's images against its codomain by count: the reduced or strict
-table times the partition table, never a listing.  A failing report
+walk of the proper walls per rank serves both, and its reduced and strict
+flags are psi's and phi's domains.  ``bijections`` runs the tuple cores of
+the public maps and inverses on them, compares the rebuilt wall with the
+wall mapped and the packed weights of wall and image, and checks each
+map's images against its codomain by count: the reduced or strict table
+times the partition table, never a listing.  A failing report
 carries the smallest offending cell and, where applicable, the
 lexicographically smallest offending object, so failures reproduce
 deterministically.
@@ -177,7 +178,8 @@ def _walk_checks(params: WallParams, max_m: int,
                  checks: tuple[str, ...]) -> list[VerificationReport]:
     """The reports of the enumerating ``checks`` (``bijections``,
     ``reduced-equivalence``), in that order, from one walk of the proper
-    walls of at most max_m blocks; both carry the walk's time."""
+    walls of at most max_m blocks, whose flags decide both maps' domains;
+    both reports carry the walk's time."""
     started = time.perf_counter()
     period = params.period
     partitions = partition_counts(max_m // period)
@@ -191,48 +193,54 @@ def _walk_checks(params: WallParams, max_m: int,
     # all.  No wall below 2*delta blocks is in a domain.
     codes = column_codes(params, max_m)
     cycle = codes[period] if period <= max_m else 0
-    maps = (("psi", _psi_core, _psi_rebuild_core, is_reduced,
-             reduced_counts(params, max_m)),
-            ("phi", _phi_core, _phi_rebuild_core,
-             lambda lam, p: Partition.is_strict(lam), strict_counts(max_m)),
-            ) if "bijections" in checks else ()
+    bijections = "bijections" in checks
+    maps = {"psi": (_psi_core, _psi_rebuild_core, is_reduced,
+                    reduced_counts(params, max_m)),
+            "phi": (_phi_core, _phi_rebuild_core,
+                    lambda lam, _: Partition.is_strict(lam), strict_counts(max_m)),
+            } if bijections else {}
     # per map and m, the domain size and the images, keyed part + (0,) + hat
     # (injective, as a member's parts are >= 1) and made a set after the walk
-    jobs = [(*job, [0] * (max_m + 1), [[] for _ in range(max_m + 1)]) for job in maps]
+    domains, images = ({name: [0] * (max_m + 1) for name in maps},
+                       {name: [[] for _ in range(max_m + 1)] for name in maps})
     failures = {"bijections": [], "reduced-equivalence": []}
-    for m, lam, reduced, removable in _walk_proper(params, max_m):
+
+    def certify(name: str, m: int, lam: tuple) -> None:
+        forward, rebuild, in_target, _ = maps[name]
+        domains[name][m] += 1
+        error = member = None
+        try:
+            part, hat, k = forward(lam, params)
+            # a non-member is no image; its parts may lie outside codes
+            member = (_canonical(part) and _canonical(hat) and hat
+                      and in_target(part, params)
+                      and sum(part) + period * sum(hat) == m)
+            if rebuild(part, hat, params) != lam:
+                error = "round trip mismatch"
+            elif member and (k != sum(hat)
+                             or sum(map(codes.__getitem__, lam))
+                             - sum(map(codes.__getitem__, part)) != k * cycle):
+                error = "weight shift mismatch"
+        except (ValueError, CertificationError) as exc:
+            error = str(exc)
+        if error is not None:
+            failures["bijections"].append({"m": m, "map": name, "partition": lam,
+                                           "error": error})
+        elif member:
+            images[name][m].append(part + (0,) + hat)
+
+    for m, lam, reduced, removable, strict in _walk_proper(params, max_m):
         if reduced == removable:
             failures["reduced-equivalence"].append({"m": m, "partition": lam})
-        for name, forward, rebuild, in_target, _, domain, images in jobs:
-            # psi's domain is read off the walk's flag
-            if reduced if name == "psi" else in_target(lam, params):
-                continue
-            domain[m] += 1
-            error = member = None
-            try:
-                part, hat, k = forward(lam, params)
-                # a non-member is no image; its parts may lie outside codes
-                member = (_canonical(part) and _canonical(hat) and hat
-                          and in_target(part, params)
-                          and sum(part) + period * sum(hat) == m)
-                if rebuild(part, hat, params) != lam:
-                    error = "round trip mismatch"
-                elif member and (k != sum(hat)
-                                 or sum(map(codes.__getitem__, lam))
-                                 - sum(map(codes.__getitem__, part)) != k * cycle):
-                    error = "weight shift mismatch"
-            except (ValueError, CertificationError) as exc:
-                error = str(exc)
-            if error is not None:
-                failures["bijections"].append({"m": m, "map": name, "partition": lam,
-                                               "error": error})
-            elif member:
-                images[m].append(part + (0,) + hat)
+        if not reduced and bijections:
+            certify("psi", m, lam)
+        if not strict and bijections:
+            certify("phi", m, lam)
     for m in range(max_m + 1):
-        for name, *_, family, domain, images in jobs:
+        for name, (*_, family) in maps.items():
             expected = sum(family[m - period * k] * partitions[k]
                            for k in range(1, m // period + 1))
-            if not len(set(images[m])) == domain[m] == expected:
+            if not len(set(images[name][m])) == domains[name][m] == expected:
                 failures["bijections"].append(
                     {"m": m, "map": name, "error": "image does not match codomain"})
     return [_report(check, {"n": params.n, "max_m": max_m}, failures[check], started)

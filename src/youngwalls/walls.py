@@ -16,7 +16,7 @@ of delta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterator
 
 from .partitions import Partition, _count_window, _enumerate_window
@@ -69,8 +69,7 @@ def _removable_at(a: int, b: int, delta: int) -> bool:
 def is_reduced(lam: Partition, params: WallParams) -> bool:
     """Proper, and every adjacent gap (last part against 0) is below 2*delta,
     or exactly 2*delta with the taller part not a multiple of delta."""
-    delta = params.delta
-    return all(_reduced_gap(a, b, delta) for a, b in zip(lam, lam[1:] + (0,)))
+    return all(map(_reduced_gap, lam, lam[1:] + (0,), repeat(params.delta)))
 
 
 def has_removable_delta(lam: Partition, params: WallParams) -> bool:
@@ -83,27 +82,26 @@ def has_removable_delta(lam: Partition, params: WallParams) -> bool:
     """
     if not is_proper(lam, params):
         raise ValueError(f"wall {lam!r} is not proper")
-    delta = params.delta
-    return any(_removable_at(a, b, delta) for a, b in zip(lam, lam[1:] + (0,)))
+    return any(map(_removable_at, lam, lam[1:] + (0,), repeat(params.delta)))
 
 
 def _walk_proper(params: WallParams, M: int) -> Iterator[tuple]:
     """Every proper wall of at most ``M`` blocks, the empty one included,
-    once each as ``(m, lam, reduced, removable)``, in no fixed order.
+    once each as ``(m, lam, reduced, removable, strict)``, in no fixed order.
 
     Dropping the tallest part of a proper wall leaves one, so the walk puts
     a part a >= b on a wall of tallest part b (0 if empty), a == b only when
-    delta | b.  That adds one adjacency (a, b), whose rules of ``is_reduced``
-    and ``has_removable_delta`` fold into the parent's flags."""
-    delta, stack = params.delta, [(0, (), True, False)]
+    delta | b.  Each flag folds in its whole-wall test's rule (``is_reduced``,
+    ``has_removable_delta``, ``Partition.is_strict``) on the new adjacency (a, b)."""
+    delta, stack = params.delta, [(0, (), True, False, True)]
     while stack:
         node = stack.pop()
         yield node
-        m, lam, reduced, removable = node
+        m, lam, reduced, removable, strict = node
         b = lam[0] if lam else 0
         for a in range(b if lam and b % delta == 0 else b + 1, M - m + 1):
             stack.append((m + a, (a,) + lam, reduced and _reduced_gap(a, b, delta),
-                          removable or _removable_at(a, b, delta)))
+                          removable or _removable_at(a, b, delta), strict and a != b))
 
 
 def enumerate_proper(params: WallParams, m: int) -> list[Partition]:

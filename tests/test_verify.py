@@ -16,6 +16,7 @@ from youngwalls import (
     verify_vch_identity,
 )
 from youngwalls import enumerate_proper, enumerate_strict, is_reduced, verify
+from youngwalls import proper_counts, reduced_counts, strict_counts
 from youngwalls import virtual_character, weight
 from youngwalls.bijections import _phi_core, _psi_core
 from youngwalls.walls import column_codes
@@ -81,6 +82,32 @@ class TestIndividualVerifiers:
                  if name.startswith(("enumerate_", "_walk_"))
                  and getattr(value, "__module__", None) != verify.__name__]
         assert names == ["_walk_proper"]
+
+    def test_each_map_runs_once_per_domain_wall(self, monkeypatch):
+        # the walk's flags decide both domains, so no whole-wall predicate
+        # runs on a walked wall: Partition.is_strict reads phi's images only
+        params, max_m = WallParams(2), 20
+        calls = {"_psi_core": [], "_phi_core": [], "is_strict": []}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                result = fn(*args)
+                calls[name].append((args[0], result))
+                return result
+
+            return wrapper
+
+        for name in ("_psi_core", "_phi_core"):
+            monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+        monkeypatch.setattr(Partition, "is_strict",
+                            counted("is_strict", Partition.is_strict))
+        assert verify_bijections(params, max_m).passed
+        proper = sum(proper_counts(params, max_m))
+        assert len(calls["_psi_core"]) == proper - sum(reduced_counts(params, max_m))
+        assert len(calls["_phi_core"]) == proper - sum(strict_counts(max_m)) == 169
+        assert len(calls["_psi_core"]) == 169
+        assert [lam for lam, _ in calls["is_strict"]] == [
+            part for _, (part, _, _) in calls["_phi_core"]]
 
     def test_vacuous_bijection_domain(self):
         # below one quantum of blocks the complement domains are empty
@@ -271,12 +298,17 @@ class TestEverySideIsRead:
          (psi_image_forged((13,), Partition((8, 4, 1)), Partition(), 0), 13, "psi"),
          # parts that no column code covers: no image, and no crash
          (psi_image_forged((13,), unchecked(25), unchecked(-2), -2), 13, "psi"),
-         (psi_image_forged((13,), unchecked(-5), Partition((3,)), 3), 13, "psi")],
+         (psi_image_forged((13,), unchecked(-5), Partition((3,)), 3), 13, "psi"),
+         # phi's domain is read off the walk's strict flag: (3, 3) leaves it,
+         # and (6,) joins it with an image of an empty hat, no member
+         (walk_flag_flipped((3, 3), 4), 6, "phi"),
+         (walk_flag_flipped((6,), 4), 6, "phi")],
         ids=["reduced_counts", "strict_counts", "partition_counts",
              "enumerate_proper", "enumerate_proper_twice",
              "walk_duplicates_one_and_drops_another", "non_canonical_hat",
              "non_canonical_part", "outside_codomain", "outside_family",
-             "empty_hat", "part_above_max_m", "negative_part"],
+             "empty_hat", "part_above_max_m", "negative_part",
+             "strict_flag_drops_a_wall", "strict_flag_adds_a_wall"],
     )
     def test_bijections(self, monkeypatch, perturb, m, name):
         perturb(monkeypatch)
@@ -285,7 +317,7 @@ class TestEverySideIsRead:
             "m": m, "map": name, "error": "image does not match codomain"
         }
 
-    # the walk's node is (m, lam, reduced, removable)
+    # the walk's node is (m, lam, reduced, removable, strict)
     @pytest.mark.parametrize("index", [2, 3],
                              ids=["is_reduced", "has_removable_delta"])
     def test_reduced_equivalence(self, monkeypatch, index):

@@ -260,25 +260,26 @@ class TestWalk:
     def test_matches_enumerator_and_flags(self, n):
         params, M = WallParams(n), 30
         nodes = list(_walk_proper(params, M))
-        walls = [(m, lam) for m, lam, _, _ in nodes]
+        walls = [(m, lam) for m, lam, *_ in nodes]
         assert len(walls) == len(set(walls))
         counts = proper_counts(params, M)
         for m in range(M + 1):
             at_m = {lam for size, lam in walls if size == m}
             assert at_m == set(enumerate_proper(params, m))
             assert len(at_m) == counts[m]
-        for m, lam, reduced, removable in nodes:
+        for m, lam, reduced, removable, strict in nodes:
             assert sum(lam) == m
             assert reduced == is_reduced(lam, params)
             assert removable == has_removable_delta(lam, params)
             assert removable == removable_by_whole_wall(lam, params)
+            assert strict == Partition(lam).is_strict()
 
     def test_no_blocks_yields_the_empty_wall(self):
-        assert list(_walk_proper(P2, 0)) == [(0, (), True, False)]
+        assert list(_walk_proper(P2, 0)) == [(0, (), True, False, True)]
 
     def test_a_high_rank_is_fast(self):
         started = time.perf_counter()
-        walls = [lam for _, lam, _, _ in _walk_proper(WallParams(100000), 8)]
+        walls = [lam for _, lam, _, _, _ in _walk_proper(WallParams(100000), 8)]
         assert len(walls) == sum(proper_counts(WallParams(100000), 8))
         assert time.perf_counter() - started < 5
 
