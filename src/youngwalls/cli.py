@@ -202,10 +202,9 @@ def cmd_verify(args: argparse.Namespace) -> Record:
     # per-rank tables grow with n too: vch's weight codes hold n + 1 counts
     if any(check != "euler" for check in checks):
         _within_budget((args.max_m + 1) * (sum(n_values) + len(n_values)), "--n-range")
-    # one walk per rank serves both enumerating checks: each wall counts once
-    walked = any(check in ("bijections", "reduced-equivalence") for check in checks)
+    # bijections walks every proper wall of each rank; no other check lists any
     walls = 0
-    for n in n_values if walked else ():
+    for n in n_values if "bijections" in checks else ():
         walls += sum(proper_counts(WallParams(n), args.max_m))
         _within_budget(walls, "--max-m" if n == n_values[0] else "--n-range")
     reports = run_checks(n_values, args.max_m, args.degree, checks)
@@ -304,10 +303,9 @@ MAX_SIZE = 2000
 
 #: Most objects a request may handle, read off the count tables first: the
 #: members of an ``enum`` or ``vch`` set, the numbers ``vch``'s terms may
-#: print (members * (n + 1)), the proper walls of ``verify``'s enumerating
-#: checks (counted once per rank, as one walk per rank serves both), and the
-#: table cells, (n + 1) * (max_m + 1) per rank, that ``verify``'s per-rank
-#: checks build.
+#: print (members * (n + 1)), the proper walls of every rank that
+#: ``verify``'s ``bijections`` walks, and the table cells,
+#: (n + 1) * (max_m + 1) per rank, that ``verify``'s per-rank checks build.
 MAX_OBJECTS = 10**6
 
 

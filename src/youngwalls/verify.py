@@ -10,14 +10,16 @@ pentagonal partition table.  ``vch`` compares two weight-graded tables
 (weight multisets per size, by packed weight code): the product of
 (1 + x^w(i)) over column heights i for strict partitions, and the
 window-rule DP with weight-graded entries for reduced walls; it enumerates
-nothing.  Only ``bijections`` and ``reduced-equivalence`` enumerate: one
-walk of the proper walls per rank serves both, and its reduced and strict
-flags are psi's and phi's domains.  ``bijections`` runs the tuple cores of
-the public maps and inverses on them, compares the rebuilt wall with the
-wall mapped and the packed weights of wall and image, and checks each
-map's images against its codomain by count: the reduced or strict table
-times the partition table, never a listing.  A failing report
-carries the smallest offending cell and, where applicable, the
+nothing.  ``reduced-equivalence`` compares the gap rule with the
+removable-segment rule on every adjacency a proper wall of at most max_m
+blocks can have, which decides both whole-wall tests; it lists no wall.
+Only ``bijections`` enumerates: one walk of the proper walls per rank,
+whose reduced and strict flags are psi's and phi's domains.  It runs the
+tuple cores of the public maps and inverses on them, compares the rebuilt
+wall with the wall mapped and the packed weights of wall and image, and
+checks each map's images against its codomain by count: the reduced or
+strict table times the partition table, never a listing.  A failing
+report carries the smallest offending cell and, where applicable, the
 lexicographically smallest offending object, so failures reproduce
 deterministically.
 """
@@ -40,8 +42,8 @@ from .characters import reduced_weight_table, strict_weight_table, unpack_weight
 from .partitions import (Partition, _canonical, odd_counts, partition_counts,
                          strict_counts)
 from .series import series_product_odd, series_product_strict
-from .walls import (WallParams, _walk_proper, column_codes, is_reduced, proper_counts,
-                    reduced_counts)
+from .walls import (WallParams, _reduced_gap, _removable_at, _walk_proper,
+                    column_codes, is_reduced, proper_counts, reduced_counts)
 
 
 @dataclass
@@ -157,29 +159,34 @@ def verify_vch_identity(params: WallParams, max_m: int) -> VerificationReport:
 
 def verify_reduced_equivalence(params: WallParams, max_m: int) -> VerificationReport:
     """The gap characterization of reducedness matches the removable-segment
-    definition on every proper wall up to the block bound."""
-    return _walk_checks(params, max_m, ("reduced-equivalence",))[0]
+    definition on every proper wall of at most max_m blocks, none listed:
+    ``is_reduced`` is ``all`` of ``_reduced_gap`` and ``has_removable_delta``
+    ``any`` of ``_removable_at`` over a wall's adjacencies (a, b), the last
+    part against b = 0.  Each adjacency of such a wall has a >= 1,
+    a + b <= max_m, and b < a or b == a with delta | a, so when the rules
+    disagree on none of these O(max_m^2) pairs, the two tests agree on every
+    such wall.  A failing pair is recorded as the wall (a, b), or (a,)."""
+    started = time.perf_counter()
+    delta = params.delta
+    failures = [{"m": a + b, "partition": (a, b) if b else (a,)}
+                for a in range(1, max_m + 1)
+                for b in range(min(a + (a % delta == 0), max_m - a + 1))
+                if _reduced_gap(a, b, delta) == _removable_at(a, b, delta)]
+    return _report("reduced-equivalence", {"n": params.n, "max_m": max_m},
+                   failures, started)
 
 
 def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
     """Both reduction maps are total on their domains, invert exactly, hit
     their full codomains injectively, and shift every color count by 2k.
 
-    Only proper walls are listed.  An image counts only as a codomain
+    Only proper walls are listed, by one walk whose reduced and strict flags
+    are psi's and phi's domains.  An image counts only as a codomain
     member: both parts canonical, the first in the target family, the hat
     non-empty, |part| + 2*delta*|hat| == m.  When the distinct members number
     the domain's walls and the tables' sum over k >= 1 of
     family(m - 2*delta*k) * P(k), they are the whole codomain.
     """
-    return _walk_checks(params, max_m, ("bijections",))[0]
-
-
-def _walk_checks(params: WallParams, max_m: int,
-                 checks: tuple[str, ...]) -> list[VerificationReport]:
-    """The reports of the enumerating ``checks`` (``bijections``,
-    ``reduced-equivalence``), in that order, from one walk of the proper
-    walls of at most max_m blocks, whose flags decide both maps' domains;
-    both reports carry the walk's time."""
     started = time.perf_counter()
     period = params.period
     partitions = partition_counts(max_m // period)
@@ -193,17 +200,15 @@ def _walk_checks(params: WallParams, max_m: int,
     # all.  No wall below 2*delta blocks is in a domain.
     codes = column_codes(params, max_m)
     cycle = codes[period] if period <= max_m else 0
-    bijections = "bijections" in checks
     maps = {"psi": (_psi_core, _psi_rebuild_core, is_reduced,
                     reduced_counts(params, max_m)),
             "phi": (_phi_core, _phi_rebuild_core,
-                    lambda lam, _: Partition.is_strict(lam), strict_counts(max_m)),
-            } if bijections else {}
+                    lambda lam, _: Partition.is_strict(lam), strict_counts(max_m))}
     # per map and m, the domain size and the images, keyed part + (0,) + hat
     # (injective, as a member's parts are >= 1) and made a set after the walk
     domains, images = ({name: [0] * (max_m + 1) for name in maps},
                        {name: [[] for _ in range(max_m + 1)] for name in maps})
-    failures = {"bijections": [], "reduced-equivalence": []}
+    failures = []
 
     def certify(name: str, m: int, lam: tuple) -> None:
         forward, rebuild, in_target, _ = maps[name]
@@ -224,27 +229,23 @@ def _walk_checks(params: WallParams, max_m: int,
         except (ValueError, CertificationError) as exc:
             error = str(exc)
         if error is not None:
-            failures["bijections"].append({"m": m, "map": name, "partition": lam,
-                                           "error": error})
+            failures.append({"m": m, "map": name, "partition": lam, "error": error})
         elif member:
             images[name][m].append(part + (0,) + hat)
 
-    for m, lam, reduced, removable, strict in _walk_proper(params, max_m):
-        if reduced == removable:
-            failures["reduced-equivalence"].append({"m": m, "partition": lam})
-        if not reduced and bijections:
+    for m, lam, reduced, strict in _walk_proper(params, max_m):
+        if not reduced:
             certify("psi", m, lam)
-        if not strict and bijections:
+        if not strict:
             certify("phi", m, lam)
     for m in range(max_m + 1):
         for name, (*_, family) in maps.items():
             expected = sum(family[m - period * k] * partitions[k]
                            for k in range(1, m // period + 1))
             if not len(set(images[name][m])) == domains[name][m] == expected:
-                failures["bijections"].append(
+                failures.append(
                     {"m": m, "map": name, "error": "image does not match codomain"})
-    return [_report(check, {"n": params.n, "max_m": max_m}, failures[check], started)
-            for check in checks]
+    return _report("bijections", {"n": params.n, "max_m": max_m}, failures, started)
 
 
 #: Check names accepted by run_checks, in canonical execution order.
@@ -258,12 +259,8 @@ ALL_CHECKS = (
 )
 
 
-def run_checks(
-    n_values: tuple[int, ...],
-    max_m: int,
-    euler_degree: int,
-    checks: tuple[str, ...] = ALL_CHECKS,
-) -> list[VerificationReport]:
+def run_checks(n_values: tuple[int, ...], max_m: int, euler_degree: int,
+               checks: tuple[str, ...] = ALL_CHECKS) -> list[VerificationReport]:
     """Run the selected checks over all ranks; reports come back ordered by
     (check, n) so identical invocations produce identical output."""
     unknown = [c for c in checks if c not in ALL_CHECKS]
@@ -273,15 +270,8 @@ def run_checks(
     # module's verify_* globals, and a module-level dict would keep calling
     # the unwrapped functions and read zero for every verify.* layer metric
     runners = {"counts": verify_count_identity, "fock": verify_fock,
-               "vch": verify_vch_identity}
-    walked = tuple(c for c in ("bijections", "reduced-equivalence") if c in checks)
+               "vch": verify_vch_identity, "bijections": verify_bijections,
+               "reduced-equivalence": verify_reduced_equivalence}
     reports = [verify_euler(euler_degree)] if "euler" in checks else []
-    for n in n_values:
-        params = WallParams(n)
-        reports += [run(params, max_m) for check, run in runners.items()
-                    if check in checks]
-        if walked:  # one walk per rank makes the reports of every walked check
-            reports += _walk_checks(params, max_m, walked)
-    # rank by rank, then a stable sort by check gives the (check, n) order
-    reports.sort(key=lambda report: ALL_CHECKS.index(report.check))
-    return reports
+    return reports + [run(WallParams(n), max_m) for check, run in runners.items()
+                      if check in checks for n in n_values]

@@ -87,21 +87,22 @@ def has_removable_delta(lam: Partition, params: WallParams) -> bool:
 
 def _walk_proper(params: WallParams, M: int) -> Iterator[tuple]:
     """Every proper wall of at most ``M`` blocks, the empty one included,
-    once each as ``(m, lam, reduced, removable, strict)``, in no fixed order.
+    once each as ``(m, lam, reduced, strict)``, in no fixed order.
 
     Dropping the tallest part of a proper wall leaves one, so the walk puts
     a part a >= b on a wall of tallest part b (0 if empty), a == b only when
     delta | b.  Each flag folds in its whole-wall test's rule (``is_reduced``,
-    ``has_removable_delta``, ``Partition.is_strict``) on the new adjacency (a, b)."""
-    delta, stack = params.delta, [(0, (), True, False, True)]
+    ``Partition.is_strict``) on the new adjacency (a, b); ``verify_bijections``,
+    the walk's one caller, reads psi's and phi's domains off them."""
+    delta, stack = params.delta, [(0, (), True, True)]
     while stack:
         node = stack.pop()
         yield node
-        m, lam, reduced, removable, strict = node
+        m, lam, reduced, strict = node
         b = lam[0] if lam else 0
         for a in range(b if lam and b % delta == 0 else b + 1, M - m + 1):
             stack.append((m + a, (a,) + lam, reduced and _reduced_gap(a, b, delta),
-                          removable or _removable_at(a, b, delta), strict and a != b))
+                          strict and a != b))
 
 
 def enumerate_proper(params: WallParams, m: int) -> list[Partition]:

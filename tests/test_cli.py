@@ -147,13 +147,14 @@ def test_vch_width_budget_boundary(capsys, monkeypatch):
 
 
 def test_verify_budget_counts_only_enumerating_checks(capsys, monkeypatch):
-    # n=2, m <= 8 has 1+1+1+2+2+3+5+6+7 = 28 proper walls, counted once for
-    # both walked checks, and (2 + 1) * 9 = 27 table cells
+    # n=2, m <= 8 has 1+1+1+2+2+3+5+6+7 = 28 proper walls, which only
+    # bijections walks, and (2 + 1) * 9 = 27 table cells
     argv = ["verify", "--n-range", "2", "--max-m", "8", "--checks"]
     monkeypatch.setattr(cli, "MAX_OBJECTS", 28)
     assert run_cli(capsys, *argv, "bijections,reduced-equivalence")[0] == 0
     assert run_cli(capsys, *argv, "bijections,reduced-equivalence,counts")[0] == 0
     monkeypatch.setattr(cli, "MAX_OBJECTS", 27)
+    assert run_cli(capsys, *argv, "reduced-equivalence")[0] == 0
     for checks in ("bijections,reduced-equivalence", "bijections"):
         code, out, err = run_cli(capsys, *argv, checks)
         assert (code, out, err) == (2, "", "error: --max-m is too large\n")

@@ -68,6 +68,35 @@ class TestIndividualVerifiers:
         assert verify_bijections(WallParams(n), max_m).passed
         assert time.perf_counter() - started < 5
 
+    def test_reduced_equivalence_at_the_size_bound_lists_no_wall(self,
+                                                                 monkeypatch):
+        def refuse(*args):
+            raise AssertionError("reduced-equivalence enumerated")
+
+        monkeypatch.setattr(verify, "_walk_proper", refuse)
+        started = time.perf_counter()
+        assert verify_reduced_equivalence(WallParams(2), 2000).passed
+        assert time.perf_counter() - started < 5
+
+    def test_reduced_equivalence_reads_every_proper_adjacency_once(self,
+                                                                   monkeypatch):
+        # the pairs compared are exactly the adjacencies (the last part
+        # against 0) of the proper walls of at most max_m blocks
+        params, max_m, pairs = WallParams(2), 20, []
+        real = verify._reduced_gap
+
+        def recorded(a, b, delta):
+            pairs.append((a, b))
+            return real(a, b, delta)
+
+        monkeypatch.setattr(verify, "_reduced_gap", recorded)
+        assert verify_reduced_equivalence(params, max_m).passed
+        adjacencies = {pair for m in range(max_m + 1)
+                       for lam in enumerate_proper(params, m)
+                       for pair in zip(lam, lam[1:] + (0,))}
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == adjacencies
+
     def test_vch_enumerates_nothing(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("vch enumerated")
@@ -301,8 +330,8 @@ class TestEverySideIsRead:
          (psi_image_forged((13,), unchecked(-5), Partition((3,)), 3), 13, "psi"),
          # phi's domain is read off the walk's strict flag: (3, 3) leaves it,
          # and (6,) joins it with an image of an empty hat, no member
-         (walk_flag_flipped((3, 3), 4), 6, "phi"),
-         (walk_flag_flipped((6,), 4), 6, "phi")],
+         (walk_flag_flipped((3, 3), 3), 6, "phi"),
+         (walk_flag_flipped((6,), 3), 6, "phi")],
         ids=["reduced_counts", "strict_counts", "partition_counts",
              "enumerate_proper", "enumerate_proper_twice",
              "walk_duplicates_one_and_drops_another", "non_canonical_hat",
@@ -317,12 +346,17 @@ class TestEverySideIsRead:
             "m": m, "map": name, "error": "image does not match codomain"
         }
 
-    # the walk's node is (m, lam, reduced, removable, strict)
-    @pytest.mark.parametrize("index", [2, 3],
+    @pytest.mark.parametrize("rule", ["_reduced_gap", "_removable_at"],
                              ids=["is_reduced", "has_removable_delta"])
-    def test_reduced_equivalence(self, monkeypatch, index):
-        # (7,) is a proper wall of n = 2 that is not reduced
-        walk_flag_flipped((7,), index)(monkeypatch)
+    def test_reduced_equivalence(self, monkeypatch, rule):
+        # (7,) is a proper wall of n = 2 that is not reduced: its one
+        # adjacency, 7 over 0, has a gap above 2*delta and a removable segment
+        real = getattr(verify, rule)
+
+        def negated_at_7_0(a, b, delta):
+            return real(a, b, delta) != ((a, b) == (7, 0))
+
+        monkeypatch.setattr(verify, rule, negated_at_7_0)
         report = verify_reduced_equivalence(WallParams(2), 20)
         assert not report.passed
         assert report.counterexample == {"m": 7, "partition": (7,)}
@@ -453,7 +487,7 @@ class TestRunChecks:
             (r.check, tuple(r.params.items())) for r in b
         ]
 
-    def test_both_walked_checks_share_one_walk_per_rank(self, monkeypatch):
+    def test_only_bijections_walks_the_proper_walls(self, monkeypatch):
         real, walks = verify._walk_proper, []
 
         def counted(params, M):
@@ -461,10 +495,14 @@ class TestRunChecks:
             return real(params, M)
 
         monkeypatch.setattr(verify, "_walk_proper", counted)
-        reports = run_checks((2, 3), 20, 50,
-                             checks=("reduced-equivalence", "bijections"))
+        reports = run_checks((2, 3), 20, 50, checks=("reduced-equivalence",))
+        assert walks == []
+        assert all(r.passed for r in reports)
+        shuffled = ("reduced-equivalence", "counts", "bijections", "euler")
+        reports = run_checks((2, 3), 20, 50, checks=shuffled)
         assert walks == [2, 3]
-        assert [(r.check, r.params["n"]) for r in reports] == [
+        assert [(r.check, r.params.get("n")) for r in reports] == [
+            ("euler", None), ("counts", 2), ("counts", 3),
             ("bijections", 2), ("bijections", 3),
             ("reduced-equivalence", 2), ("reduced-equivalence", 3),
         ]

@@ -267,19 +267,17 @@ class TestWalk:
             at_m = {lam for size, lam in walls if size == m}
             assert at_m == set(enumerate_proper(params, m))
             assert len(at_m) == counts[m]
-        for m, lam, reduced, removable, strict in nodes:
+        for m, lam, reduced, strict in nodes:
             assert sum(lam) == m
             assert reduced == is_reduced(lam, params)
-            assert removable == has_removable_delta(lam, params)
-            assert removable == removable_by_whole_wall(lam, params)
             assert strict == Partition(lam).is_strict()
 
     def test_no_blocks_yields_the_empty_wall(self):
-        assert list(_walk_proper(P2, 0)) == [(0, (), True, False, True)]
+        assert list(_walk_proper(P2, 0)) == [(0, (), True, True)]
 
     def test_a_high_rank_is_fast(self):
         started = time.perf_counter()
-        walls = [lam for _, lam, _, _, _ in _walk_proper(WallParams(100000), 8)]
+        walls = [lam for _, lam, _, _ in _walk_proper(WallParams(100000), 8)]
         assert len(walls) == sum(proper_counts(WallParams(100000), 8))
         assert time.perf_counter() - started < 5
 
