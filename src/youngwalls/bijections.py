@@ -2,25 +2,25 @@
 
 Both maps strip mass in quanta of 2*delta blocks and return a pair: a member
 of the target family (reduced wall, respectively strict partition) plus a
-bookkeeping partition recording how much was stripped where.  Each map is
-one pass over the wall.
+bookkeeping partition hat recording how many quanta were stripped where,
+k = |hat| in all.  Each map is one pass over the wall.
 
 * ``psi`` shrinks the prefix above each gap too wide for the reduced-gap
   rule by that gap's largest quantum count, ending on a reduced wall.
 * ``phi`` halves every run of equal parts (equal parts in a proper wall sit
   at multiples of delta), ending on a strict partition.
 
-Each map and each rebuild is a core on plain tuples (``_psi_core``,
-``_phi_core``, ``_psi_rebuild_core``, ``_phi_rebuild_core``) that checks
-nothing.  ``psi`` and ``phi`` share one wrapper, ``_forward``: the input
-guards (``ValueError``), the core, and one certificate of the raw image
-(part, hat, k): part canonical and in the target family, hat canonical with
-|hat| == k >= 1, and the rebuild core gives the input wall back.  Each map
-derives its trace from that image.  ``psi_inv`` and ``phi_inv`` share
-``_inverse``: guards, rebuild core, and a replay of the forward core.  No
-``Partition`` wraps what is not yet certified; a failed certification
-raises ``CertificationError``, which ``python -O`` keeps.  ``verify`` calls
-the same cores on walls it has classified and checks the same facts itself.
+Each map and each rebuild is a core on plain tuples that checks nothing,
+and ``_maps`` is the one table of each map's cores and target family.
+``psi`` and ``phi`` share ``_forward``: the input guards (``ValueError``),
+the core, and one certificate of the raw image (part, hat): part canonical
+and in the target family, hat canonical and non-empty, and the rebuild core
+gives the input wall back.  Each map derives its trace from that image.
+``psi_inv`` and ``phi_inv`` share ``_inverse``: guards, rebuild core, and a
+replay of the forward core.  No ``Partition`` wraps what is not yet
+certified; a failed certification raises ``CertificationError``, which
+``python -O`` keeps.  ``verify`` reads the same table and checks the same
+facts itself.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class MapStep:
 @dataclass(frozen=True)
 class MapResult:
     """Outcome of a reduction map: target-family partition, bookkeeping
-    partition, total quanta k, and the per-step trace."""
+    partition, total quanta k = |hat|, and the per-step trace."""
 
     reduced_part: Partition
     hat_part: Partition
@@ -70,43 +70,53 @@ class MapResult:
     trace: tuple[MapStep, ...]
 
 
-def _forward(name: str, lam: Partition, params: WallParams, core: Callable,
-             rebuild: Callable, in_target: Callable, family: str,
-             verb: str) -> tuple[Partition, Partition, int]:
-    """Guard ``lam``, map it by ``core`` and certify the raw image
-    (part, hat, k): part is canonical and in the target family, hat is
-    canonical with |hat| == k >= 1, and ``rebuild`` gives ``lam`` back."""
+def _maps() -> dict[str, tuple[Callable, Callable, Callable, tuple[str, ...]]]:
+    """Each map by name: (forward core, rebuild core, target-family test,
+    words (family, verb, member)).  Built per call, so that it holds what
+    the perfbench tracer or a test has rebound in this module's globals."""
+    return {"psi": (_psi_core, _psi_rebuild_core, is_reduced,
+                    ("reduced", "strip", "a reduced wall")),
+            "phi": (_phi_core, _phi_rebuild_core,
+                    lambda wall, _: Partition.is_strict(wall),
+                    ("strict", "delete", "strict"))}
+
+
+def _forward(name: str, lam: Partition,
+             params: WallParams) -> tuple[Partition, Partition]:
+    """Guard ``lam``, map it by the core of map ``name`` and certify the raw
+    image (part, hat): part is canonical and in the target family, hat is
+    canonical and non-empty, and the rebuild core gives ``lam`` back."""
+    core, rebuild, in_target, (family, verb, _) = _maps()[name]
     if not is_proper(lam, params):
         raise ValueError(f"{lam!r} is not a proper wall")
     if in_target(lam, params):
         raise ValueError(f"{lam!r} is already {family}; nothing to {verb}")
-    part, hat, k = core(lam, params)
+    part, hat = core(lam, params)
     _certify(_canonical(part) and in_target(part, params),
              f"{name} result not {family}")
-    _certify(_canonical(hat) and sum(hat) == k >= 1, f"{name} hat size")
+    _certify(_canonical(hat) and hat != (), f"{name} hat size")
     _certify(rebuild(part, hat, params) == lam, f"{name} round trip mismatch")
-    return Partition(part), Partition(hat), k
+    return Partition(part), Partition(hat)
 
 
-def _inverse(name: str, part: Partition, hat: Partition, params: WallParams,
-             core: Callable, rebuild: Callable, in_target: Callable,
-             member: str) -> Partition:
-    """Guard (part, hat), rebuild the wall and certify it as canonical, proper,
-    outside the target family and sent back to (part, hat) by ``core``: all
-    that a replay of the forward map would check."""
+def _inverse(name: str, part: Partition, hat: Partition,
+             params: WallParams) -> Partition:
+    """Guard (part, hat), rebuild the wall by map ``name``'s rebuild core and
+    certify all that a replay of the forward map would: the wall is
+    canonical, proper, outside the target family and sent back to (part, hat)."""
+    core, rebuild, in_target, (*_, member) = _maps()[name]
     if not in_target(part, params):
         raise ValueError(f"{part!r} is not {member}")
     if not hat:
         raise ValueError("bookkeeping partition must be non-empty")
     lam = rebuild(part, hat, params)
     _certify(_canonical(lam) and is_proper(lam, params)
-             and not in_target(lam, params)
-             and core(lam, params) == (part, hat, sum(hat)),
+             and not in_target(lam, params) and core(lam, params) == (part, hat),
              f"{name}_inv round trip mismatch")
     return Partition(lam)
 
 
-def _psi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple, int]:
+def _psi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple]:
     """``psi`` on a proper, non-reduced wall, unchecked, on plain tuples.
 
     Gap j lies between parts j and j+1 (the last part is paired against 0)
@@ -127,7 +137,7 @@ def _psi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple, int]:
             a -= period * total
         if a:
             part.append(a)
-    return tuple(part[::-1]), tuple(hat[::-1]), sum(hat)
+    return tuple(part[::-1]), tuple(hat[::-1])
 
 
 def _psi_rebuild_core(reduced: tuple, hat: tuple, params: WallParams) -> tuple:
@@ -140,22 +150,20 @@ def psi(lam: Partition, params: WallParams) -> MapResult:
     """Carry a proper, non-reduced wall to a reduced wall plus bookkeeping
     (``_psi_core``).  The trace lists the nonzero t_j (bookkeeping part j
     less part j+1), deepest gap first, at i = j + 2."""
-    reduced, hat, k = _forward("psi", lam, params, _psi_core, _psi_rebuild_core,
-                               is_reduced, "reduced", "strip")
+    reduced, hat = _forward("psi", lam, params)
     steps = [(j + 2, a - b) for j, (a, b)
              in enumerate(zip(hat, hat[1:] + (0,))) if a != b][::-1]
     trace = tuple(MapStep(l, *step) for l, step in enumerate(steps, 1))
-    return MapResult(reduced, hat, k, trace)
+    return MapResult(reduced, hat, hat.size, trace)
 
 
 def psi_inv(reduced: Partition, hat: Partition, params: WallParams) -> Partition:
     """Rebuild the proper wall mapped by ``psi`` to (reduced, hat), replaying
     the forward core to certify the round trip."""
-    return _inverse("psi", reduced, hat, params, _psi_core, _psi_rebuild_core,
-                    is_reduced, "a reduced wall")
+    return _inverse("psi", reduced, hat, params)
 
 
-def _phi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple, int]:
+def _phi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple]:
     """``phi`` on a proper, non-strict partition, unchecked, on plain tuples.
 
     A run of c equal parts v (necessarily a multiple of delta by
@@ -169,7 +177,7 @@ def _phi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple, int]:
             part.append(height)
         if count > 1:
             hat += [height // delta] * (count // 2)
-    return tuple(part), tuple(hat), sum(hat)
+    return tuple(part), tuple(hat)
 
 
 def _phi_rebuild_core(strict_part: tuple, hat: tuple, params: WallParams) -> tuple:
@@ -185,17 +193,14 @@ def phi(lam: Partition, params: WallParams) -> MapResult:
     bookkeeping part j (from 0), of height h = hat_j * delta, goes from the
     strict part plus the pairs of parts 0..j and logs at
     i = #{strict parts >= h} + 2 * (j + 1) with value h."""
-    part, hat, k = _forward("phi", lam, params, _phi_core, _phi_rebuild_core,
-                            lambda wall, _: Partition.is_strict(wall), "strict",
-                            "delete")
+    part, hat = _forward("phi", lam, params)
     heights = [(j, v * params.delta) for j, v in enumerate(hat)][::-1]
     steps = [(sum(a >= h for a in part) + 2 * j + 2, h) for j, h in heights]
     trace = tuple(MapStep(l, *step) for l, step in enumerate(steps, 1))
-    return MapResult(part, hat, k, trace)
+    return MapResult(part, hat, hat.size, trace)
 
 
 def phi_inv(strict_part: Partition, hat: Partition, params: WallParams) -> Partition:
     """Rebuild the proper partition mapped by ``phi`` to (strict_part, hat),
     replaying the forward core to certify the round trip."""
-    return _inverse("phi", strict_part, hat, params, _phi_core, _phi_rebuild_core,
-                    lambda wall, _: Partition.is_strict(wall), "strict")
+    return _inverse("phi", strict_part, hat, params)

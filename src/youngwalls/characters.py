@@ -56,6 +56,11 @@ def reduced_weight_table(params: WallParams, M: int) -> WeightTable:
     return _window_weight_table(params, M, params.period)
 
 
+def proper_weight_table(params: WallParams, M: int) -> WeightTable:
+    """Weights of the proper walls with m = 0..M blocks."""
+    return _window_weight_table(params, M, M + 1)
+
+
 def _window_weight_table(params: WallParams, M: int, gap: int) -> WeightTable:
     """Weights of the walls with m = 0..M blocks obeying the window rule of
     ``partitions._count_window``, by its DP with weight-graded entries: gap

@@ -16,8 +16,8 @@ import sys
 from typing import Any, Iterator
 
 from .bijections import phi, phi_inv, psi, psi_inv
-from .characters import (_window_weight_table, principal_character,
-                         strict_weight_table, unpack_weight)
+from .characters import (principal_character, proper_weight_table,
+                         reduced_weight_table, strict_weight_table, unpack_weight)
 from .partitions import Partition, _canonical, enumerate_strict, strict_counts
 from .verify import ALL_CHECKS, run_checks
 from .walls import (
@@ -155,11 +155,9 @@ def cmd_vch(args: argparse.Namespace) -> Record:
     _within_budget(members, "--m")
     # a table entry has at most one term per member, each of n + 1 numbers
     _within_budget(members * (args.n + 1), "--n")
-    if args.set == "strict":
-        entry = strict_weight_table(wall_params, m)[m]
-    else:
-        gap = m + 1 if args.set == "proper" else wall_params.period
-        entry = _window_weight_table(wall_params, m, gap)[m]
+    tables = {"proper": proper_weight_table, "reduced": reduced_weight_table,
+              "strict": strict_weight_table}
+    entry = tables[args.set](wall_params, m)[m]
     vch = sorted((unpack_weight(code, wall_params, m), c) for code, c in entry.items())
     terms = [{"weight": list(v), "multiplicity": c} for v, c in vch]
     params = {"set": args.set, "n": args.n, "m": m}

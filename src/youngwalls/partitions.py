@@ -114,6 +114,8 @@ def _count_window(M: int, d: int, gap: int) -> list[int]:
     ``b``.  A ``d`` or ``gap`` above ``M`` acts as in the enumerator.
     """
     _check_non_negative(M)
+    # no window reaches below part 1, so a gap above M + 1 pads for nothing
+    gap = min(gap, M + 1)
     # tops[a] = a - 1 + e is the top of a's window [a - gap + e, a - 1 + e];
     # a may end a partition when that window reaches 0, i.e. when top < gap
     tops = [a - 1 + (a % d == 0) for a in range(M + 1)]

@@ -15,13 +15,13 @@ removable-segment rule on every adjacency a proper wall of at most max_m
 blocks can have, which decides both whole-wall tests; it lists no wall.
 Only ``bijections`` enumerates: one walk of the proper walls per rank,
 whose reduced and strict flags are psi's and phi's domains.  It runs the
-tuple cores of the public maps and inverses on them, compares the rebuilt
-wall with the wall mapped and the packed weights of wall and image, and
-checks each map's images against its codomain by count: the reduced or
-strict table times the partition table, never a listing.  A failing
-report carries the smallest offending cell and, where applicable, the
-lexicographically smallest offending object, so failures reproduce
-deterministically.
+public maps' table of tuple cores (``bijections._maps``) on them,
+compares the rebuilt wall with the wall mapped and the packed weights of
+wall and image, and checks each map's images against its codomain by
+count: the reduced or strict table times the partition table, never a
+listing.  A failing report carries the smallest offending cell and,
+where applicable, the lexicographically smallest offending object, so
+failures reproduce deterministically.
 """
 
 from __future__ import annotations
@@ -31,19 +31,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .bijections import (
-    CertificationError,
-    _phi_core,
-    _phi_rebuild_core,
-    _psi_core,
-    _psi_rebuild_core,
-)
+from .bijections import CertificationError, _maps
 from .characters import reduced_weight_table, strict_weight_table, unpack_weight
-from .partitions import (Partition, _canonical, odd_counts, partition_counts,
-                         strict_counts)
+from .partitions import _canonical, odd_counts, partition_counts, strict_counts
 from .series import series_product_odd, series_product_strict
 from .walls import (WallParams, _reduced_gap, _removable_at, _walk_proper,
-                    column_codes, is_reduced, proper_counts, reduced_counts)
+                    column_codes, proper_counts, reduced_counts)
 
 
 @dataclass
@@ -191,19 +184,16 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
     period = params.period
     partitions = partition_counts(max_m // period)
     # a column of 2*delta blocks holds every color twice, so the packed
-    # weights of a wall and its image must differ by k such columns,
-    # (2k, ..., 2k).  For a member with k = |hat|, |part| = m - 2*delta*k, so
+    # weights of a wall and its image must differ by k = |hat| such columns,
+    # (2k, ..., 2k).  A member has |part| = m - 2*delta*k, so
     # b_c + 2k <= m - 2*k*delta + 2k <= max_m for each color count b_c of
     # part: every digit of the difference lies in [-max_m, max_m], no borrow
-    # crosses a digit, and the one comparison is the per-color one.  Any
-    # other k fails per color too, as the counts differ by 2*delta*|hat| in
-    # all.  No wall below 2*delta blocks is in a domain.
+    # crosses a digit, and the one comparison is the per-color one.  No wall
+    # below 2*delta blocks is in a domain.
     codes = column_codes(params, max_m)
     cycle = codes[period] if period <= max_m else 0
-    maps = {"psi": (_psi_core, _psi_rebuild_core, is_reduced,
-                    reduced_counts(params, max_m)),
-            "phi": (_phi_core, _phi_rebuild_core,
-                    lambda lam, _: Partition.is_strict(lam), strict_counts(max_m))}
+    maps = _maps()
+    families = {"psi": reduced_counts(params, max_m), "phi": strict_counts(max_m)}
     # per map and m, the domain size and the images, keyed part + (0,) + hat
     # (injective, as a member's parts are >= 1) and made a set after the walk
     domains, images = ({name: [0] * (max_m + 1) for name in maps},
@@ -215,16 +205,15 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
         domains[name][m] += 1
         error = member = None
         try:
-            part, hat, k = forward(lam, params)
+            part, hat = forward(lam, params)
             # a non-member is no image; its parts may lie outside codes
             member = (_canonical(part) and _canonical(hat) and hat
                       and in_target(part, params)
                       and sum(part) + period * sum(hat) == m)
             if rebuild(part, hat, params) != lam:
                 error = "round trip mismatch"
-            elif member and (k != sum(hat)
-                             or sum(map(codes.__getitem__, lam))
-                             - sum(map(codes.__getitem__, part)) != k * cycle):
+            elif member and (sum(map(codes.__getitem__, lam))
+                             - sum(map(codes.__getitem__, part)) != sum(hat) * cycle):
                 error = "weight shift mismatch"
         except (ValueError, CertificationError) as exc:
             error = str(exc)
@@ -239,7 +228,7 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
         if not strict:
             certify("phi", m, lam)
     for m in range(max_m + 1):
-        for name, (*_, family) in maps.items():
+        for name, family in families.items():
             expected = sum(family[m - period * k] * partitions[k]
                            for k in range(1, m // period + 1))
             if not len(set(images[name][m])) == domains[name][m] == expected:

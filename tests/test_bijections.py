@@ -334,24 +334,42 @@ def test_one_pass_maps_match_iterative_oracles(n):
                 assert got == oracle(lam, params), (n, lam, forward.__name__)
 
 
-def _psi_core_with_wrong_hat(lam, params):
-    """Stand-in for ``bijections._psi_core`` that returns a wrong bookkeeping
-    part."""
-    part, hat, k = bijections._psi_core(lam, params)
-    return part, hat + (1,), k
-
-
 class TestCertification:
+    # the public maps and verify read one table of cores, built per call from
+    # the bijections module's globals: rebinding a core there reaches both
+
     def test_verify_catches_certification_failure(self, monkeypatch):
-        # verify calls its own import of the core
-        monkeypatch.setattr("youngwalls.verify._psi_core", _psi_core_with_wrong_hat)
+        real = bijections._psi_core
+
+        def wrong_hat(lam, params):
+            part, hat = real(lam, params)
+            return part, hat + (1,)
+
+        monkeypatch.setattr(bijections, "_psi_core", wrong_hat)
+        with pytest.raises(CertificationError, match="^psi round trip mismatch$"):
+            psi(Partition((7,)), P2)
         assert not verify_bijections(P2, 7).passed
 
-    def test_broken_rebuild_core_is_a_round_trip_mismatch(self, monkeypatch):
-        def off_by_one_column(reduced, hat, params):
-            return bijections._psi_rebuild_core(reduced, hat, params) + (1,)
+    def test_verify_catches_a_rebound_rebuild_core(self, monkeypatch):
+        real = bijections._phi_rebuild_core
 
-        monkeypatch.setattr("youngwalls.verify._psi_rebuild_core", off_by_one_column)
+        def one_pair_short(part, hat, params):
+            return real(part, hat[1:], params)
+
+        monkeypatch.setattr(bijections, "_phi_rebuild_core", one_pair_short)
+        with pytest.raises(CertificationError, match="^phi round trip mismatch$"):
+            phi(Partition((3, 3, 1)), P2)
+        assert verify_bijections(P2, 7).counterexample == {
+            "m": 6, "map": "phi", "partition": (3, 3), "error": "round trip mismatch"
+        }
+
+    def test_broken_rebuild_core_is_a_round_trip_mismatch(self, monkeypatch):
+        real = bijections._psi_rebuild_core
+
+        def off_by_one_column(reduced, hat, params):
+            return real(reduced, hat, params) + (1,)
+
+        monkeypatch.setattr(bijections, "_psi_rebuild_core", off_by_one_column)
         report = verify_bijections(P2, 7)
         assert not report.passed
         assert report.counterexample == {"m": 6, "map": "psi", "partition": (6,),
@@ -361,7 +379,7 @@ class TestCertification:
         def refusing(lam, params):
             raise CertificationError("psi result not reduced")
 
-        monkeypatch.setattr("youngwalls.verify._psi_core", refusing)
+        monkeypatch.setattr(bijections, "_psi_core", refusing)
         report = verify_bijections(P2, 7)
         assert not report.passed
         # the wall's own failure, not the image loss it causes at m = 6
@@ -377,8 +395,8 @@ class TestCertification:
             real_core = b._psi_core
 
             def wrong_hat(lam, params):
-                part, hat, k = real_core(lam, params)
-                return part, hat + (1,), k
+                part, hat = real_core(lam, params)
+                return part, hat + (1,)
 
             b._psi_core = wrong_hat
             try:
@@ -398,7 +416,7 @@ class TestCertification:
 
 def _nothing_stripped(lam, params):
     """A broken forward core: strips nothing, yet books one quantum."""
-    return tuple(lam), (1,), 1
+    return tuple(lam), (1,)
 
 
 def _nothing_added(part, hat, params):
@@ -435,18 +453,17 @@ def test_one_core_serves_map_and_verify(monkeypatch, core, body, public_call,
                          ids=["psi", "phi"])
 @pytest.mark.parametrize(
     "edit, message",
-    # each edit of the true image (part, hat, k) breaks one clause alone
-    [(lambda lam, part, hat, k: (tuple(lam), (1,), 1), "result not {family}"),
+    # each edit of the true image (part, hat) breaks one clause alone
+    [(lambda lam, part, hat: (tuple(lam), (1,)), "result not {family}"),
      # non-canonical images fail their clause, unrepaired and unparsed
-     (lambda lam, part, hat, k: ((1, 3), hat, k), "result not {family}"),
-     (lambda lam, part, hat, k: (part + (-1,), hat, k), "result not {family}"),
-     (lambda lam, part, hat, k: (part, hat, k + 1), "hat size"),
-     (lambda lam, part, hat, k: (part, (), 0), "hat size"),
-     (lambda lam, part, hat, k: (part, hat + (0,), k), "hat size"),
+     (lambda lam, part, hat: ((1, 3), hat), "result not {family}"),
+     (lambda lam, part, hat: (part + (-1,), hat), "result not {family}"),
+     (lambda lam, part, hat: (part, ()), "hat size"),
+     (lambda lam, part, hat: (part, hat + (0,)), "hat size"),
      # the wrong hat that phi once caught against its trace
-     (lambda lam, part, hat, k: (part, hat + (1,), k + 1), "round trip mismatch")],
-    ids=["target_family", "increasing_part", "negative_part", "hat_size",
-         "empty_hat", "hat_trailing_zero", "round_trip"],
+     (lambda lam, part, hat: (part, hat + (1,)), "round trip mismatch")],
+    ids=["target_family", "increasing_part", "negative_part", "empty_hat",
+         "hat_trailing_zero", "round_trip"],
 )
 def test_each_certificate_clause_is_read(monkeypatch, name, wall, family, edit,
                                          message):

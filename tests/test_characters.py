@@ -16,7 +16,7 @@ from youngwalls import (
     weight,
 )
 from youngwalls.characters import (
-    _window_weight_table,
+    proper_weight_table,
     reduced_weight_table,
     strict_weight_table,
     unpack_weight,
@@ -80,8 +80,7 @@ class TestWeightTables:
         "table, enumerate_side",
         [(strict_weight_table, lambda params, m: enumerate_strict(m)),
          (reduced_weight_table, enumerate_reduced),
-         # a gap above M leaves every window unbounded below: proper walls
-         (lambda params, M: _window_weight_table(params, M, M + 1), enumerate_proper)],
+         (proper_weight_table, enumerate_proper)],
         ids=["strict", "reduced", "proper"],
     )
     def test_matches_enumeration_to_thirty(self, n, table, enumerate_side):
@@ -111,7 +110,8 @@ class TestWeightTables:
             for h in range(M + 1)
         ]
 
-    @pytest.mark.parametrize("table", [strict_weight_table, reduced_weight_table])
+    @pytest.mark.parametrize("table", [strict_weight_table, reduced_weight_table,
+                                       proper_weight_table])
     def test_degree_zero_and_negative(self, table):
         assert table(P2, 0) == [{0: 1}]
         with pytest.raises(ValueError):

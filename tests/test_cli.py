@@ -330,7 +330,7 @@ class TestMap:
     @pytest.mark.parametrize(
         "core, image, argv, failed",
         # a malformed image is neither repaired nor a usage error
-        [("_psi_core", ((1,), (2, 0), 2), ["psi", "13"], "psi hat size"),
+        [("_psi_core", ((1,), (2, 0)), ["psi", "13"], "psi hat size"),
          ("_psi_rebuild_core", (1, 3), ["psi-inv", "1", "--hat", "2"],
           "psi_inv round trip mismatch"),
          # psi maps (7, 0) to ((1,), (1,)), yet it is no wall to print

@@ -4,7 +4,9 @@ Runtime certification must not live in ``assert``: ``python -O`` strips
 every assert statement, so a check written as one silently stops running.
 No line is longer than 88 characters, so the source line count cannot be
 brought down by joining lines.  Stdout carries one record per command: only
-``cli.main`` writes it, and every other ``print`` goes to stderr.
+``cli.main`` writes it, and every other ``print`` goes to stderr.  The
+reduction maps' cores are paired with their rebuilds and target families in
+one table, ``bijections._maps``: no other module names a core.
 """
 
 import ast
@@ -52,3 +54,18 @@ def test_only_main_prints_to_stdout(path):
         return
     to_stdout = [(owner, call) for owner, call, to_stderr in prints if not to_stderr]
     assert to_stdout == [("main", "print(out)")]
+
+
+CORES = {"_psi_core", "_phi_core", "_psi_rebuild_core", "_phi_rebuild_core"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_bijections_names_a_core(path):
+    tree = ast.parse(path.read_text())
+    # Name ids, attribute names, import aliases and definition names
+    names = {value for node in ast.walk(tree) for attr in ("id", "attr", "name")
+             if isinstance(value := getattr(node, attr, None), str)}
+    if path.name != "bijections.py":
+        assert names & CORES == set(), f"{path.name} names a core"
+    else:
+        assert CORES <= names

@@ -16,6 +16,7 @@ from youngwalls import (
     is_reduced,
     proper_counts,
     reduced_counts,
+    strict_counts,
     weight,
 )
 from youngwalls.walls import _walk_proper
@@ -280,6 +281,13 @@ class TestWalk:
         walls = [lam for _, lam, _, _ in _walk_proper(WallParams(100000), 8)]
         assert len(walls) == sum(proper_counts(WallParams(100000), 8))
         assert time.perf_counter() - started < 5
+
+    def test_reduced_counts_at_a_high_rank_are_fast(self):
+        # a window of 2*delta parts reaches below part 1 once delta > M, so
+        # the count table must not pad its rows by delta
+        started = time.perf_counter()
+        assert reduced_counts(WallParams(10**6), 1000) == strict_counts(1000)
+        assert time.perf_counter() - started < 2
 
 
 class TestCountingIdentities:
