@@ -7,7 +7,7 @@ k = |hat| in all.  Each map is one pass over the wall.
 
 * ``psi`` shrinks the prefix above each gap too wide for the reduced-gap
   rule by that gap's largest quantum count, ending on a reduced wall.
-* ``phi`` halves every run of equal parts (equal parts in a proper wall sit
+* ``phi`` deletes equal adjacent pairs (equal parts in a proper wall sit
   at multiples of delta), ending on a strict partition.
 
 Each map and each rebuild is a core on plain tuples that checks nothing,
@@ -26,7 +26,7 @@ facts itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, zip_longest
+from operator import add
 from typing import Callable
 
 from .partitions import Partition, _canonical
@@ -141,9 +141,9 @@ def _psi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple]:
 
 
 def _psi_rebuild_core(reduced: tuple, hat: tuple, params: WallParams) -> tuple:
-    """``psi_inv`` unchecked: adds 2 * hat_i * delta to part i."""
-    period = params.period
-    return tuple(a + period * h for a, h in zip_longest(reduced, hat, fillvalue=0))
+    """``psi_inv`` unchecked: adds 2 * hat_i * delta to part i, 0 past either end."""
+    period, pad = params.period, len(hat) - len(reduced)
+    return tuple(map(add, reduced + (0,) * pad, [period * h for h in hat] + [0] * -pad))
 
 
 def psi(lam: Partition, params: WallParams) -> MapResult:
@@ -166,17 +166,17 @@ def psi_inv(reduced: Partition, hat: Partition, params: WallParams) -> Partition
 def _phi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple]:
     """``phi`` on a proper, non-strict partition, unchecked, on plain tuples.
 
-    A run of c equal parts v (necessarily a multiple of delta by
-    properness) keeps c % 2 of them and gives the bookkeeping partition
-    c // 2 parts v / delta.
+    One pass deletes equal adjacent pairs, tallest first: a part equal to the
+    last one kept takes it out, and the pair's height v (a multiple of delta
+    by properness) gives a bookkeeping part v / delta.
     """
     delta, part, hat = params.delta, [], []
-    for height, run in groupby(lam):
-        count = len(list(run))
-        if count % 2:
-            part.append(height)
-        if count > 1:
-            hat += [height // delta] * (count // 2)
+    for a in lam:
+        if part and part[-1] == a:
+            part.pop()
+            hat.append(a // delta)
+        else:
+            part.append(a)
     return tuple(part), tuple(hat)
 
 

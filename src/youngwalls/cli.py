@@ -198,13 +198,15 @@ def cmd_verify(args: argparse.Namespace) -> Record:
         raise ValueError("--checks has an empty check name")
     checks = tuple(dict.fromkeys(names))
     # per-rank tables grow with n too: vch's weight codes hold n + 1 counts
-    if any(check != "euler" for check in checks):
-        _within_budget((args.max_m + 1) * (sum(n_values) + len(n_values)), "--n-range")
+    tables = any(check != "euler" for check in checks)
+    cells = (args.max_m + 1) * (sum(n_values) + len(n_values)) if tables else 0
+    _within_budget(cells, "--n-range")
     # bijections walks every proper wall of each rank; no other check lists any
     walls = 0
     for n in n_values if "bijections" in checks else ():
         walls += sum(proper_counts(WallParams(n), args.max_m))
         _within_budget(walls, "--max-m" if n == n_values[0] else "--n-range")
+    print(f"# plan proper_walls={walls} table_cells={cells}", file=sys.stderr)
     reports = run_checks(n_values, args.max_m, args.degree, checks)
     for r in reports:
         print(f"# {r.check} {_scope(r.params)} elapsed={r.elapsed:.3f}s",

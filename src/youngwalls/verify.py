@@ -14,14 +14,14 @@ nothing.  ``reduced-equivalence`` compares the gap rule with the
 removable-segment rule on every adjacency a proper wall of at most max_m
 blocks can have, which decides both whole-wall tests; it lists no wall.
 Only ``bijections`` enumerates: one walk of the proper walls per rank,
-whose reduced and strict flags are psi's and phi's domains.  It runs the
-public maps' table of tuple cores (``bijections._maps``) on them,
-compares the rebuilt wall with the wall mapped and the packed weights of
-wall and image, and checks each map's images against its codomain by
-count: the reduced or strict table times the partition table, never a
-listing.  A failing report carries the smallest offending cell and,
-where applicable, the lexicographically smallest offending object, so
-failures reproduce deterministically.
+whose reduced and strict flags are psi's and phi's domains and which
+carries each wall's packed weight.  It runs the public maps' table of
+tuple cores (``bijections._maps``) on them, compares the rebuilt wall with
+the wall mapped and the packed weights of wall and image, and checks each
+map's images against its codomain by count: the reduced or strict table
+times the partition table, never a listing.  A failing report carries the
+smallest offending cell and, where applicable, the lexicographically
+smallest offending object, so failures reproduce deterministically.
 """
 
 from __future__ import annotations
@@ -174,10 +174,11 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
     their full codomains injectively, and shift every color count by 2k.
 
     Only proper walls are listed, by one walk whose reduced and strict flags
-    are psi's and phi's domains.  An image counts only as a codomain
-    member: both parts canonical, the first in the target family, the hat
-    non-empty, |part| + 2*delta*|hat| == m.  When the distinct members number
-    the domain's walls and the tables' sum over k >= 1 of
+    are psi's and phi's domains and whose code is the wall's packed weight;
+    each map's certifier binds its table row once.  An image counts only as
+    a codomain member: both parts canonical, the first in the target family,
+    the hat non-empty, |part| + 2*delta*|hat| == m.  When the distinct members
+    number the domain's walls and the tables' sum over k >= 1 of
     family(m - 2*delta*k) * P(k), they are the whole codomain.
     """
     started = time.perf_counter()
@@ -200,33 +201,38 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
                        {name: [[] for _ in range(max_m + 1)] for name in maps})
     failures = []
 
-    def certify(name: str, m: int, lam: tuple) -> None:
+    def certifier(name: str) -> Callable[[int, tuple, int], None]:
         forward, rebuild, in_target, _ = maps[name]
-        domains[name][m] += 1
-        error = member = None
-        try:
-            part, hat = forward(lam, params)
-            # a non-member is no image; its parts may lie outside codes
-            member = (_canonical(part) and _canonical(hat) and hat
-                      and in_target(part, params)
-                      and sum(part) + period * sum(hat) == m)
-            if rebuild(part, hat, params) != lam:
-                error = "round trip mismatch"
-            elif member and (sum(map(codes.__getitem__, lam))
-                             - sum(map(codes.__getitem__, part)) != sum(hat) * cycle):
-                error = "weight shift mismatch"
-        except (ValueError, CertificationError) as exc:
-            error = str(exc)
-        if error is not None:
-            failures.append({"m": m, "map": name, "partition": lam, "error": error})
-        elif member:
-            images[name][m].append(part + (0,) + hat)
+        domain, image = domains[name], images[name]
 
-    for m, lam, reduced, strict in _walk_proper(params, max_m):
+        def certify(m: int, lam: tuple, code: int) -> None:
+            domain[m] += 1
+            error = member = None
+            try:
+                part, hat = forward(lam, params)
+                k = sum(hat)
+                # a non-member is no image; its parts may lie outside codes
+                member = (_canonical(part) and _canonical(hat) and hat
+                          and in_target(part, params) and sum(part) + period * k == m)
+                if rebuild(part, hat, params) != lam:
+                    error = "round trip mismatch"
+                elif member and code - sum(map(codes.__getitem__, part)) != k * cycle:
+                    error = "weight shift mismatch"
+            except (ValueError, CertificationError) as exc:
+                error = str(exc)
+            if error is not None:
+                failures.append({"m": m, "map": name, "partition": lam, "error": error})
+            elif member:
+                image[m].append(part + (0,) + hat)
+
+        return certify
+
+    psi, phi = certifier("psi"), certifier("phi")
+    for m, lam, reduced, strict, code in _walk_proper(params, max_m):
         if not reduced:
-            certify("psi", m, lam)
+            psi(m, lam, code)
         if not strict:
-            certify("phi", m, lam)
+            phi(m, lam, code)
     for m in range(max_m + 1):
         for name, family in families.items():
             expected = sum(family[m - period * k] * partitions[k]

@@ -2,11 +2,11 @@ import os
 import subprocess
 import sys
 import textwrap
-from itertools import zip_longest
+from itertools import groupby, zip_longest
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import youngwalls
 from youngwalls import bijections
@@ -332,6 +332,57 @@ def test_one_pass_maps_match_iterative_oracles(n):
                 steps = [(s.l, s.i, s.value) for s in r.trace]
                 got = (r.reduced_part, r.hat_part, r.k, steps)
                 assert got == oracle(lam, params), (n, lam, forward.__name__)
+
+
+def groupby_phi_core(lam, params):
+    """Oracle: ``_phi_core`` run by run (``groupby``), not pair by pair: a
+    run of c equal parts v keeps c % 2 of them and gives c // 2
+    bookkeeping parts v / delta."""
+    delta, part, hat = params.delta, [], []
+    for height, run in groupby(lam):
+        count = len(list(run))
+        if count % 2:
+            part.append(height)
+        if count > 1:
+            hat += [height // delta] * (count // 2)
+    return tuple(part), tuple(hat)
+
+
+def zip_longest_psi_rebuild_core(reduced, hat, params):
+    """Oracle: ``_psi_rebuild_core`` as a generator over both tuples, each
+    padded with zeros to the longer one."""
+    period = params.period
+    return tuple(a + period * h for a, h in zip_longest(reduced, hat, fillvalue=0))
+
+
+def assert_cores_match_oracles(lam, other, params):
+    """``_phi_core`` on ``lam``, and ``_psi_rebuild_core`` on (lam, other)
+    and on both cores' images of ``lam``, equal their oracles."""
+    assert bijections._phi_core(lam, params) == groupby_phi_core(lam, params)
+    for part, hat in ((lam, other), bijections._psi_core(lam, params),
+                      bijections._phi_core(lam, params)):
+        assert (bijections._psi_rebuild_core(part, hat, params)
+                == zip_longest_psi_rebuild_core(part, hat, params))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cores_match_their_oracles_on_proper_walls(n):
+    params = WallParams(n)
+    for m in range(31):
+        for lam in enumerate_proper(params, m):
+            assert_cores_match_oracles(tuple(lam), (), params)
+
+
+weakly_decreasing = st.lists(st.integers(min_value=0, max_value=60), max_size=12).map(
+    lambda parts: tuple(sorted(parts, reverse=True)))
+
+
+@given(n=st.integers(min_value=2, max_value=5), lam=weakly_decreasing,
+       other=weakly_decreasing)
+@example(n=2, lam=(7, 6, 6, 6, 0, 0), other=(5, 4, 4, 3, 3, 3, 2, 1))
+def test_cores_match_their_oracles_on_any_input(n, lam, other):
+    # the cores check nothing, so they must agree on what is not a wall too
+    assert_cores_match_oracles(lam, other, WallParams(n))
 
 
 class TestCertification:

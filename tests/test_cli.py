@@ -477,6 +477,19 @@ class TestVerify:
         assert "elapsed" in err  # diagnostics stay off stdout
         assert "elapsed" not in out
 
+    @pytest.mark.parametrize("checks, walked", [(None, True), ("bijections", True),
+                                                ("euler,counts", False),
+                                                ("euler", False)])
+    def test_the_plan_line_counts_what_the_budget_admitted(self, capsys, checks,
+                                                           walked):
+        argv = ["verify", "--n-range", "2..4", "--max-m", "16"]
+        code, _, err = run_cli(capsys, *argv, *(["--checks", checks] if checks else []))
+        assert code == 0
+        walls = sum(sum(proper_counts(WallParams(n), 16)) for n in (2, 3, 4))
+        cells = 17 * (2 + 3 + 4 + 3) if checks != "euler" else 0
+        first, *_ = err.splitlines()
+        assert first == f"# plan proper_walls={walls * walked} table_cells={cells}"
+
     def test_check_selection_and_json(self, capsys):
         code, out, _ = run_cli(
             capsys,

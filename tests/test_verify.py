@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -17,7 +18,7 @@ from youngwalls import (
 )
 from youngwalls import enumerate_proper, enumerate_strict, is_reduced, verify
 from youngwalls import proper_counts, reduced_counts, strict_counts
-from youngwalls import bijections, virtual_character, weight
+from youngwalls import bijections, virtual_character, walls, weight
 from youngwalls.bijections import _phi_core, _psi_core
 from youngwalls.walls import column_codes
 from youngwalls.verify import _report, _witness_key
@@ -67,6 +68,17 @@ class TestIndividualVerifiers:
         started = time.perf_counter()
         assert verify_bijections(WallParams(n), max_m).passed
         assert time.perf_counter() - started < 5
+
+    def test_bijections_streams_the_walls(self):
+        # 18,219 proper walls at n = 2, m <= 40: a list of them, or of their
+        # nodes, would take the peak well past the images and tables kept
+        tracemalloc.start()
+        try:
+            assert verify_bijections(WallParams(2), 40).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_reduced_equivalence_at_the_size_bound_lists_no_wall(self,
                                                                  monkeypatch):
@@ -383,19 +395,37 @@ class TestEverySideIsRead:
         assert report.counterexample["m"] == 16
 
 
+def one_column_off(real, h):
+    """``column_codes`` with color 0 of a column of ``h`` blocks counted twice."""
+
+    def codes_off(params, M):
+        codes = real(params, M)
+        codes[h] += 1
+        return codes
+
+    return codes_off
+
+
 class TestPackedWeightCheck:
+    """The wall's packed weight comes from the walk and the image's from
+    ``verify``'s own ``column_codes``: perturbing either side is caught."""
+
     def test_the_packed_check_is_read(self, monkeypatch):
-        real = verify.column_codes
-
-        def one_color_off(params, M):
-            codes = real(params, M)
-            codes[1] += 1  # color 0 of a one-block column counts twice
-            return codes
-
-        monkeypatch.setattr(verify, "column_codes", one_color_off)
+        off = one_column_off(verify.column_codes, 1)
+        monkeypatch.setattr(verify, "column_codes", off)
         report = verify_bijections(WallParams(2), 20)
-        # psi sends (7,) to ((1,), (1,)), the first image with a one-block
-        # column that its wall lacks
+        # phi sends (3, 3, 1) and psi (7,) to ((1,), (1,)); only the image's
+        # one-block column is miscounted, and (3, 3, 1) is the smaller wall
+        assert report.counterexample == {"m": 7, "map": "phi",
+                                         "partition": (3, 3, 1),
+                                         "error": "weight shift mismatch"}
+
+    def test_the_walks_packed_weight_is_read(self, monkeypatch):
+        off = one_column_off(walls.column_codes, 7)
+        monkeypatch.setattr(walls, "column_codes", off)
+        report = verify_bijections(WallParams(2), 20)
+        # psi sends (7,) to ((1,), (1,)), the first domain wall with a
+        # seven-block column; only the walk's code for it is off
         assert report.counterexample == {"m": 7, "map": "psi", "partition": (7,),
                                          "error": "weight shift mismatch"}
 

@@ -19,7 +19,7 @@ from youngwalls import (
     strict_counts,
     weight,
 )
-from youngwalls.walls import _walk_proper
+from youngwalls.walls import _walk_proper, column_codes
 
 P2 = WallParams(2)
 P3 = WallParams(3)
@@ -254,12 +254,13 @@ def test_removable_segment_matches_whole_wall_oracle(n):
 
 
 class TestWalk:
-    """``_walk_proper`` against ``enumerate_proper``, the whole-wall flags
-    and the count tables."""
+    """``_walk_proper`` against ``enumerate_proper``, the whole-wall flags,
+    the columns' packed weights and the count tables."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_enumerator_and_flags(self, n):
         params, M = WallParams(n), 30
+        codes = column_codes(params, M)
         nodes = list(_walk_proper(params, M))
         walls = [(m, lam) for m, lam, *_ in nodes]
         assert len(walls) == len(set(walls))
@@ -268,17 +269,19 @@ class TestWalk:
             at_m = {lam for size, lam in walls if size == m}
             assert at_m == set(enumerate_proper(params, m))
             assert len(at_m) == counts[m]
-        for m, lam, reduced, strict in nodes:
+        for m, lam, reduced, strict, code in nodes:
             assert sum(lam) == m
             assert reduced == is_reduced(lam, params)
             assert strict == Partition(lam).is_strict()
+            assert code == sum(codes[h] for h in lam)
 
     def test_no_blocks_yields_the_empty_wall(self):
-        assert list(_walk_proper(P2, 0)) == [(0, (), True, True)]
+        # and the empty wall's packed weight is 0
+        assert list(_walk_proper(P2, 0)) == [(0, (), True, True, 0)]
 
     def test_a_high_rank_is_fast(self):
         started = time.perf_counter()
-        walls = [lam for _, lam, _, _ in _walk_proper(WallParams(100000), 8)]
+        walls = [lam for _, lam, *_ in _walk_proper(WallParams(100000), 8)]
         assert len(walls) == sum(proper_counts(WallParams(100000), 8))
         assert time.perf_counter() - started < 5
 
