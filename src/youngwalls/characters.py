@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from .partitions import Partition, _check_non_negative
+from .partitions import Partition, _add_shifted, _check_non_negative, _product_table
 from .walls import WallParams, WeightVector, column_codes, reduced_counts, weight
 
 #: One entry per size m: packed weight code -> number of members.
@@ -30,57 +30,35 @@ def virtual_character(partitions: Iterable[Partition],
     return Counter(weight(lam, params) for lam in partitions)
 
 
-def _add_shifted(acc: dict[int, int], terms: dict[int, int], shift: int) -> None:
-    """Add ``terms``, every code moved by ``shift``, into ``acc``."""
-    for code, count in terms.items():
-        code += shift
-        acc[code] = acc.get(code, 0) + count
-
-
 def strict_weight_table(params: WallParams, M: int) -> WeightTable:
     """Weights of the strict partitions of m = 0..M, from the product of
-    (1 + x^w(i)) over the column heights i <= M, expanded one factor at a
-    time with the degrees descending so that each height is used once."""
-    _check_non_negative(M)
-    codes = column_codes(params, M)
-    table: WeightTable = [{} for _ in range(M + 1)]
-    table[0][0] = 1
-    for i in range(1, M + 1):
-        for m in range(M, i - 1, -1):
-            _add_shifted(table[m], table[m - i], codes[i])
-    return table
-
-
-def reduced_weight_table(params: WallParams, M: int) -> WeightTable:
-    """Weights of the reduced walls with m = 0..M blocks."""
-    return _window_weight_table(params, M, params.period)
+    (1 + x^w(i)) over the column heights i <= M."""
+    return _product_table(M, M + 1, column_codes(params, M))
 
 
 def proper_weight_table(params: WallParams, M: int) -> WeightTable:
-    """Weights of the proper walls with m = 0..M blocks."""
-    return _window_weight_table(params, M, M + 1)
+    """Weights of the proper walls with m = 0..M blocks, from the product of
+    (1 + x^w(i)) over heights i off the delta grid and 1/(1 - x^w(i)) on it."""
+    return _product_table(M, params.delta, column_codes(params, M))
 
 
-def _window_weight_table(params: WallParams, M: int, gap: int) -> WeightTable:
-    """Weights of the walls with m = 0..M blocks obeying the window rule of
-    ``partitions._count_window``, by its DP with weight-graded entries: gap
-    2*delta gives the reduced walls, a gap above M the proper walls.
-
-    ``after[r][a]`` holds the weights of the ways to place ``r`` more blocks
-    after a part ``a``: the entries ``after[r - b][b]`` shifted by column
-    ``b``'s code, over the at most ``gap`` parts ``b`` in ``a``'s window.
-    """
+def reduced_weight_table(params: WallParams, M: int) -> WeightTable:
+    """Weights of the reduced walls with m = 0..M blocks, by the DP of
+    ``partitions._count_window`` with weight-graded entries: ``after[r][a]``
+    holds the weights of the ways to place ``r`` more blocks after a part
+    ``a``, the entries ``after[r - b][b]`` shifted by column ``b``'s code
+    over the at most 2*delta parts ``b`` in ``a``'s window."""
     _check_non_negative(M)
-    codes = column_codes(params, M)
-    # a's window is [top - gap + 1, top]; a may end a wall when top < gap
+    codes, period = column_codes(params, M), params.period
+    # a's window is [top - period + 1, top]; a may end a wall when top < period
     tops = [a - 1 + (a % params.delta == 0) for a in range(M + 1)]
-    after = [[{0: 1} if top < gap else {} for top in tops]]
+    after = [[{0: 1} if top < period else {} for top in tops]]
     table: WeightTable = [{0: 1}]
     for r in range(1, M + 1):
         row = []
         for top in tops[: M - r + 1]:
             acc: dict[int, int] = {}
-            for b in range(max(1, top - gap + 1), min(r, top) + 1):
+            for b in range(max(1, top - period + 1), min(r, top) + 1):
                 _add_shifted(acc, after[r - b][b], codes[b])
             row.append(acc)
         after.append(row)

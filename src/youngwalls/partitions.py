@@ -104,18 +104,18 @@ def enumerate_strict(m: int) -> list[Partition]:
     return _enumerate_window(m, m + 1, m + 1)
 
 
-def _count_window(M: int, d: int, gap: int) -> list[int]:
-    """Numbers of partitions of m = 0..M obeying ``_enumerate_window``'s
-    rule, filled bottom-up in O(M^2).
+def _count_window(M: int, d: int) -> list[int]:
+    """Numbers of partitions of m = 0..M obeying ``_enumerate_window``'s rule
+    at gap 2*d (the reduced walls at d = delta), filled bottom-up in O(M^2).
 
     ``after[r][a]`` counts the ways to place ``r`` more blocks after a part
     ``a``: the sum of ``after[r - b][b]`` (place ``b``, then the rest) over
     the ``b`` in ``a``'s window, read as a difference of prefix sums over
-    ``b``.  A ``d`` or ``gap`` above ``M`` acts as in the enumerator.
+    ``b``.  A ``d`` above ``M`` acts as in the enumerator.
     """
     _check_non_negative(M)
     # no window reaches below part 1, so a gap above M + 1 pads for nothing
-    gap = min(gap, M + 1)
+    gap = min(2 * d, M + 1)
     # tops[a] = a - 1 + e is the top of a's window [a - gap + e, a - 1 + e];
     # a may end a partition when that window reaches 0, i.e. when top < gap
     tops = [a - 1 + (a % d == 0) for a in range(M + 1)]
@@ -130,6 +130,27 @@ def _count_window(M: int, d: int, gap: int) -> list[int]:
         prefix += [prefix[-1]] * (M - r)
         after.append([prefix[top + gap] - prefix[top] for top in tops[: M - r + 1]])
     return counts
+
+
+def _add_shifted(acc: dict[int, int], terms: dict[int, int], shift: int) -> None:
+    """Add ``terms``, every code moved by ``shift``, into ``acc``."""
+    for code, count in terms.items():
+        code += shift
+        acc[code] = acc.get(code, 0) + count
+
+
+def _product_table(M: int, d: int, codes: list[int]) -> list[dict[int, int]]:
+    """Per m = 0..M, packed code -> number of the partitions of m whose parts
+    off the multiples of ``d`` are distinct, part i adding ``codes[i]``: the
+    product of (1 + x^codes[i] t^i), or 1/(1 - x^codes[i] t^i) where d | i,
+    expanded one factor at a time, sizes descending where i is used once."""
+    _check_non_negative(M)
+    table: list[dict[int, int]] = [{} for _ in range(M + 1)]
+    table[0][0] = 1
+    for i in range(1, M + 1):
+        for m in range(i, M + 1) if i % d == 0 else range(M, i - 1, -1):
+            _add_shifted(table[m], table[m - i], codes[i])
+    return table
 
 
 def _pentagonal(M: int) -> list[tuple[int, int]]:

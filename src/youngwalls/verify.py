@@ -5,12 +5,12 @@ reads the identity it tests.  ``euler`` compares four at every degree: the
 product series of (1 + t^i), the reciprocal odd-parts series, the pentagonal
 strict table and the odd-part DP table.  ``counts`` compares the window-rule
 DP table of reduced walls with the pentagonal strict table; ``fock``, the
-window-rule table of proper walls with the reduced table convolved with the
-pentagonal partition table.  ``vch`` compares two weight-graded tables
-(weight multisets per size, by packed weight code): the product of
-(1 + x^w(i)) over column heights i for strict partitions, and the
-window-rule DP with weight-graded entries for reduced walls; it enumerates
-nothing.  ``reduced-equivalence`` compares the gap rule with the
+product table of proper walls (distinct parts off the delta grid) with that
+reduced table convolved with the pentagonal partition table.  ``vch``
+compares two weight-graded tables (weight multisets per size, by packed
+weight code): the product of (1 + x^w(i)) over column heights i for strict
+partitions, and the window-rule DP with weight-graded entries for reduced
+walls; it enumerates nothing.  ``reduced-equivalence`` compares the gap rule with the
 removable-segment rule on every adjacency a proper wall of at most max_m
 blocks can have, which decides both whole-wall tests; it lists no wall.
 Only ``bijections`` enumerates: one walk of the proper walls per rank,
@@ -120,7 +120,9 @@ def verify_count_identity(params: WallParams, max_m: int) -> VerificationReport:
 
 def verify_fock(params: WallParams, max_m: int) -> VerificationReport:
     """Proper walls with m blocks decompose as reduced walls with
-    m - 2*delta*k blocks weighted by the partition numbers P(k)."""
+    m - 2*delta*k blocks weighted by the partition numbers P(k): the
+    product table of proper walls against the window-rule DP of reduced
+    walls convolved with the pentagonal partition table."""
     started = time.perf_counter()
     period = params.period
     reduced = reduced_counts(params, max_m)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Iterator
 
-from .partitions import Partition, _count_window, _enumerate_window
+from .partitions import Partition, _count_window, _enumerate_window, _product_table
 
 #: Block counts per color (a_0, ..., a_n); always of length n+1.
 WeightVector = tuple[int, ...]
@@ -118,13 +118,14 @@ def enumerate_reduced(params: WallParams, m: int) -> list[Partition]:
 
 
 def proper_counts(params: WallParams, M: int) -> list[int]:
-    """Numbers of proper walls with m = 0..M blocks, by the window-rule DP."""
-    return _count_window(M, params.delta, M + 1)
+    """Numbers of proper walls with m = 0..M blocks: the product of
+    (1 + t^i) over the parts i off the delta grid and 1/(1 - t^i) on it."""
+    return [sum(e.values()) for e in _product_table(M, params.delta, [0] * (M + 1))]
 
 
 def reduced_counts(params: WallParams, M: int) -> list[int]:
     """Numbers of reduced walls with m = 0..M blocks, by the window-rule DP."""
-    return _count_window(M, params.delta, params.period)
+    return _count_window(M, params.delta)
 
 
 def weight(lam: Partition, params: WallParams) -> WeightVector:

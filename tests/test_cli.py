@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -70,6 +73,24 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_closed_stdout_exits_three():
+    # the 10,880 strict partitions of 60 fill more than a pipe's buffer, so
+    # the write is still going when the reader leaves after one line
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "youngwalls.cli", "enum", "--set", "strict", "--m", "60"],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "count: 10880\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    # one line on stderr, no traceback from the write or from the exit flush
+    assert err.startswith("internal error: BrokenPipeError: ")
+    assert err.count("\n") == 1
 
 
 TOO_LARGE = str(sys.maxsize + 1)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +17,7 @@ from youngwalls import (
     series_product_strict,
     strict_counts,
 )
-from youngwalls.partitions import _count_window
+from youngwalls.partitions import _count_window, _enumerate_window, _product_table
 
 
 def ascending_partitions(m, least=1):
@@ -173,13 +175,17 @@ class TestCounts:
 
 class TestCountTables:
     def test_window_counts_match_enumeration(self):
+        # d = 1 gives all partitions, d = M + 1 the strict ones; codes[i] = 1
+        # keys each partition by its number of parts
         M = 30
-        assert _count_window(M, 1, M + 1) == [
-            len(enumerate_partitions(m)) for m in range(M + 1)
-        ]
-        assert _count_window(M, M + 1, M + 1) == [
-            len(enumerate_strict(m)) for m in range(M + 1)
-        ]
+        codes = [0] + [1] * M
+        for d in (1, 2, 3, 4, M + 1):
+            assert _product_table(M, d, codes) == [
+                Counter(map(len, _enumerate_window(m, d, m + 1))) for m in range(M + 1)
+            ], d
+            assert _count_window(M, d) == [
+                len(_enumerate_window(m, d, 2 * d)) for m in range(M + 1)
+            ], d
 
     def test_tables_match_enumeration_to_thirty(self):
         M = 30
@@ -211,6 +217,9 @@ class TestCountTables:
             table(-1)
 
     def test_window_count_of_nothing(self):
-        assert _count_window(0, 1, 1) == [1]
+        assert _count_window(0, 1) == [1]
+        assert _product_table(0, 1, [0]) == [{0: 1}]
         with pytest.raises(ValueError):
-            _count_window(-1, 1, 1)
+            _count_window(-1, 1)
+        with pytest.raises(ValueError):
+            _product_table(-1, 1, [])

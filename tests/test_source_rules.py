@@ -6,7 +6,10 @@ No line is longer than 88 characters, so the source line count cannot be
 brought down by joining lines.  Stdout carries one record per command: only
 ``cli.main`` writes it, and every other ``print`` goes to stderr.  The
 reduction maps' cores are paired with their rebuilds and target families in
-one table, ``bijections._maps``: no other module names a core.
+one table, ``bijections._maps``: no other module names a core.  The window
+DP counts the reduced walls alone: outside ``partitions`` only
+``walls.reduced_counts`` names it, and the product tables name no window
+routine, so the two sides of ``fock`` and ``vch`` stay independent code.
 """
 
 import ast
@@ -56,16 +59,45 @@ def test_only_main_prints_to_stdout(path):
     assert to_stdout == [("main", "print(out)")]
 
 
+def _names(tree):
+    """Name ids, attribute names, import aliases and definition names."""
+    return {value for node in ast.walk(tree) for attr in ("id", "attr", "name")
+            if isinstance(value := getattr(node, attr, None), str)}
+
+
 CORES = {"_psi_core", "_phi_core", "_psi_rebuild_core", "_phi_rebuild_core"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_only_bijections_names_a_core(path):
-    tree = ast.parse(path.read_text())
-    # Name ids, attribute names, import aliases and definition names
-    names = {value for node in ast.walk(tree) for attr in ("id", "attr", "name")
-             if isinstance(value := getattr(node, attr, None), str)}
+    names = _names(ast.parse(path.read_text()))
     if path.name != "bijections.py":
         assert names & CORES == set(), f"{path.name} names a core"
     else:
         assert CORES <= names
+
+
+WINDOW_ROUTINES = {"_count_window", "_enumerate_window", "reduced_counts",
+                   "reduced_weight_table"}
+PRODUCT_TABLES = {"strict_weight_table", "proper_weight_table", "proper_counts"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_reduced_counts_names_the_window_dp(path):
+    if path.name == "partitions.py":
+        return
+    # the top-level definitions that name it; an import names no caller
+    owners = {getattr(top, "name", None) for top in ast.parse(path.read_text()).body
+              if not isinstance(top, ast.ImportFrom)
+              and "_count_window" in _names(top)}
+    assert owners == ({"reduced_counts"} if path.name == "walls.py" else set())
+
+
+def test_product_tables_name_no_window_routine():
+    tables = {top.name: _names(top) for path in SOURCES
+              for top in ast.parse(path.read_text()).body
+              if getattr(top, "name", None) in PRODUCT_TABLES}
+    assert tables.keys() == PRODUCT_TABLES
+    for name, names in tables.items():
+        assert "_product_table" in names, name
+        assert names & WINDOW_ROUTINES == set(), name

@@ -1,4 +1,6 @@
 import time
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +21,7 @@ from youngwalls import (
     strict_counts,
     weight,
 )
+from youngwalls.characters import proper_weight_table
 from youngwalls.walls import _walk_proper, column_codes
 
 P2 = WallParams(2)
@@ -340,3 +343,36 @@ class TestCountTables:
         params = WallParams(3)
         assert proper_counts(params, 9) == proper_counts(params, 30)[:10]
         assert reduced_counts(params, 9) == reduced_counts(params, 30)[:10]
+
+    def test_proper_tables_run_no_window_dp(self, monkeypatch):
+        # the proper tables are one side of the Fock check and the reduced
+        # window DPs the other, so a fault in one cannot cancel in both
+        def refuse(*args):
+            raise AssertionError("a proper table ran a reduced-wall DP")
+
+        for target in ("partitions._count_window", "walls._count_window",
+                       "characters.reduced_weight_table"):
+            monkeypatch.setattr("youngwalls." + target, refuse)
+        M = 30
+        for params in (P2, P3):
+            listings = [enumerate_proper(params, m) for m in range(M + 1)]
+            codes = column_codes(params, M)
+            assert proper_counts(params, M) == [len(lams) for lams in listings]
+            assert proper_weight_table(params, M) == [
+                Counter(sum(codes[h] for h in lam) for lam in lams) for lams in listings
+            ]
+
+    def test_proper_counts_stream(self):
+        # the product keeps one count per size, not the window DP's
+        # O(M^2) table (4.7 MB here)
+        tracemalloc.start()
+        try:
+            proper_counts(P2, 500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_proper_is_strict_when_delta_exceeds_m(self):
+        # no part of at most 40 blocks is a multiple of delta = 51
+        assert proper_counts(WallParams(50), 40) == strict_counts(40)
