@@ -17,8 +17,8 @@ import sys
 from typing import Any, Iterator
 
 from .bijections import phi, phi_inv, psi, psi_inv
-from .characters import (principal_character, proper_weight_table,
-                         reduced_weight_table, strict_weight_table, unpack_weight)
+from .characters import (proper_weight_table, reduced_weight_table,
+                         strict_weight_table, unpack_weight)
 from .partitions import Partition, _canonical, enumerate_strict, strict_counts
 from .verify import ALL_CHECKS, run_checks
 from .walls import (
@@ -172,7 +172,7 @@ def text_vch(payload: dict[str, Any]) -> Iterator[str]:
 
 
 def cmd_pschar(args: argparse.Namespace) -> Record:
-    coeffs = principal_character(WallParams(args.n), args.degree)
+    coeffs = reduced_counts(WallParams(args.n), args.degree)
     payload = {"degree": args.degree, "coefficients": coeffs}
     return {"n": args.n, "degree": args.degree}, payload
 
@@ -207,6 +207,12 @@ def cmd_verify(args: argparse.Namespace) -> Record:
     for n in n_values if "bijections" in checks else ():
         walls += sum(proper_counts(WallParams(n), args.max_m))
         _within_budget(walls, "--max-m" if n == n_values[0] else "--n-range")
+    # vch's strict table gives each strict partition of m <= n its own
+    # weight (its conjugate's), so a rank's table holds at least that many
+    strict, entries = strict_counts(args.max_m), 0
+    for n in n_values if "vch" in checks else ():
+        entries += sum(strict[: n + 1])
+        _within_budget(entries, "--max-m" if n == n_values[0] else "--n-range")
     print(f"# plan proper_walls={walls} table_cells={cells}", file=sys.stderr)
     reports = run_checks(n_values, args.max_m, args.degree, checks)
     for r in reports:
@@ -304,9 +310,9 @@ MAX_SIZE = 2000
 
 #: Most objects a request may handle, read off the count tables first: the
 #: members of an ``enum`` or ``vch`` set, the numbers ``vch``'s terms may
-#: print (members * (n + 1)), the proper walls of every rank that
-#: ``verify``'s ``bijections`` walks, and the table cells,
-#: (n + 1) * (max_m + 1) per rank, that ``verify``'s per-rank checks build.
+#: print (members * (n + 1)), and summed over ``verify``'s ranks, the proper
+#: walls ``bijections`` walks, the table cells, (n + 1) * (max_m + 1), and the
+#: ``vch`` strict table's entries, at least one per strict partition of m <= n.
 MAX_OBJECTS = 10**6
 
 

@@ -51,12 +51,7 @@ class VerificationReport:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready form; elapsed time is diagnostics and left out."""
-        return {
-            "check": self.check,
-            "params": self.params,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-        }
+        return {key: value for key, value in vars(self).items() if key != "elapsed"}
 
 
 def _report(

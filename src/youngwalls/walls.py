@@ -53,10 +53,9 @@ def is_proper(lam: Partition, params: WallParams) -> bool:
 
 def _reduced_gap(a: int, b: int, delta: int) -> bool:
     """The reduced-gap rule on one adjacency, part ``a`` over ``b`` (0 past
-    the last part): a gap below 2*delta, or exactly 2*delta with ``a`` off
-    the delta grid; gap 0 off the grid is an equal pair, not even proper."""
-    gap = a - b
-    return 0 < gap <= 2 * delta if a % delta else gap < 2 * delta
+    the last part): ``b`` lies in ``a``'s window [a - 2*delta + e, a - 1 + e],
+    e = 1 when delta | a and 0 otherwise, as in ``_count_window``."""
+    return 0 < a - b + (a % delta == 0) <= 2 * delta
 
 
 def _removable_at(a: int, b: int, delta: int) -> bool:
@@ -154,15 +153,10 @@ def weight(lam: Partition, params: WallParams) -> WeightVector:
 def column_codes(params: WallParams, M: int) -> list[int]:
     """codes[h]: the packed weight of one column of h blocks, h = 0..M: the
     base-(M+1) number with digit c the count of color c.  No color count of
-    m <= M blocks exceeds M, so a wall's code is its columns' sum.  As in
-    ``weight``, q cycles and remainder r give every digit 2q, plus 1 on the
-    colors c < r and c >= 2*delta - r: two geometric runs."""
-    base, delta, period = M + 1, params.delta, params.period
-
-    def run(k: int) -> int:  # digits 0..k-1 set to 1; M = 0 packs nothing
-        return (base ** k - 1) // M if M else 0
-
-    ones = run(delta) if M > delta else 0  # read only by columns above delta
-    return [2 * q * ones + run(min(r, delta))
-            + (ones - run(period - r) if r > delta else 0)
-            for q, r in (divmod(h, period) for h in range(M + 1))]
+    m <= M blocks exceeds M, so a wall's code is its columns' sum.  Block j
+    (0-based) adds 1 to the digit of its color: r = j mod 2*delta, or
+    2*delta - 1 - r once r passes n, the pattern of ``weight``."""
+    base, period = M + 1, params.period
+    offsets = (j % period for j in range(M))
+    return list(accumulate((base ** min(r, period - 1 - r) for r in offsets),
+                           initial=0))

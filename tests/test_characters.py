@@ -27,6 +27,21 @@ P2 = WallParams(2)
 P3 = WallParams(3)
 
 
+def closed_form_column_codes(params, M):
+    """Oracle: ``column_codes`` by the period's closed form.  As in
+    ``weight``, q cycles and remainder r give every digit 2q, plus 1 on the
+    colors c < r and c >= 2*delta - r: two geometric runs of ones."""
+    base, delta, period = M + 1, params.delta, params.period
+
+    def run(k):  # digits 0..k-1 set to 1; M = 0 packs nothing
+        return (base ** k - 1) // M if M else 0
+
+    ones = run(delta) if M > delta else 0  # read only by columns above delta
+    return [2 * q * ones + run(min(r, delta))
+            + (ones - run(period - r) if r > delta else 0)
+            for q, r in (divmod(h, period) for h in range(M + 1))]
+
+
 class TestVirtualCharacter:
     def test_strict_of_seven_rank_two(self):
         vch = virtual_character(enumerate_strict(7), P2)
@@ -101,14 +116,34 @@ class TestWeightTables:
         assert table[7] == {3 + 16 + 128: 3, 2 + 24 + 128: 1, 2 + 16 + 192: 1}
         assert unpack_weight(147, P2, 7) == (3, 2, 2)
 
-    @pytest.mark.parametrize("n", [2, 3, 7, 20])
-    @pytest.mark.parametrize("M", [0, 1, 5, 20, 60])
+    @pytest.mark.parametrize(
+        "M, n", [(M, n) for M in (0, 1, 5, 20, 60) for n in (2, 3, 7, 20)]
+        + [(1, 500_000), (8, 100_000)])
     def test_column_codes_pack_each_column_weight(self, n, M):
+        # zero digits are skipped: at a high rank most colors are absent
         params = WallParams(n)
         assert column_codes(params, M) == [
-            sum(a * (M + 1) ** c for c, a in enumerate(weight(Partition((h,)), params)))
+            sum(a * (M + 1) ** c
+                for c, a in enumerate(weight(Partition((h,)), params)) if a)
             for h in range(M + 1)
         ]
+
+    @pytest.mark.parametrize(
+        "n, M", [(n, M) for n in (2, 3, 4, 5, 7, 20)
+                 for M in (0, 1, 5, 20, 40, 60, 200, 2000)]
+        + [(20_000, 8), (100_000, 8), (500_000, 1), (10**6, 0), (10**6, 2),
+           (1000, 998), (500, 1995)])
+    def test_column_codes_match_the_closed_form(self, n, M):
+        assert column_codes(WallParams(n), M) == closed_form_column_codes(
+            WallParams(n), M)
+
+    @pytest.mark.parametrize("n, M", [(20, 20), (30, 25)])
+    def test_strict_weights_are_distinct_up_to_the_rank(self, n, M):
+        # a column of at most n + 1 blocks holds colors 0..h-1 once each, so
+        # a strict partition of m <= n has its conjugate as its weight, and
+        # ``verify``'s vch budget counts one table entry per member
+        table = strict_weight_table(WallParams(n), M)
+        assert [len(entry) for entry in table] == strict_counts(M)
 
     @pytest.mark.parametrize("table", [strict_weight_table, reduced_weight_table,
                                        proper_weight_table])

@@ -204,6 +204,35 @@ def test_verify_rank_budget_boundary(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: --n-range is too large\n")
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["--n-range", "100", "--max-m", "110"], "--max-m"),
+     # rank 100 alone holds 826,605 entries at max_m 80; two ranks do not fit
+     (["--n-range", "100..101", "--max-m", "80"], "--n-range")],
+)
+def test_verify_refuses_vch_tables_before_any_is_built(capsys, monkeypatch,
+                                                       argv, option):
+    # within the cell budget, but a strict table of rank n holds at least
+    # one entry per strict partition of each m <= min(n, max_m)
+    def refuse(*args):
+        raise AssertionError("weight table built")
+
+    monkeypatch.setattr(verify, "strict_weight_table", refuse)
+    monkeypatch.setattr(verify, "reduced_weight_table", refuse)
+    code, out, err = run_cli(capsys, "verify", *argv, "--checks", "vch")
+    assert (code, out, err) == (2, "", f"error: {option} is too large\n")
+
+
+def test_verify_vch_entry_budget_boundary(capsys, monkeypatch):
+    # n = 30, max_m = 30: 31 * 31 = 961 table cells fit where the 2,035
+    # strict partitions of m <= 30 do not
+    argv = ["verify", "--n-range", "30", "--max-m", "30", "--checks", "vch"]
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 2035)
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 2034)
+    assert run_cli(capsys, *argv) == (2, "", "error: --max-m is too large\n")
+
+
 def test_verify_budget_counts_a_repeated_check_once(capsys, monkeypatch):
     # n=2, m <= 7: 21 proper walls for bijections, 24 table cells
     monkeypatch.setattr(cli, "MAX_OBJECTS", 24)

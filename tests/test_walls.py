@@ -22,7 +22,7 @@ from youngwalls import (
     weight,
 )
 from youngwalls.characters import proper_weight_table
-from youngwalls.walls import _walk_proper, column_codes
+from youngwalls.walls import _reduced_gap, _walk_proper, column_codes
 
 P2 = WallParams(2)
 P3 = WallParams(3)
@@ -35,6 +35,12 @@ def block_color(k, params):
         raise ValueError(f"block position must be >= 1, got {k}")
     r = (k - 1) % params.period
     return r if r <= params.n else 2 * params.n + 1 - r
+
+
+def branching_reduced_gap(a, b, delta):
+    """Oracle: the reduced-gap rule branching on the delta grid."""
+    gap = a - b
+    return 0 < gap <= 2 * delta if a % delta else gap < 2 * delta
 
 
 def naive_weight(lam, params):
@@ -110,6 +116,14 @@ class TestColumnPredicates:
             if is_reduced(lam, P2)
         }
         assert actual == expected
+
+    @pytest.mark.parametrize("delta", [1, 2, 3, 4, 5, 7, 11])
+    def test_reduced_gap_matches_the_branching_form(self, delta):
+        # every adjacency a weakly decreasing wall can have, on and off the grid
+        for a in range(80):
+            for b in range(a + 1):
+                assert _reduced_gap(a, b, delta) == branching_reduced_gap(
+                    a, b, delta), (a, b)
 
     def test_removable_segment(self):
         assert has_removable_delta(Partition((7,)), P2)
