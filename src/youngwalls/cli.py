@@ -233,69 +233,62 @@ def text_verify(payload: dict[str, Any]) -> Iterator[str]:
         yield line
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.  Given a command's name, it holds that command's
+    subparser alone, so a call builds only what it runs; otherwise, as for
+    ``--help`` or an unknown name, it holds all of them."""
+    sets = {"choices": ("proper", "reduced", "strict"), "required": True}
+    rank = {"type": int, "required": True, "help": "wall rank, at least 2"}
+    optional_rank = {**rank, "required": False}
+    size = {"type": int, "required": True}
+    # name: (help, command, text renderer, {option: add_argument keywords});
+    # built per call, so a patched ``cmd_*`` is the one that runs
+    commands = {
+        "enum": ("list a set of partitions of m", cmd_enum, text_enum,
+                 {"--set": sets, "--n": optional_rank, "--m": size}),
+        "weight": ("per-color block counts of a wall", cmd_weight, text_weight, {
+            "--n": rank,
+            "--partition": {"required": True, "help":
+                            "comma literal, e.g. '5,2,1'; empty string for ()"}}),
+        "map": ("run a reduction map or its inverse", cmd_map, text_map, {
+            "--alg": {"choices": ("psi", "phi", "psi-inv", "phi-inv"),
+                      "required": True},
+            "--n": rank,
+            "--partition": {"required": True},
+            "--hat": {"help": "bookkeeping partition literal (inverse maps)"},
+            "--trace": {"action": "store_true",
+                        "help": "print one line per algorithm step"}}),
+        "vch": ("virtual character of a set", cmd_vch, text_vch,
+                {"--set": sets, "--n": rank, "--m": size}),
+        "pschar": ("reduced-wall counting series", cmd_pschar, text_pschar,
+                   {"--n": rank, "--degree": size}),
+        "count": ("cardinalities of a set for m = 0..max-m", cmd_count, text_count,
+                  {"--set": sets, "--n": optional_rank, "--max-m": size}),
+        "verify": ("run the identity verification suite", cmd_verify, text_verify, {
+            "--n-range": {"default": "2..4", "help": "inclusive rank range A..B"},
+            "--max-m": {"type": int, "default": 24},
+            "--degree": {"type": int, "default": 200,
+                         "help": "degree bound for the series identity"},
+            "--checks": {"help": "comma list from: " + ",".join(ALL_CHECKS)}}),
+    }
     parser = argparse.ArgumentParser(
         prog="youngwalls",
         description="Enumerate constrained walls and strict partitions, compute "
         "weights and characters, run the reduction maps, and verify the "
         "counting and character identities.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_n(p: argparse.ArgumentParser, required: bool) -> None:
-        p.add_argument("--n", type=int, required=required,
-                       help="wall rank, at least 2")
-
-    p = sub.add_parser("enum", help="list a set of partitions of m")
-    p.add_argument("--set", choices=("proper", "reduced", "strict"), required=True)
-    add_n(p, required=False)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_enum, text=text_enum)
-
-    p = sub.add_parser("weight", help="per-color block counts of a wall")
-    add_n(p, required=True)
-    p.add_argument("--partition", required=True,
-                   help="comma literal, e.g. '5,2,1'; empty string for ()")
-    p.set_defaults(func=cmd_weight, text=text_weight)
-
-    p = sub.add_parser("map", help="run a reduction map or its inverse")
-    p.add_argument("--alg", choices=("psi", "phi", "psi-inv", "phi-inv"),
-                   required=True)
-    add_n(p, required=True)
-    p.add_argument("--partition", required=True)
-    p.add_argument("--hat", help="bookkeeping partition literal (inverse maps)")
-    p.add_argument("--trace", action="store_true",
-                   help="print one line per algorithm step")
-    p.set_defaults(func=cmd_map, text=text_map)
-
-    p = sub.add_parser("vch", help="virtual character of a set")
-    p.add_argument("--set", choices=("proper", "reduced", "strict"), required=True)
-    add_n(p, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_vch, text=text_vch)
-
-    p = sub.add_parser("pschar", help="reduced-wall counting series")
-    add_n(p, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(func=cmd_pschar, text=text_pschar)
-
-    p = sub.add_parser("count", help="cardinalities of a set for m = 0..max-m")
-    p.add_argument("--set", choices=("proper", "reduced", "strict"), required=True)
-    add_n(p, required=False)
-    p.add_argument("--max-m", type=int, required=True)
-    p.set_defaults(func=cmd_count, text=text_count)
-
-    p = sub.add_parser("verify", help="run the identity verification suite")
-    p.add_argument("--n-range", default="2..4", help="inclusive rank range A..B")
-    p.add_argument("--max-m", type=int, default=24)
-    p.add_argument("--degree", type=int, default=200,
-                   help="degree bound for the series identity")
-    p.add_argument("--checks",
-                   help="comma list from: " + ",".join(ALL_CHECKS))
-    p.set_defaults(func=cmd_verify, text=text_verify)
-
-    for p in sub.choices.values():
+    metavar = None
+    if only in commands:
+        # the usage line that errors print still lists every command
+        metavar = "{" + ",".join(commands) + "}"
+        commands = {only: commands[only]}
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, func, text, options) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        for option, keywords in options.items():
+            p.add_argument(option, **keywords)
         p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=func, text=text)
     return parser
 
 
@@ -317,7 +310,8 @@ MAX_OBJECTS = 10**6
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if getattr(args, "set", "strict") != "strict" and args.n is None:
         parser.error(f"--n is required for --set {args.set}")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -23,6 +24,8 @@ from youngwalls import (
 )
 from youngwalls.cli import main, parse_n_range, parse_partition
 from youngwalls.verify import VerificationReport
+
+from test_golden import COMMANDS, GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -595,3 +598,76 @@ class TestVerify:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+
+#: Help (stdout, exit 0) and usage errors (stderr, exit 2), recorded with
+#: every subparser built, at COLUMNS=80 under CPython 3.11; argparse words
+#: some of them differently in other versions.
+USAGE = {
+    "help.stdout": ["--help"],
+    "weight-help.stdout": ["weight", "--help"],
+    "verify-help.stdout": ["verify", "--help"],
+    "enum-proper-without-n.stderr": ["enum", "--set", "proper", "--m", "5"],
+    "weight-extra-argument.stderr": ["weight", "--n", "3", "--partition", "1",
+                                     "extra"],
+    "unknown-command.stderr": ["bogus"],
+}
+
+
+class TestParser:
+    """``main`` builds the top-level parser and the subparser of the command
+    it runs; help and usage errors read as they do with all seven built."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The parsers constructed so far, subparsers included."""
+        parsers = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            parsers.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        return parsers
+
+    @pytest.mark.parametrize("name", sorted(USAGE))
+    def test_help_and_usage_text(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main(USAGE[name])
+        out, err = capsys.readouterr()
+        if name.endswith(".stdout"):
+            expected_code, text, rest = 0, out, err
+        else:
+            expected_code, text, rest = 2, err, out
+        assert excinfo.value.code == expected_code
+        assert text.encode() == (GOLDEN / "usage" / name).read_bytes()
+        assert rest == ""
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_a_call_builds_its_command_alone(self, capsys, built, name):
+        argv = COMMANDS[name]
+        assert main(argv) == 0
+        assert len(built) == 2
+        # the filtered parser drops no option or default, --format included
+        assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(
+            cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bogus"], [],
+                                      ["--format", "json", "weight"]])
+    def test_no_command_name_first_builds_every_command(self, capsys, built,
+                                                        argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert len(built) == 8
+
+    def test_a_command_patched_after_first_use_runs(self, capsys, monkeypatch):
+        argv = ["verify", "--checks", "euler", "--degree", "5"]
+        assert run_cli(capsys, *argv)[:2] == (0, "PASS euler max_degree=5\n")
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_verify", broken)
+        assert run_cli(capsys, *argv) == (3, "", "internal error: RuntimeError: boom\n")
