@@ -17,7 +17,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from .partitions import Partition, _add_shifted, _check_non_negative, _product_table
+from .partitions import (Partition, _add_shifted, _check_non_negative, _product_table,
+                         _windows)
 from .walls import WallParams, WeightVector, column_codes, reduced_counts, weight
 
 #: One entry per size m: packed weight code -> number of members.
@@ -46,28 +47,20 @@ def reduced_weight_table(params: WallParams, M: int) -> WeightTable:
     """Weights of the reduced walls with m = 0..M blocks, by the DP of
     ``partitions._count_window`` with weight-graded entries: ``after[r][a]``
     holds the weights of the ways to place ``r`` more blocks after a part
-    ``a``, the entries ``after[r - b][b]`` shifted by column ``b``'s code
-    over the at most 2*delta parts ``b`` in ``a``'s window."""
+    ``a`` (after the start at a = 0), the entries ``after[r - b][b]``
+    shifted by column ``b``'s code over the parts ``b`` in ``a``'s window."""
     _check_non_negative(M)
-    codes, period = column_codes(params, M), params.period
-    # a's window is [top - period + 1, top]; a may end a wall when top < period
-    tops = [a - 1 + (a % params.delta == 0) for a in range(M + 1)]
-    after = [[{0: 1} if top < period else {} for top in tops]]
-    table: WeightTable = [{0: 1}]
+    codes, windows = column_codes(params, M), _windows(M, params.delta, params.period)
+    after = [[{0: 1} if ends else {} for _, _, ends in windows]]
     for r in range(1, M + 1):
         row = []
-        for top in tops[: M - r + 1]:
+        for lo, hi, _ in windows[: M - r + 1]:
             acc: dict[int, int] = {}
-            for b in range(max(1, top - period + 1), min(r, top) + 1):
+            for b in range(lo, (hi if hi < r else r) + 1):
                 _add_shifted(acc, after[r - b][b], codes[b])
             row.append(acc)
         after.append(row)
-        # the first part may be any b <= r
-        whole: dict[int, int] = {}
-        for b in range(1, r + 1):
-            _add_shifted(whole, after[r - b][b], codes[b])
-        table.append(whole)
-    return table
+    return [row[0] for row in after]
 
 
 def unpack_weight(code: int, params: WallParams, M: int) -> WeightVector:

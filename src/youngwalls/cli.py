@@ -20,7 +20,7 @@ from .bijections import phi, phi_inv, psi, psi_inv
 from .characters import (proper_weight_table, reduced_weight_table,
                          strict_weight_table, unpack_weight)
 from .partitions import Partition, _canonical, enumerate_strict, strict_counts
-from .verify import ALL_CHECKS, run_checks
+from .verify import ALL_CHECKS, _refuse_unknown, run_checks
 from .walls import (
     WallParams,
     enumerate_proper,
@@ -198,6 +198,7 @@ def cmd_verify(args: argparse.Namespace) -> Record:
     if "" in names:
         raise ValueError("--checks has an empty check name")
     checks = tuple(dict.fromkeys(names))
+    _refuse_unknown(checks)
     # per-rank tables grow with n too: vch's weight codes hold n + 1 counts
     tables = any(check != "euler" for check in checks)
     cells = (args.max_m + 1) * (sum(n_values) + len(n_values)) if tables else 0
@@ -298,7 +299,7 @@ MAX_RANK = 10**6
 
 #: Largest accepted ``--m``, ``--max-m`` and ``--degree``: the reduced walls'
 #: window-rule count table holds O(M^2) big integers, and ``count --set
-#: reduced --n 1000000`` at this size already takes about 0.8 s and 100 MB.
+#: reduced --n 1000000`` at this size already takes about 0.6 s and 100 MB.
 MAX_SIZE = 2000
 
 #: Most objects a request may handle, read off the count tables first: the

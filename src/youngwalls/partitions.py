@@ -57,40 +57,41 @@ def _check_non_negative(m: int) -> None:
         raise ValueError(f"m must be non-negative, got {m}")
 
 
-def _enumerate_window(m: int, d: int, gap: int) -> list[Partition]:
-    """All partitions of ``m`` whose adjacent parts obey one window rule,
-    descending lexicographic.
+def _windows(M: int, d: int, gap: int) -> list[tuple[int, int, bool]]:
+    """The one window rule on adjacent parts, for parts a = 0..M.
 
     With e = 1 if part a is a multiple of ``d``, else 0, the part after a
-    lies in [a - gap + e, a - 1 + e], and the partition may end after a
-    exactly when that window reaches 0.  A ``d`` above ``m`` divides no
-    part, so parts strictly decrease; a ``gap`` above ``m`` leaves the
-    window unbounded below.
+    lies in [a - gap + e, a - 1 + e], and a partition may end after a
+    exactly when that window reaches 0.  Entry a is ``(lo, hi, ends)``: the
+    window cut off below at part 1, and whether a partition may end after a;
+    entry 0, (1, M, True), is the start of a partition.  A ``d`` above ``M``
+    divides no part, and a ``gap`` above ``M`` cuts at part 1 alone.
     """
+    his = (a - 1 + (a % d == 0) for a in range(1, M + 1))
+    return [(1, M, True), *((max(1, hi - gap + 1), hi, hi < gap) for hi in his)]
+
+
+def _enumerate_window(m: int, d: int, gap: int) -> list[Partition]:
+    """All partitions of ``m`` whose adjacent parts obey ``_windows``'
+    rule, descending lexicographic."""
     _check_non_negative(m)
+    windows = _windows(m, d, gap)
     out: list[Partition] = []
     prefix: list[int] = []
 
-    def rec(rest: int, hi: int, lo: int) -> None:
-        # the next part lies in [lo, hi]; the partition may end here if lo <= 0
+    def rec(rest: int, a: int) -> None:
+        lo, hi, ends = windows[a]
         if rest == 0:
-            if lo <= 0:
+            if ends:
                 # the window rule keeps parts positive and weakly decreasing
                 out.append(tuple.__new__(Partition, prefix))
             return
-        if hi > rest:
-            hi = rest
-        if lo < 1:
-            lo = 1
-        for a in range(hi, lo - 1, -1):
-            prefix.append(a)
-            if a % d:
-                rec(rest - a, a - 1, a - gap)
-            else:
-                rec(rest - a, a, a - gap + 1)
+        for b in range(hi if hi < rest else rest, lo - 1, -1):
+            prefix.append(b)
+            rec(rest - b, b)
             prefix.pop()
 
-    rec(m, m, 0)
+    rec(m, 0)
     return out
 
 
@@ -105,31 +106,22 @@ def enumerate_strict(m: int) -> list[Partition]:
 
 
 def _count_window(M: int, d: int) -> list[int]:
-    """Numbers of partitions of m = 0..M obeying ``_enumerate_window``'s rule
-    at gap 2*d (the reduced walls at d = delta), filled bottom-up in O(M^2).
-
-    ``after[r][a]`` counts the ways to place ``r`` more blocks after a part
-    ``a``: the sum of ``after[r - b][b]`` (place ``b``, then the rest) over
-    the ``b`` in ``a``'s window, read as a difference of prefix sums over
-    ``b``.  A ``d`` above ``M`` acts as in the enumerator.
-    """
+    """Numbers of partitions of m = 0..M obeying ``_windows``' rule at gap
+    2*d (the reduced walls at d = delta), filled bottom-up in O(M^2):
+    ``after[r][a]`` counts the ways to place ``r`` more blocks after part
+    ``a`` (after the start at a = 0), the sum of ``after[r - b][b]`` (place
+    ``b``, then the rest) over the ``b`` in ``a``'s window, read as a
+    difference of prefix sums over ``b``."""
     _check_non_negative(M)
-    # no window reaches below part 1, so a gap above M + 1 pads for nothing
-    gap = min(2 * d, M + 1)
-    # tops[a] = a - 1 + e is the top of a's window [a - gap + e, a - 1 + e];
-    # a may end a partition when that window reaches 0, i.e. when top < gap
-    tops = [a - 1 + (a % d == 0) for a in range(M + 1)]
-    after = [[int(top < gap) for top in tops]]
-    counts = [1]
+    windows = _windows(M, d, 2 * d)
+    after = [[int(ends) for _, _, ends in windows]]
     for r in range(1, M + 1):
-        # prefix[x + gap]: the ways to place r blocks starting with a part
-        # at most x, 0 for x <= 0; a's window sums to prefix[top + gap] - prefix[top]
-        prefix = [0] * (gap + 1)
-        prefix += accumulate(after[r - b][b] for b in range(1, r + 1))
-        counts.append(prefix[-1])
+        # prefix[x]: the ways to place r blocks starting with a part at most x
+        prefix = [0, *accumulate(after[r - b][b] for b in range(1, r + 1))]
         prefix += [prefix[-1]] * (M - r)
-        after.append([prefix[top + gap] - prefix[top] for top in tops[: M - r + 1]])
-    return counts
+        after.append([prefix[hi] - prefix[lo - 1]
+                      for lo, hi, _ in windows[: M - r + 1]])
+    return [row[0] for row in after]
 
 
 def _add_shifted(acc: dict[int, int], terms: dict[int, int], shift: int) -> None:

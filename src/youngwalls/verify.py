@@ -251,13 +251,17 @@ ALL_CHECKS = (
 )
 
 
+def _refuse_unknown(checks: tuple[str, ...]) -> None:
+    unknown = [c for c in checks if c not in ALL_CHECKS]
+    if unknown:
+        raise ValueError(f"unknown checks: {', '.join(unknown)}")
+
+
 def run_checks(n_values: tuple[int, ...], max_m: int, euler_degree: int,
                checks: tuple[str, ...] = ALL_CHECKS) -> list[VerificationReport]:
     """Run the selected checks over all ranks; reports come back ordered by
     (check, n) so identical invocations produce identical output."""
-    unknown = [c for c in checks if c not in ALL_CHECKS]
-    if unknown:
-        raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    _refuse_unknown(checks)
     # built per call, not at module level: the perfbench tracer rebinds the
     # module's verify_* globals, and a module-level dict would keep calling
     # the unwrapped functions and read zero for every verify.* layer metric

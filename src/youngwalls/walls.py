@@ -53,8 +53,8 @@ def is_proper(lam: Partition, params: WallParams) -> bool:
 
 def _reduced_gap(a: int, b: int, delta: int) -> bool:
     """The reduced-gap rule on one adjacency, part ``a`` over ``b`` (0 past
-    the last part): ``b`` lies in ``a``'s window [a - 2*delta + e, a - 1 + e],
-    e = 1 when delta | a and 0 otherwise, as in ``_count_window``."""
+    the last part): ``b`` lies in ``a``'s window of ``partitions._windows``
+    at gap 2*delta, [a - 2*delta + e, a - 1 + e], e = 1 when delta | a."""
     return 0 < a - b + (a % delta == 0) <= 2 * delta
 
 

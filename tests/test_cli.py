@@ -558,11 +558,12 @@ class TestVerify:
             assert set(report) == {"check", "params", "passed", "counterexample"}
 
     def test_unknown_check_is_usage_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "verify", "--checks", "euler,bogus", "--max-m", "4"
-        )
-        assert code == 2
-        assert "unknown checks" in err
+        # refused before any budget: no plan line, and no budget error first
+        for argv in (["--checks", "euler,bogus", "--max-m", "4"],
+                     ["--checks", "bogus"],
+                     ["--checks", "euler,bogus", "--n-range", "2..3000"]):
+            assert run_cli(capsys, "verify", *argv) == (
+                2, "", "error: unknown checks: bogus\n"), argv
 
     @pytest.mark.parametrize("checks", ["", ",", "euler,,counts", "euler,"])
     def test_empty_check_name_is_usage_error(self, capsys, checks):

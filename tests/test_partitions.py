@@ -175,11 +175,12 @@ class TestCounts:
 
 class TestCountTables:
     def test_window_counts_match_enumeration(self):
-        # d = 1 gives all partitions, d = M + 1 the strict ones; codes[i] = 1
+        # d = 1 gives all partitions, d = M + 1 the strict ones; at
+        # d = M // 2 + 1 a gap of 2*d first exceeds M + 1 parts; codes[i] = 1
         # keys each partition by its number of parts
         M = 30
         codes = [0] + [1] * M
-        for d in (1, 2, 3, 4, M + 1):
+        for d in (1, 2, 3, 4, M // 2 + 1, M + 1):
             assert _product_table(M, d, codes) == [
                 Counter(map(len, _enumerate_window(m, d, m + 1))) for m in range(M + 1)
             ], d

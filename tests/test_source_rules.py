@@ -9,7 +9,9 @@ reduction maps' cores are paired with their rebuilds and target families in
 one table, ``bijections._maps``: no other module names a core.  The window
 DP counts the reduced walls alone: outside ``partitions`` only
 ``walls.reduced_counts`` names it, and the product tables name no window
-routine, so the two sides of ``fock`` and ``vch`` stay independent code.
+routine, not even the window table ``partitions._windows`` that the
+enumerator and both window DPs read, so the two sides of ``fock`` and
+``vch`` stay independent code.
 """
 
 import ast
@@ -77,7 +79,7 @@ def test_only_bijections_names_a_core(path):
         assert CORES <= names
 
 
-WINDOW_ROUTINES = {"_count_window", "_enumerate_window", "reduced_counts",
+WINDOW_ROUTINES = {"_windows", "_count_window", "_enumerate_window", "reduced_counts",
                    "reduced_weight_table"}
 PRODUCT_TABLES = {"strict_weight_table", "proper_weight_table", "proper_counts"}
 

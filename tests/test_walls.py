@@ -22,6 +22,7 @@ from youngwalls import (
     weight,
 )
 from youngwalls.characters import proper_weight_table
+from youngwalls.partitions import _windows
 from youngwalls.walls import _reduced_gap, _walk_proper, column_codes
 
 P2 = WallParams(2)
@@ -124,6 +125,20 @@ class TestColumnPredicates:
             for b in range(a + 1):
                 assert _reduced_gap(a, b, delta) == branching_reduced_gap(
                     a, b, delta), (a, b)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_scalar_rules_read_the_window_table(self, n):
+        # the walk's per-adjacency rules and the enumerator's and DPs' table
+        # must not drift apart: entry a is (lo, hi, ends), a = 0 the start
+        params, M = WallParams(n), 30
+        delta = params.delta
+        for gap, rule in ((2 * delta, lambda a, b: _reduced_gap(a, b, delta)),
+                          (M + 1, lambda a, b: is_proper(Partition((a, b)), params))):
+            windows = _windows(M, delta, gap)
+            assert len(windows) == M + 1
+            for a, (lo, hi, ends) in enumerate(windows):
+                for b in range(a + 1):
+                    assert rule(a, b) == (lo <= b <= hi if b else ends), (gap, a, b)
 
     def test_removable_segment(self):
         assert has_removable_delta(Partition((7,)), P2)
