@@ -25,9 +25,8 @@ facts itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .partitions import Partition, _canonical
 from .walls import WallParams, is_proper, is_reduced
@@ -42,8 +41,7 @@ def _certify(ok: bool, what: str) -> None:
         raise CertificationError(what)
 
 
-@dataclass(frozen=True)
-class MapStep:
+class MapStep(NamedTuple):
     """One step of a reduction map applied one gap (``psi``) or one pair
     (``phi``) at a time, deepest first.
 
@@ -59,10 +57,10 @@ class MapStep:
     value: int
 
 
-@dataclass(frozen=True)
-class MapResult:
+class MapResult(NamedTuple):
     """Outcome of a reduction map: target-family partition, bookkeeping
-    partition, total quanta k = |hat|, and the per-step trace."""
+    partition, total quanta k = |hat|, and the per-step trace.  Like
+    ``MapStep``, an immutable value equal to the plain tuple of its fields."""
 
     reduced_part: Partition
     hat_part: Partition

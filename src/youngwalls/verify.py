@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .bijections import CertificationError, _maps
@@ -39,19 +38,28 @@ from .walls import (WallParams, _reduced_gap, _removable_at, _walk_proper,
                     column_codes, proper_counts, reduced_counts)
 
 
-@dataclass
 class VerificationReport:
-    """Outcome of one identity check over a parameter range."""
+    """Outcome of one identity check over a parameter range.  Reports are
+    equal when all but their ``elapsed`` times are; they are not hashable."""
 
-    check: str
-    params: dict[str, Any]
-    passed: bool
-    counterexample: dict[str, Any] | None = None
-    elapsed: float = field(default=0.0, compare=False)
+    def __init__(self, check: str, params: dict[str, Any], passed: bool,
+                 counterexample: dict[str, Any] | None = None,
+                 elapsed: float = 0.0) -> None:
+        self.check, self.params, self.passed = check, params, passed
+        self.counterexample, self.elapsed = counterexample, elapsed
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready form; elapsed time is diagnostics and left out."""
         return {key: value for key, value in vars(self).items() if key != "elapsed"}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={value!r}" for key, value in vars(self).items())
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def _report(

@@ -15,9 +15,9 @@ of delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, repeat
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .partitions import Partition, _count_window, _enumerate_window, _product_table
 
@@ -25,15 +25,23 @@ from .partitions import Partition, _count_window, _enumerate_window, _product_ta
 WeightVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WallParams:
-    """Rank of the wall pattern; delta = n + 1 is the per-column color period's half."""
+class WallParams(namedtuple("WallParams", "n")):
+    """Rank of the wall pattern; delta = n + 1 is the per-column color period's half.
 
-    n: int
+    An immutable value, equal to and hashed as the tuple ``(n,)``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"rank n must be at least 2, got {self.n}")
+    __slots__ = ()
+
+    def __new__(cls, n: int) -> WallParams:
+        if n < 2:
+            raise ValueError(f"rank n must be at least 2, got {n}")
+        return super().__new__(cls, n)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> WallParams:
+        """The named tuple's ``_make`` and ``_replace`` check the rank too."""
+        return cls(*iterable)
 
     @property
     def delta(self) -> int:

@@ -12,6 +12,7 @@ import youngwalls
 from youngwalls import bijections
 from youngwalls import (
     CertificationError,
+    MapResult,
     MapStep,
     Partition,
     WallParams,
@@ -51,6 +52,42 @@ class TestInsertBlocks:
             phi_inv(Partition((3, 3)), Partition((1,)), P2)
         with pytest.raises(ValueError, match="must be non-empty"):
             phi_inv(Partition((3,)), Partition(), P2)
+
+
+class TestMapRecords:
+    """``MapStep`` and ``MapResult`` are immutable values."""
+
+    STEP = MapStep(l=1, i=2, value=3)
+    RESULT = MapResult(reduced_part=Partition((2,)), hat_part=Partition((1,)), k=1,
+                       trace=(STEP,))
+
+    def test_keyword_and_positional_construction_agree(self):
+        assert self.STEP == MapStep(1, 2, 3)
+        assert (self.STEP.l, self.STEP.i, self.STEP.value) == (1, 2, 3)
+        assert self.RESULT == MapResult(Partition((2,)), Partition((1,)), 1,
+                                        (MapStep(1, 2, 3),))
+        assert self.RESULT.reduced_part == (2,) and self.RESULT.hat_part == (1,)
+        assert self.RESULT.k == 1 and self.RESULT.trace == (self.STEP,)
+
+    def test_equality_and_hash(self):
+        assert self.STEP != MapStep(l=1, i=2, value=4)
+        assert hash(self.STEP) == hash(MapStep(1, 2, 3))
+        assert self.RESULT != MapResult(Partition((2,)), Partition((1,)), 1, ())
+        assert hash(self.RESULT) == hash(MapResult(Partition((2,)), Partition((1,)), 1,
+                                                   (MapStep(1, 2, 3),)))
+        assert psi(Partition((7,)), P2) == MapResult(Partition((1,)), Partition((1,)), 1,
+                                                     (MapStep(1, 2, 1),))
+
+    def test_immutable(self):
+        for record, field in ((self.STEP, "value"), (self.RESULT, "k")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+
+    def test_repr(self):
+        assert repr(self.STEP) == "MapStep(l=1, i=2, value=3)"
+        assert repr(self.RESULT) == (
+            "MapResult(reduced_part=Partition((2,)), hat_part=Partition((1,)), "
+            "k=1, trace=(MapStep(l=1, i=2, value=3),))")
 
 
 class TestPrefixStripMap:

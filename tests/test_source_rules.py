@@ -12,14 +12,25 @@ DP counts the reduced walls alone: outside ``partitions`` only
 routine, not even the window table ``partitions._windows`` that the
 enumerator and both window DPs read, so the two sides of ``fock`` and
 ``vch`` stay independent code.
+
+Every ``youngwalls`` process pays the package's imports before its first
+command, so they stay small and all up front: no module imports
+``dataclasses`` (which alone loads ``inspect``, ``ast``, ``dis`` and
+``tokenize``), and no import hides in a function body, a module
+``__getattr__`` or an ``importlib`` call, where a benchmark's warm-up would
+pay it instead of its set-up.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "youngwalls").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "youngwalls").glob("*.py"))
 
 
 def test_sources_found():
@@ -103,3 +114,39 @@ def test_product_tables_name_no_window_routine():
     for name, names in tables.items():
         assert "_product_table" in names, name
         assert names & WINDOW_ROUTINES == set(), name
+
+
+def _imported_packages(tree):
+    """The top-level package of every module an absolute import names."""
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and not node.level]
+    return {name.split(".")[0] for name in names}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_dataclasses_import(path):
+    assert "dataclasses" not in _imported_packages(ast.parse(path.read_text()))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_only_at_module_level(path):
+    tree = ast.parse(path.read_text())
+    nested = [(function.name, node.lineno) for function in ast.walk(tree)
+              if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(function)
+              if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == [], f"{path.name}: import inside a function: {nested}"
+    assert "__getattr__" not in {getattr(top, "name", None) for top in tree.body}
+    assert _names(tree) & {"__import__", "import_module", "importlib"} == set()
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # -S: no site hook may load either module first and hide an import
+    probe = ("import sys, youngwalls.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

@@ -7,6 +7,7 @@ import pytest
 from youngwalls import (
     ALL_CHECKS,
     Partition,
+    VerificationReport,
     WallParams,
     run_checks,
     verify_bijections,
@@ -458,6 +459,38 @@ class TestReportPlumbing:
         report = verify_euler(10)
         data = report.to_dict()
         assert set(data) == {"check", "params", "passed", "counterexample"}
+
+    def test_to_dict_keys_in_field_order(self):
+        report = VerificationReport("counts", {"n": 2}, False, {"m": 3}, 1.5)
+        assert list(report.to_dict()) == ["check", "params", "passed", "counterexample"]
+        assert report.to_dict() == {"check": "counts", "params": {"n": 2},
+                                    "passed": False, "counterexample": {"m": 3}}
+
+    def test_construction_and_defaults(self):
+        positional = VerificationReport("euler", {"max_degree": 4}, True)
+        keyword = VerificationReport(check="euler", params={"max_degree": 4},
+                                     passed=True, counterexample=None, elapsed=0.0)
+        for report in (positional, keyword):
+            assert (report.check, report.params, report.passed) == (
+                "euler", {"max_degree": 4}, True)
+            assert report.counterexample is None and report.elapsed == 0.0
+        assert positional == keyword
+        assert repr(positional) == (
+            "VerificationReport(check='euler', params={'max_degree': 4}, "
+            "passed=True, counterexample=None, elapsed=0.0)")
+
+    def test_equality_ignores_elapsed_alone(self):
+        report = VerificationReport("counts", {"n": 2}, False, {"m": 3}, elapsed=1.5)
+        assert report == VerificationReport("counts", {"n": 2}, False, {"m": 3}, 9.0)
+        for other in (VerificationReport("fock", {"n": 2}, False, {"m": 3}),
+                      VerificationReport("counts", {"n": 3}, False, {"m": 3}),
+                      VerificationReport("counts", {"n": 2}, True, {"m": 3}),
+                      VerificationReport("counts", {"n": 2}, False, {"m": 4}),
+                      VerificationReport("counts", {"n": 2}, False)):
+            assert report != other
+        assert report != report.to_dict()
+        with pytest.raises(TypeError):
+            hash(report)
 
     def test_failing_report_carries_minimal_witness(self):
         failures = [

@@ -66,8 +66,34 @@ class TestWallParams:
         assert P3.delta == 4
 
     def test_rank_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            WallParams(1)
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError, match=rf"^rank n must be at least 2, got {n}$"):
+                WallParams(n)
+
+    def test_replace_checks_the_rank(self):
+        assert WallParams(3)._replace(n=5) == WallParams(5)
+        with pytest.raises(ValueError, match="got 1$"):
+            WallParams(3)._replace(n=1)
+
+    def test_keyword_construction_and_repr(self):
+        assert WallParams(n=3) == WallParams(3)
+        assert repr(WallParams(n=3)) == "WallParams(n=3)"
+        assert WallParams(n=3).n == 3
+
+    def test_equal_and_hashed_by_rank(self):
+        assert WallParams(3) == WallParams(3)
+        assert WallParams(3) != WallParams(4)
+        assert hash(WallParams(3)) == hash(WallParams(3))
+        assert len({WallParams(3), WallParams(3), WallParams(4)}) == 2
+        assert {WallParams(2): "two"}[WallParams(2)] == "two"
+
+    def test_immutable(self):
+        params = WallParams(3)
+        with pytest.raises(AttributeError):
+            params.n = 4
+        with pytest.raises(AttributeError):
+            params.delta = 5
+        assert params.n == 3 and params.delta == 4
 
 
 class TestBlockColor:
