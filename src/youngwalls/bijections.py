@@ -12,15 +12,13 @@ k = |hat| in all.  Each map is one pass over the wall.
 
 Each map and each rebuild is a core on plain tuples that checks nothing,
 and ``_maps`` is the one table of each map's cores and target family.
-``psi`` and ``phi`` share ``_forward``: the input guards (``ValueError``),
-the core, and one certificate of the raw image (part, hat): part canonical
-and in the target family, hat canonical and non-empty, and the rebuild core
-gives the input wall back.  Each map derives its trace from that image.
-``psi_inv`` and ``phi_inv`` share ``_inverse``: guards, rebuild core, and a
-replay of the forward core.  No ``Partition`` wraps what is not yet
+``_image`` is the one certificate of a core's raw image (part, hat), and
+``verify`` runs it too.  ``psi`` and ``phi`` share ``_forward``: the input
+guards (``ValueError``), then that image; each map derives its trace from
+it.  ``psi_inv`` and ``phi_inv`` share ``_inverse``: guards, rebuild core,
+and a replay of the forward core.  No ``Partition`` wraps what is not yet
 certified; a failed certification raises ``CertificationError``, which
-``python -O`` keeps.  ``verify`` reads the same table and checks the same
-facts itself.
+``python -O`` keeps.
 """
 
 from __future__ import annotations
@@ -34,11 +32,6 @@ from .walls import WallParams, is_proper, is_reduced
 
 class CertificationError(Exception):
     """A reduction map or its inverse broke one of its certified invariants."""
-
-
-def _certify(ok: bool, what: str) -> None:
-    if not ok:
-        raise CertificationError(what)
 
 
 class MapStep(NamedTuple):
@@ -79,21 +72,37 @@ def _maps() -> dict[str, tuple[Callable, Callable, Callable, tuple[str, ...]]]:
                     ("strict", "delete", "strict"))}
 
 
+def _image(name: str) -> Callable[[tuple, WallParams], tuple[tuple, tuple]]:
+    """Map ``name``'s core, certified: ``image(lam, params)`` returns the raw
+    image (part, hat) of a wall in the map's domain, and raises
+    ``CertificationError`` unless part is canonical and in the target family,
+    hat is canonical and non-empty, |part| + 2*delta*|hat| == |lam|, and the
+    rebuild core gives ``lam`` back.  The one statement of these clauses."""
+    core, rebuild, in_target, (family, *_) = _maps()[name]
+
+    def image(lam: tuple, params: WallParams) -> tuple[tuple, tuple]:
+        part, hat = core(lam, params)
+        if not (_canonical(part) and in_target(part, params)):
+            raise CertificationError(f"{name} result not {family}")
+        if not (_canonical(hat) and hat):
+            raise CertificationError(f"{name} hat size")
+        if (sum(part) + params.period * sum(hat) != sum(lam)
+                or rebuild(part, hat, params) != lam):
+            raise CertificationError(f"{name} round trip mismatch")
+        return part, hat
+
+    return image
+
+
 def _forward(name: str, lam: Partition,
              params: WallParams) -> tuple[Partition, Partition]:
-    """Guard ``lam``, map it by the core of map ``name`` and certify the raw
-    image (part, hat): part is canonical and in the target family, hat is
-    canonical and non-empty, and the rebuild core gives ``lam`` back."""
-    core, rebuild, in_target, (family, verb, _) = _maps()[name]
-    if not is_proper(lam, params):
+    """Guard ``lam`` and map it by map ``name``'s certified image."""
+    _, _, in_target, (family, verb, _) = _maps()[name]
+    if not (_canonical(lam) and is_proper(lam, params)):
         raise ValueError(f"{lam!r} is not a proper wall")
     if in_target(lam, params):
         raise ValueError(f"{lam!r} is already {family}; nothing to {verb}")
-    part, hat = core(lam, params)
-    _certify(_canonical(part) and in_target(part, params),
-             f"{name} result not {family}")
-    _certify(_canonical(hat) and hat != (), f"{name} hat size")
-    _certify(rebuild(part, hat, params) == lam, f"{name} round trip mismatch")
+    part, hat = _image(name)(lam, params)
     return Partition(part), Partition(hat)
 
 
@@ -103,14 +112,16 @@ def _inverse(name: str, part: Partition, hat: Partition,
     certify all that a replay of the forward map would: the wall is
     canonical, proper, outside the target family and sent back to (part, hat)."""
     core, rebuild, in_target, (*_, member) = _maps()[name]
-    if not in_target(part, params):
+    if not (_canonical(part) and in_target(part, params)):
         raise ValueError(f"{part!r} is not {member}")
+    if not _canonical(hat):
+        raise ValueError(f"{hat!r} is not a partition")
     if not hat:
         raise ValueError("bookkeeping partition must be non-empty")
     lam = rebuild(part, hat, params)
-    _certify(_canonical(lam) and is_proper(lam, params)
-             and not in_target(lam, params) and core(lam, params) == (part, hat),
-             f"{name}_inv round trip mismatch")
+    if not (_canonical(lam) and is_proper(lam, params) and not in_target(lam, params)
+            and core(lam, params) == (part, hat)):
+        raise CertificationError(f"{name}_inv round trip mismatch")
     return Partition(lam)
 
 

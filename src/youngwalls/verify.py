@@ -15,13 +15,13 @@ removable-segment rule on every adjacency a proper wall of at most max_m
 blocks can have, which decides both whole-wall tests; it lists no wall.
 Only ``bijections`` enumerates: one walk of the proper walls per rank,
 whose reduced and strict flags are psi's and phi's domains and which
-carries each wall's packed weight.  It runs the public maps' table of
-tuple cores (``bijections._maps``) on them, compares the rebuilt wall with
-the wall mapped and the packed weights of wall and image, and checks each
-map's images against its codomain by count: the reduced or strict table
-times the partition table, never a listing.  A failing report carries the
-smallest offending cell and, where applicable, the lexicographically
-smallest offending object, so failures reproduce deterministically.
+carries each wall's packed weight.  It runs the public maps' own certified
+image (``bijections._image``) on them, compares the packed weights of wall
+and image, and checks each map's images against its codomain by count: the
+reduced or strict table times the partition table, never a listing.  A
+failing report carries the smallest offending cell and, where applicable,
+the lexicographically smallest offending object, so failures reproduce
+deterministically.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import time
 from collections import Counter
 from typing import Any, Callable
 
-from .bijections import CertificationError, _maps
+from .bijections import CertificationError, _image
 from .characters import reduced_weight_table, strict_weight_table, unpack_weight
-from .partitions import _canonical, odd_counts, partition_counts, strict_counts
+from .partitions import odd_counts, partition_counts, strict_counts
 from .series import series_product_odd, series_product_strict
 from .walls import (WallParams, _reduced_gap, _removable_at, _walk_proper,
                     column_codes, proper_counts, reduced_counts)
@@ -131,7 +131,7 @@ def verify_fock(params: WallParams, max_m: int) -> VerificationReport:
     reduced = reduced_counts(params, max_m)
     partitions = partition_counts(max_m // period)
     decomposition = [sum(reduced[m - period * k] * partitions[k]
-                         for k in range(m // period + 1)) for m in range(max_m + 1)]
+                         for k in range(m // period + 1)) for m in range(len(reduced))]
     return _agree("fock", {"n": params.n, "max_m": max_m}, max_m, started,
                   proper=proper_counts(params, max_m), decomposition=decomposition)
 
@@ -179,11 +179,11 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
     their full codomains injectively, and shift every color count by 2k.
 
     Only proper walls are listed, by one walk whose reduced and strict flags
-    are psi's and phi's domains and whose code is the wall's packed weight;
-    each map's certifier binds its table row once.  An image counts only as
-    a codomain member: both parts canonical, the first in the target family,
-    the hat non-empty, |part| + 2*delta*|hat| == m.  When the distinct members
-    number the domain's walls and the tables' sum over k >= 1 of
+    are psi's and phi's domains and whose code is the wall's packed weight.
+    Each map's certified image, ``bijections._image``, is bound once; it
+    fails a domain wall or returns a codomain member of as many blocks, and
+    only the weight shift is compared here.  When the images of m repeat
+    none and number the tables' sum over k >= 1 of
     family(m - 2*delta*k) * P(k), they are the whole codomain.
     """
     started = time.perf_counter()
@@ -198,37 +198,24 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
     # below 2*delta blocks is in a domain.
     codes = column_codes(params, max_m)
     cycle = codes[period] if period <= max_m else 0
-    maps = _maps()
     families = {"psi": reduced_counts(params, max_m), "phi": strict_counts(max_m)}
-    # per map and m, the domain size and the images, keyed part + (0,) + hat
-    # (injective, as a member's parts are >= 1) and made a set after the walk
-    domains, images = ({name: [0] * (max_m + 1) for name in maps},
-                       {name: [[] for _ in range(max_m + 1)] for name in maps})
+    # per map and m, the images keyed part + (0,) + hat (injective, as a
+    # member's parts are >= 1)
+    images = {name: [[] for _ in range(max_m + 1)] for name in families}
     failures = []
 
     def certifier(name: str) -> Callable[[int, tuple, int], None]:
-        forward, rebuild, in_target, _ = maps[name]
-        domain, image = domains[name], images[name]
+        image, found = _image(name), images[name]
 
         def certify(m: int, lam: tuple, code: int) -> None:
-            domain[m] += 1
-            error = member = None
             try:
-                part, hat = forward(lam, params)
-                k = sum(hat)
-                # a non-member is no image; its parts may lie outside codes
-                member = (_canonical(part) and _canonical(hat) and hat
-                          and in_target(part, params) and sum(part) + period * k == m)
-                if rebuild(part, hat, params) != lam:
-                    error = "round trip mismatch"
-                elif member and code - sum(map(codes.__getitem__, part)) != k * cycle:
-                    error = "weight shift mismatch"
+                part, hat = image(lam, params)
+                if code - sum(map(codes.__getitem__, part)) != sum(hat) * cycle:
+                    raise CertificationError("weight shift mismatch")
+                found[m].append(part + (0,) + hat)
             except (ValueError, CertificationError) as exc:
-                error = str(exc)
-            if error is not None:
-                failures.append({"m": m, "map": name, "partition": lam, "error": error})
-            elif member:
-                image[m].append(part + (0,) + hat)
+                failures.append({"m": m, "map": name, "partition": lam,
+                                 "error": str(exc)})
 
         return certify
 
@@ -242,7 +229,7 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
         for name, family in families.items():
             expected = sum(family[m - period * k] * partitions[k]
                            for k in range(1, m // period + 1))
-            if not len(set(images[name][m])) == domains[name][m] == expected:
+            if not len(set(images[name][m])) == len(images[name][m]) == expected:
                 failures.append(
                     {"m": m, "map": name, "error": "image does not match codomain"})
     return _report("bijections", {"n": params.n, "max_m": max_m}, failures, started)

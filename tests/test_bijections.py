@@ -423,8 +423,9 @@ def test_cores_match_their_oracles_on_any_input(n, lam, other):
 
 
 class TestCertification:
-    # the public maps and verify read one table of cores, built per call from
-    # the bijections module's globals: rebinding a core there reaches both
+    # the public maps and verify run one certified image of the table of
+    # cores, built per call from the bijections module's globals: rebinding
+    # a core there reaches both
 
     def test_verify_catches_certification_failure(self, monkeypatch):
         real = bijections._psi_core
@@ -448,7 +449,8 @@ class TestCertification:
         with pytest.raises(CertificationError, match="^phi round trip mismatch$"):
             phi(Partition((3, 3, 1)), P2)
         assert verify_bijections(P2, 7).counterexample == {
-            "m": 6, "map": "phi", "partition": (3, 3), "error": "round trip mismatch"
+            "m": 6, "map": "phi", "partition": (3, 3),
+            "error": "phi round trip mismatch"
         }
 
     def test_broken_rebuild_core_is_a_round_trip_mismatch(self, monkeypatch):
@@ -461,7 +463,7 @@ class TestCertification:
         report = verify_bijections(P2, 7)
         assert not report.passed
         assert report.counterexample == {"m": 6, "map": "psi", "partition": (6,),
-                                         "error": "round trip mismatch"}
+                                         "error": "psi round trip mismatch"}
 
     def test_forward_certification_error_is_a_failure(self, monkeypatch):
         def refusing(lam, params):
@@ -513,26 +515,29 @@ def _nothing_added(part, hat, params):
 
 
 @pytest.mark.parametrize(
-    "core, body, public_call, name, first_wall",
+    "core, body, public_call, name, first_wall, error",
+    # a core that strips nothing fails first on its target family
     [("_psi_core", _nothing_stripped, lambda: psi(Partition((7,)), P2),
-      "psi", (6,)),
+      "psi", (6,), "psi result not reduced"),
      ("_phi_core", _nothing_stripped, lambda: phi(Partition((3, 3, 1)), P2),
-      "phi", (3, 3)),
+      "phi", (3, 3), "phi result not strict"),
      ("_psi_rebuild_core", _nothing_added,
-      lambda: psi_inv(Partition((1,)), Partition((1,)), P2), "psi", (6,)),
+      lambda: psi_inv(Partition((1,)), Partition((1,)), P2), "psi", (6,),
+      "psi round trip mismatch"),
      ("_phi_rebuild_core", _nothing_added,
-      lambda: phi_inv(Partition((1,)), Partition((1,)), P2), "phi", (3, 3))],
+      lambda: phi_inv(Partition((1,)), Partition((1,)), P2), "phi", (3, 3),
+      "phi round trip mismatch")],
     ids=["psi_core", "phi_core", "psi_rebuild_core", "phi_rebuild_core"],
 )
 def test_one_core_serves_map_and_verify(monkeypatch, core, body, public_call,
-                                        name, first_wall):
+                                        name, first_wall, error):
     # swapping the body of the one function object breaks it for every
     # caller that holds it: the public map and verify alike
     monkeypatch.setattr(getattr(bijections, core), "__code__", body.__code__)
     with pytest.raises((ValueError, CertificationError)):
         public_call()
     assert verify_bijections(P2, 7).counterexample == {
-        "m": 6, "map": name, "partition": first_wall, "error": "round trip mismatch"
+        "m": 6, "map": name, "partition": first_wall, "error": error
     }
 
 
@@ -578,3 +583,19 @@ def test_each_inverse_clause_is_read(monkeypatch, cores, part, hat):
         monkeypatch.setattr(bijections, core, body)
     with pytest.raises(CertificationError, match="^psi_inv round trip mismatch$"):
         psi_inv(Partition(part), Partition(hat), P2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    # plain tuples that the Partition constructor would repair or refuse
+    [(lambda: psi((7, 0), P2), r"^\(7, 0\) is not a proper wall$"),
+     (lambda: phi((3, 3, 0), P2), r"^\(3, 3, 0\) is not a proper wall$"),
+     (lambda: psi((1, 7), P2), r"^\(1, 7\) is not a proper wall$"),
+     (lambda: psi_inv(Partition((7, 1)), (0,), P2), r"^\(0,\) is not a partition$"),
+     (lambda: phi_inv((1, 0), Partition((1,)), P2), r"^\(1, 0\) is not strict$")],
+    ids=["psi_trailing_zero", "phi_trailing_zero", "psi_increasing",
+         "psi_inv_zero_hat", "phi_inv_trailing_zero"],
+)
+def test_non_canonical_input_is_a_usage_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -6,7 +6,9 @@ No line is longer than 88 characters, so the source line count cannot be
 brought down by joining lines.  Stdout carries one record per command: only
 ``cli.main`` writes it, and every other ``print`` goes to stderr.  The
 reduction maps' cores are paired with their rebuilds and target families in
-one table, ``bijections._maps``: no other module names a core.  The window
+one table, ``bijections._maps``: no other module names a core, and
+``verify`` reaches them only through their certified image,
+``bijections._image``, never the table or the canonical-form rule.  The window
 DP counts the reduced walls alone: outside ``partitions`` only
 ``walls.reduced_counts`` names it, and the product tables name no window
 routine, not even the window table ``partitions._windows`` that the
@@ -88,6 +90,12 @@ def test_only_bijections_names_a_core(path):
         assert names & CORES == set(), f"{path.name} names a core"
     else:
         assert CORES <= names
+
+
+def test_verify_reaches_the_maps_only_through_their_image():
+    names = _names(ast.parse((ROOT / "src" / "youngwalls" / "verify.py").read_text()))
+    assert "_image" in names
+    assert names & {"_maps", "_canonical"} == set()
 
 
 WINDOW_ROUTINES = {"_windows", "_count_window", "_enumerate_window", "reduced_counts",

@@ -6,6 +6,7 @@ import pytest
 
 from youngwalls import (
     ALL_CHECKS,
+    CertificationError,
     Partition,
     VerificationReport,
     WallParams,
@@ -19,7 +20,7 @@ from youngwalls import (
 )
 from youngwalls import enumerate_proper, enumerate_strict, is_reduced, verify
 from youngwalls import proper_counts, reduced_counts, strict_counts
-from youngwalls import bijections, virtual_character, walls, weight
+from youngwalls import bijections, psi, virtual_character, walls, weight
 from youngwalls.bijections import _phi_core, _psi_core
 from youngwalls.walls import column_codes
 from youngwalls.verify import _report, _witness_key
@@ -232,10 +233,21 @@ def walk_flag_flipped(wall, index):
     return perturb
 
 
+def image_lost(m, name):
+    """The cell-wide failure of map ``name`` at ``m``: its images there are
+    not its codomain."""
+    return {"m": m, "map": name, "error": "image does not match codomain"}
+
+
+def wall_failed(m, name, wall, error):
+    """The failure of map ``name`` on ``wall`` of ``m`` blocks."""
+    return {"m": m, "map": name, "partition": wall, "error": error}
+
+
 def psi_image_forged(wall, part, hat):
     """A ``psi`` core sending ``wall`` to (part, hat), and a rebuild core
-    that still returns ``wall`` from it, so only the membership test can
-    tell."""
+    that still returns ``wall`` from it, so only the image certificate's
+    other clauses can tell."""
 
     def perturb(monkeypatch):
         real_psi, real_rebuild = bijections._psi_core, bijections._psi_rebuild_core
@@ -320,32 +332,41 @@ class TestEverySideIsRead:
         assert witness[other] == {}
 
     @pytest.mark.parametrize(
-        "perturb, m, name",
+        "perturb, witness",
         # with delta = 3, family entry m0 is read first at m0 + 6, P(k) at 6k
-        [(table_bumped_at("reduced_counts", 7), 13, "psi"),
-         (table_bumped_at("strict_counts", 7), 13, "phi"),
-         (table_bumped_at("partition_counts", 2), 12, "psi"),
-         (walls_edited_at(13, lambda walls: walls[1:]), 13, "psi"),
-         (walls_edited_at(13, lambda walls: walls[:1] + walls), 13, "psi"),
+        [(table_bumped_at("reduced_counts", 7), image_lost(13, "psi")),
+         (table_bumped_at("strict_counts", 7), image_lost(13, "phi")),
+         (table_bumped_at("partition_counts", 2), image_lost(12, "psi")),
+         (walls_edited_at(13, lambda walls: walls[1:]), image_lost(13, "psi")),
+         (walls_edited_at(13, lambda walls: walls[:1] + walls),
+          image_lost(13, "psi")),
          # (13,) twice and (12, 1) not at all: the counts still match, and
          # only the image set sees that one image is missing
          (walls_edited_at(13, lambda walls: walls[:1] + walls[:1] + walls[2:]),
-          13, "psi"),
+          image_lost(13, "psi")),
          # psi sends (13,) to ((1,), (2,)); each forgery keeps the round trip
-         # and the weight shift
-         (psi_image_forged((13,), Partition((1,)), unchecked(2, 0)), 13, "psi"),
-         (psi_image_forged((13,), unchecked(1, 0), Partition((2,))), 13, "psi"),
-         (psi_image_forged((13,), Partition((1,)), Partition((2, 1))), 13, "psi"),
-         (psi_image_forged((13,), Partition((7,)), Partition((1,))), 13, "psi"),
+         # and the weight shift, and fails the wall on the clause it breaks
+         (psi_image_forged((13,), Partition((1,)), unchecked(2, 0)),
+          wall_failed(13, "psi", (13,), "psi hat size")),
+         (psi_image_forged((13,), unchecked(1, 0), Partition((2,))),
+          wall_failed(13, "psi", (13,), "psi result not reduced")),
+         # 19 blocks for a 13-block wall: only the size clause tells
+         (psi_image_forged((13,), Partition((1,)), Partition((2, 1))),
+          wall_failed(13, "psi", (13,), "psi round trip mismatch")),
+         (psi_image_forged((13,), Partition((7,)), Partition((1,))),
+          wall_failed(13, "psi", (13,), "psi result not reduced")),
          # a reduced wall of the same size and weight, nothing stripped
-         (psi_image_forged((13,), Partition((8, 4, 1)), Partition()), 13, "psi"),
+         (psi_image_forged((13,), Partition((8, 4, 1)), Partition()),
+          wall_failed(13, "psi", (13,), "psi hat size")),
          # parts that no column code covers: no image, and no crash
-         (psi_image_forged((13,), unchecked(25), unchecked(-2)), 13, "psi"),
-         (psi_image_forged((13,), unchecked(-5), Partition((3,))), 13, "psi"),
+         (psi_image_forged((13,), unchecked(25), unchecked(-2)),
+          wall_failed(13, "psi", (13,), "psi result not reduced")),
+         (psi_image_forged((13,), unchecked(-5), Partition((3,))),
+          wall_failed(13, "psi", (13,), "psi result not reduced")),
          # phi's domain is read off the walk's strict flag: (3, 3) leaves it,
-         # and (6,) joins it with an image of an empty hat, no member
-         (walk_flag_flipped((3, 3), 3), 6, "phi"),
-         (walk_flag_flipped((6,), 3), 6, "phi")],
+         # and (6,) joins it with an image of an empty hat
+         (walk_flag_flipped((3, 3), 3), image_lost(6, "phi")),
+         (walk_flag_flipped((6,), 3), wall_failed(6, "phi", (6,), "phi hat size"))],
         ids=["reduced_counts", "strict_counts", "partition_counts",
              "enumerate_proper", "enumerate_proper_twice",
              "walk_duplicates_one_and_drops_another", "non_canonical_hat",
@@ -353,12 +374,10 @@ class TestEverySideIsRead:
              "empty_hat", "part_above_max_m", "negative_part",
              "strict_flag_drops_a_wall", "strict_flag_adds_a_wall"],
     )
-    def test_bijections(self, monkeypatch, perturb, m, name):
+    def test_bijections(self, monkeypatch, perturb, witness):
         perturb(monkeypatch)
         report = verify_bijections(WallParams(2), 20)
-        assert report.counterexample == {
-            "m": m, "map": name, "error": "image does not match codomain"
-        }
+        assert report.counterexample == witness
 
     @pytest.mark.parametrize("rule", ["_reduced_gap", "_removable_at"],
                              ids=["is_reduced", "has_removable_delta"])
@@ -381,11 +400,13 @@ class TestEverySideIsRead:
          (("strict_counts",), verify_count_identity),
          (("reduced_counts", "strict_counts"), verify_count_identity),
          (("proper_counts",), verify_fock),
+         (("reduced_counts",), verify_fock),
          (("strict_weight_table",), verify_vch_identity),
          (("reduced_weight_table",), verify_vch_identity),
          (("strict_weight_table", "reduced_weight_table"), verify_vch_identity)],
         ids=["reduced_counts", "strict_counts", "both_counts", "proper_counts",
-             "strict_weight_table", "reduced_weight_table", "both_weight_tables"],
+             "fock_reduced_counts", "strict_weight_table", "reduced_weight_table",
+             "both_weight_tables"],
     )
     def test_short_table(self, monkeypatch, sides, check):
         # a table five entries short fails at its first missing m, 16
@@ -394,6 +415,16 @@ class TestEverySideIsRead:
         report = check(WallParams(2), 20)
         assert not report.passed
         assert report.counterexample["m"] == 16
+
+
+def test_size_clause_fails_the_public_map_and_verify(monkeypatch):
+    # 19 blocks for the 13-block wall (13,), and a rebuild that still gives
+    # (13,) back: only |part| + 2*delta*|hat| == |lam| tells
+    psi_image_forged((13,), Partition((1,)), Partition((2, 1)))(monkeypatch)
+    with pytest.raises(CertificationError, match="^psi round trip mismatch$"):
+        psi(Partition((13,)), WallParams(2))
+    assert verify_bijections(WallParams(2), 20).counterexample == wall_failed(
+        13, "psi", (13,), "psi round trip mismatch")
 
 
 def one_column_off(real, h):
