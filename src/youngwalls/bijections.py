@@ -3,27 +3,30 @@
 Both maps strip mass in quanta of 2*delta blocks and return a pair: a member
 of the target family (reduced wall, respectively strict partition) plus a
 bookkeeping partition hat recording how many quanta were stripped where,
-k = |hat| in all.  Each map is one pass over the wall.
+k = |hat| in all.  Each map is one pass over the wall, a fold of one local
+step, and each rebuild maps one step over columns or pairs.
 
 * ``psi`` shrinks the prefix above each gap too wide for the reduced-gap
-  rule by that gap's largest quantum count, ending on a reduced wall.
-* ``phi`` deletes equal adjacent pairs (equal parts in a proper wall sit
-  at multiples of delta), ending on a strict partition.
+  rule by that adjacency's quanta (``_psi_step``), ending on a reduced wall.
+* ``phi`` halves each run of equal parts (a run of two or more sits on the
+  delta grid in a proper wall) by ``_phi_step``, ending on a strict
+  partition.
 
 Each map and each rebuild is a core on plain tuples that checks nothing,
 and ``_maps`` is the one table of each map's cores and target family.
-``_image`` is the one certificate of a core's raw image (part, hat), and
-``verify`` runs it too.  ``psi`` and ``phi`` share ``_forward``: the input
-guards (``ValueError``), then that image; each map derives its trace from
-it.  ``psi_inv`` and ``phi_inv`` share ``_inverse``: guards, rebuild core,
-and a replay of the forward core.  No ``Partition`` wraps what is not yet
+``verify`` certifies the four steps over their whole state space and runs
+no core.  ``_image`` is the one certificate of a core's raw image (part,
+hat).  ``psi`` and ``phi`` share ``_forward``: the input guards
+(``ValueError``), then that image; each map derives its trace from it.
+``psi_inv`` and ``phi_inv`` share ``_inverse``: guards, rebuild core, and a
+replay of the forward core.  No ``Partition`` wraps what is not yet
 certified; a failed certification raises ``CertificationError``, which
 ``python -O`` keeps.
 """
 
 from __future__ import annotations
 
-from operator import add
+from itertools import groupby, repeat
 from typing import Callable, NamedTuple
 
 from .partitions import Partition, _canonical
@@ -125,21 +128,26 @@ def _inverse(name: str, part: Partition, hat: Partition,
     return Partition(lam)
 
 
-def _psi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple]:
-    """``psi`` on a proper, non-reduced wall, unchecked, on plain tuples.
+def _psi_step(a: int, b: int, delta: int) -> int:
+    """The quanta t of part ``a`` over ``b`` (0 past the last part): the
+    largest t with a - b >= 2*t*delta, equality allowed only when delta | a."""
+    # off the delta grid the gap must exceed 2*t*delta: one block short
+    return (a - b - (a % delta != 0)) // (2 * delta)
 
-    Gap j lies between parts j and j+1 (the last part is paired against 0)
-    and admits t_j quanta: the largest t with gap >= 2*t*delta, equality
-    allowed only when part j is a multiple of delta.  Shrinking the prefix
-    above a gap changes no gap above it and no residue mod delta, so every
-    t_j is read off the input: part j loses 2*delta*(t_j + t_{j+1} + ...),
-    and that suffix sum is part j of the bookkeeping partition.
+
+def _psi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple]:
+    """``psi`` on a proper, non-reduced wall, unchecked, on plain tuples: a
+    bottom-up fold of ``_psi_step`` over the adjacencies.
+
+    Shrinking the prefix above a gap changes no gap above it and no residue
+    mod delta, so every t_j is read off the input: part j loses
+    2*delta*(t_j + t_{j+1} + ...), and that suffix sum is part j of the
+    bookkeeping partition.
     """
     delta, period = params.delta, params.period
     part, hat, total, lo = [], [], 0, 0
     for a in reversed(lam):
-        # off the delta grid the gap must exceed 2*t*delta: one block short
-        total += (a - lo - (a % delta != 0)) // period
+        total += _psi_step(a, lo, delta)
         lo = a
         if total:
             hat.append(total)
@@ -149,10 +157,16 @@ def _psi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple]:
     return tuple(part[::-1]), tuple(hat[::-1])
 
 
+def _psi_rebuild_step(x: int, h: int, delta: int) -> int:
+    """One column of ``psi_inv``: part x with h quanta of 2*delta put back."""
+    return x + 2 * delta * h
+
+
 def _psi_rebuild_core(reduced: tuple, hat: tuple, params: WallParams) -> tuple:
-    """``psi_inv`` unchecked: adds 2 * hat_i * delta to part i, 0 past either end."""
-    period, pad = params.period, len(hat) - len(reduced)
-    return tuple(map(add, reduced + (0,) * pad, [period * h for h in hat] + [0] * -pad))
+    """``psi_inv`` unchecked: ``_psi_rebuild_step`` per column, 0 past either end."""
+    pad = len(hat) - len(reduced)
+    return tuple(map(_psi_rebuild_step, reduced + (0,) * pad, hat + (0,) * -pad,
+                     repeat(params.delta)))
 
 
 def psi(lam: Partition, params: WallParams) -> MapResult:
@@ -172,27 +186,33 @@ def psi_inv(reduced: Partition, hat: Partition, params: WallParams) -> Partition
     return _inverse("psi", reduced, hat, params)
 
 
-def _phi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple]:
-    """``phi`` on a proper, non-strict partition, unchecked, on plain tuples.
+def _phi_step(v: int, r: int, delta: int) -> tuple[int, int, int]:
+    """``phi`` on a run of r parts v: (kept, pairs, j), keeping r mod 2 of
+    them and emitting r // 2 bookkeeping parts j = v / delta."""
+    return r % 2, r // 2, v // delta
 
-    One pass deletes equal adjacent pairs, tallest first: a part equal to the
-    last one kept takes it out, and the pair's height v (a multiple of delta
-    by properness) gives a bookkeeping part v / delta.
-    """
-    delta, part, hat = params.delta, [], []
-    for a in lam:
-        if part and part[-1] == a:
-            part.pop()
-            hat.append(a // delta)
-        else:
-            part.append(a)
+
+def _phi_core(lam: tuple, params: WallParams) -> tuple[tuple, tuple]:
+    """``phi`` on a proper, non-strict partition, unchecked, on plain
+    tuples: a fold of ``_phi_step`` over the runs of equal parts, tallest
+    first."""
+    part, hat = [], []
+    for v, run in groupby(lam):
+        kept, pairs, j = _phi_step(v, len(list(run)), params.delta)
+        part += [v] * kept
+        hat += [j] * pairs
     return tuple(part), tuple(hat)
 
 
+def _phi_rebuild_step(j: int, delta: int) -> int:
+    """The height of the pair of parts that bookkeeping part j puts back."""
+    return j * delta
+
+
 def _phi_rebuild_core(strict_part: tuple, hat: tuple, params: WallParams) -> tuple:
-    """``phi_inv`` unchecked: adds a pair of parts v * delta for each
-    bookkeeping part v; a partition is the sorted multiset of its parts."""
-    pairs = [v * params.delta for v in hat]
+    """``phi_inv`` unchecked: a pair of parts ``_phi_rebuild_step`` per
+    bookkeeping part; a partition is the sorted multiset of its parts."""
+    pairs = [_phi_rebuild_step(j, params.delta) for j in hat]
     return tuple(sorted([*strict_part, *pairs, *pairs], reverse=True))
 
 

@@ -203,18 +203,12 @@ def cmd_verify(args: argparse.Namespace) -> Record:
     tables = any(check != "euler" for check in checks)
     cells = (args.max_m + 1) * (sum(n_values) + len(n_values)) if tables else 0
     _within_budget(cells, "--n-range")
-    # bijections walks every proper wall of each rank; no other check lists any
-    walls = 0
-    for n in n_values if "bijections" in checks else ():
-        walls += sum(proper_counts(WallParams(n), args.max_m))
-        _within_budget(walls, "--max-m" if n == n_values[0] else "--n-range")
-    # vch's strict table gives each strict partition of m <= n its own
-    # weight (its conjugate's), so a rank's table holds at least that many
-    strict, entries = strict_counts(args.max_m), 0
+    # each vch table holds at most one weight per strict partition of each m
+    per_rank, entries = sum(strict_counts(args.max_m)), 0
     for n in n_values if "vch" in checks else ():
-        entries += sum(strict[: n + 1])
+        entries += per_rank
         _within_budget(entries, "--max-m" if n == n_values[0] else "--n-range")
-    print(f"# plan proper_walls={walls} table_cells={cells}", file=sys.stderr)
+    print(f"# plan table_cells={cells}", file=sys.stderr)
     reports = run_checks(n_values, args.max_m, args.degree, checks)
     for r in reports:
         print(f"# {r.check} {_scope(r.params)} elapsed={r.elapsed:.3f}s",
@@ -304,9 +298,9 @@ MAX_SIZE = 2000
 
 #: Most objects a request may handle, read off the count tables first: the
 #: members of an ``enum`` or ``vch`` set, the numbers ``vch``'s terms may
-#: print (members * (n + 1)), and summed over ``verify``'s ranks, the proper
-#: walls ``bijections`` walks, the table cells, (n + 1) * (max_m + 1), and the
-#: ``vch`` strict table's entries, at least one per strict partition of m <= n.
+#: print (members * (n + 1)), and summed over ``verify``'s ranks, the table
+#: cells, (n + 1) * (max_m + 1), and the ``vch`` tables' entries, at most one
+#: per strict partition of each m <= max_m.
 MAX_OBJECTS = 10**6
 
 

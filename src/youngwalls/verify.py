@@ -13,29 +13,59 @@ partitions, and the window-rule DP with weight-graded entries for reduced
 walls; it enumerates nothing.  ``reduced-equivalence`` compares the gap rule with the
 removable-segment rule on every adjacency a proper wall of at most max_m
 blocks can have, which decides both whole-wall tests; it lists no wall.
-Only ``bijections`` enumerates: one walk of the proper walls per rank,
-whose reduced and strict flags are psi's and phi's domains and which
-carries each wall's packed weight.  It runs the public maps' own certified
-image (``bijections._image``) on them, compares the packed weights of wall
-and image, and checks each map's images against its codomain by count: the
-reduced or strict table times the partition table, never a listing.  A
-failing report carries the smallest offending cell and, where applicable,
-the lexicographically smallest offending object, so failures reproduce
-deterministically.
+``bijections`` lists no wall either.  It checks the steps that the maps'
+cores fold (``bijections._psi_step`` per adjacency, ``_phi_step`` per run,
+a rebuild step per column or pair) and the column codes on every state a
+wall of at most max_m blocks can show them.  With P = 2*delta, t the psi
+step and g ``_reduced_gap``: (1) on a proper adjacency (a, b), b = 0 past
+the last part, and on (0, 0), t >= 0, t == 0 exactly when g(a, b),
+a - P*t >= b and g(a - P*t, b); (2) t and g keep their values when a and
+b both grow by P; (3) the psi rebuild puts column x with h quanta back as
+x + P*h; (4) from a reduced adjacency (x, y), (0, 0) included, and each
+d >= 0, the rebuilt (x + P*d, y) is proper with t == d; (5) phi splits a
+run (v, r) into kept in {0, 1} parts v and (r - kept) / 2 parts j with
+delta*j == v, which the rebuild puts back at v; (6) codes[a + P] equals
+codes[a] + codes[P], and 2*codes[j*delta] equals j*codes[P].  (1) and (4)
+are checked for b < P, and (2) carries them to every pair.
+
+These imply each whole-wall clause.  Let T_i be the sum of t over the
+adjacencies i, i+1, ... of a proper wall lam: psi gives part
+lam_i - P*T_i and hat T_i.  By (1) the hat is a partition, empty exactly
+on the reduced walls; part_i - part_(i+1) >= 0, so the part is canonical,
+and each of its adjacencies is (lam_i - P*t_i, lam_(i+1)) lowered by
+P*T_(i+1), reduced by (1) and (2).  Sizes add up per column, which (3)
+rebuilds.  Rebuilding a reduced wall mu with a hat H puts
+(mu_i + P*d_i, mu_(i+1)), d_i = H_i - H_(i+1), raised by P*H_(i+1), at
+adjacency i: proper with quanta d_i by (4) and (2), so psi maps it back to
+(mu, H), and psi is onto its codomain and, by the round trip, one-to-one.
+phi maps each run on its own, so (5) gives a strict part, a hat that is a
+partition, empty exactly when no run repeats, and the sizes and the round
+trip; a run (j*delta, 2) in (5) fixes the pair rebuilt for each j, so
+rebuilding a strict part with any hat gives runs that phi maps back.  By
+(6), a column lam_i outweighs part_i by T_i*codes[P], and two columns
+j*delta weigh j*codes[P], so the packed weights of a wall and its image
+differ by k = |hat| such columns, which per color is 2k: no digit of a
+member's code exceeds max_m - 2k, so adding them carries none.
+
+A failing report carries the smallest offending cell and, where
+applicable, the lexicographically smallest offending object, so failures
+reproduce deterministically.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
+from itertools import count
 from typing import Any, Callable
 
-from .bijections import CertificationError, _image
+from .bijections import (_phi_rebuild_step, _phi_step, _psi_rebuild_step,
+                         _psi_step)
 from .characters import reduced_weight_table, strict_weight_table, unpack_weight
 from .partitions import odd_counts, partition_counts, strict_counts
 from .series import series_product_odd, series_product_strict
-from .walls import (WallParams, _reduced_gap, _removable_at, _walk_proper,
-                    column_codes, proper_counts, reduced_counts)
+from .walls import (WallParams, _reduced_gap, _removable_at, column_codes,
+                    proper_counts, reduced_counts)
 
 
 class VerificationReport:
@@ -130,8 +160,10 @@ def verify_fock(params: WallParams, max_m: int) -> VerificationReport:
     period = params.period
     reduced = reduced_counts(params, max_m)
     partitions = partition_counts(max_m // period)
+    # m reads P(k) for k <= m // period: a short table ends the column early
     decomposition = [sum(reduced[m - period * k] * partitions[k]
-                         for k in range(m // period + 1)) for m in range(len(reduced))]
+                         for k in range(m // period + 1))
+                     for m in range(min(len(reduced), period * len(partitions)))]
     return _agree("fock", {"n": params.n, "max_m": max_m}, max_m, started,
                   proper=proper_counts(params, max_m), decomposition=decomposition)
 
@@ -176,62 +208,56 @@ def verify_reduced_equivalence(params: WallParams, max_m: int) -> VerificationRe
 
 def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
     """Both reduction maps are total on their domains, invert exactly, hit
-    their full codomains injectively, and shift every color count by 2k.
-
-    Only proper walls are listed, by one walk whose reduced and strict flags
-    are psi's and phi's domains and whose code is the wall's packed weight.
-    Each map's certified image, ``bijections._image``, is bound once; it
-    fails a domain wall or returns a codomain member of as many blocks, and
-    only the weight shift is compared here.  When the images of m repeat
-    none and number the tables' sum over k >= 1 of
-    family(m - 2*delta*k) * P(k), they are the whole codomain.
-    """
+    their full codomains one-to-one, and shift every color count by 2k: the
+    module docstring's local claims on the maps' steps and the column codes,
+    checked over every state a wall of at most max_m blocks can show them.
+    A failing state is recorded as the wall it stands for: an adjacency,
+    one or two columns, or a run."""
     started = time.perf_counter()
-    period = params.period
-    partitions = partition_counts(max_m // period)
-    # a column of 2*delta blocks holds every color twice, so the packed
-    # weights of a wall and its image must differ by k = |hat| such columns,
-    # (2k, ..., 2k).  A member has |part| = m - 2*delta*k, so
-    # b_c + 2k <= m - 2*k*delta + 2k <= max_m for each color count b_c of
-    # part: every digit of the difference lies in [-max_m, max_m], no borrow
-    # crosses a digit, and the one comparison is the per-color one.  No wall
-    # below 2*delta blocks is in a domain.
+    delta, period = params.delta, params.period
     codes = column_codes(params, max_m)
-    cycle = codes[period] if period <= max_m else 0
-    families = {"psi": reduced_counts(params, max_m), "phi": strict_counts(max_m)}
-    # per map and m, the images keyed part + (0,) + hat (injective, as a
-    # member's parts are >= 1)
-    images = {name: [[] for _ in range(max_m + 1)] for name in families}
     failures = []
 
-    def certifier(name: str) -> Callable[[int, tuple, int], None]:
-        image, found = _image(name), images[name]
+    def claim(holds: bool, name: str, error: str, *parts: int) -> None:
+        if not holds:
+            wall = tuple(filter(None, parts))
+            failures.append({"m": sum(wall), "map": name, "partition": wall,
+                             "error": error})
 
-        def certify(m: int, lam: tuple, code: int) -> None:
-            try:
-                part, hat = image(lam, params)
-                if code - sum(map(codes.__getitem__, part)) != sum(hat) * cycle:
-                    raise CertificationError("weight shift mismatch")
-                found[m].append(part + (0,) + hat)
-            except (ValueError, CertificationError) as exc:
-                failures.append({"m": m, "map": name, "partition": lam,
-                                 "error": str(exc)})
-
-        return certify
-
-    psi, phi = certifier("psi"), certifier("phi")
-    for m, lam, reduced, strict, code in _walk_proper(params, max_m):
-        if not reduced:
-            psi(m, lam, code)
-        if not strict:
-            phi(m, lam, code)
-    for m in range(max_m + 1):
-        for name, family in families.items():
-            expected = sum(family[m - period * k] * partitions[k]
-                           for k in range(1, m // period + 1))
-            if not len(set(images[name][m])) == len(images[name][m]) == expected:
-                failures.append(
-                    {"m": m, "map": name, "error": "image does not match codomain"})
+    for v in range(max_m + 1):
+        claim(all(_psi_rebuild_step(v - period * h, h, delta) == v
+                  for h in range(v // period + 1)), "psi", "psi round trip mismatch", v)
+        if v + period <= max_m:
+            claim(codes[v + period] - codes[v] == codes[period], "psi",
+                  "weight shift mismatch", v + period)
+        # the runs (v, r) of proper walls: r >= 2 only on the delta grid
+        longest = 0 if not v else max_m // v if v % delta == 0 else 1
+        if longest >= 2:
+            claim(2 * codes[v] == v // delta * codes[period], "phi",
+                  "weight shift mismatch", v, v)
+        for r in range(1, longest + 1):
+            kept, pairs, j = _phi_step(v, r, delta)
+            claim(kept in (0, 1), "phi", "phi result not strict", *(v,) * r)
+            claim(kept + 2 * pairs == r and (not pairs or delta * j == v
+                                             == _phi_rebuild_step(j, delta)),
+                  "phi", "phi round trip mismatch", *(v,) * r)
+    below = {}  # (t, g) over a = b..max_m - b, for the last P rows b
+    for b in range(max_m // 2 + 1):
+        row = [(_psi_step(a, b, delta), _reduced_gap(a, b, delta))
+               for a in range(b, max_m - b + 1)]
+        for a, now, then in zip(count(b), row, below.pop(b - period, row)):
+            claim(now == then, "psi", "psi step not periodic", a, b)
+        below[b] = row
+        for a, (t, gap) in zip(count(b), row if b < period else ()):
+            if a > b or a % delta == 0:  # proper, or (0, 0)
+                claim(t >= 0 and (t == 0) == gap, "psi", "psi hat size", a, b)
+                claim(a - period * t >= b and _reduced_gap(a - period * t, b, delta),
+                      "psi", "psi result not reduced", a, b)
+        for a, (_, gap) in zip(count(b), row if b < period else ()):
+            for d in range((max_m - a - b) // period + 1 if gap else 0):
+                x, y = _psi_rebuild_step(a, d, delta), _psi_rebuild_step(b, 0, delta)
+                claim(x >= y and (x > y or x % delta == 0) and _psi_step(x, y, delta)
+                      == d, "psi", "image does not match codomain", a + period * d, b)
     return _report("bijections", {"n": params.n, "max_m": max_m}, failures, started)
 
 

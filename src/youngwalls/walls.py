@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import accumulate, repeat
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .partitions import Partition, _count_window, _enumerate_window, _product_table
 
@@ -90,28 +90,6 @@ def has_removable_delta(lam: Partition, params: WallParams) -> bool:
     if not is_proper(lam, params):
         raise ValueError(f"wall {lam!r} is not proper")
     return any(map(_removable_at, lam, lam[1:] + (0,), repeat(params.delta)))
-
-
-def _walk_proper(params: WallParams, M: int) -> Iterator[tuple]:
-    """Every proper wall of at most ``M`` blocks, the empty one included,
-    once each as ``(m, lam, reduced, strict, code)``, in no fixed order.
-
-    Dropping the tallest part of a proper wall leaves one, so the walk puts
-    a part a >= b on a wall of tallest part b (0 if empty), a == b only when
-    delta | b.  Each flag folds in its whole-wall test's rule (``is_reduced``,
-    ``Partition.is_strict``) on the new adjacency (a, b), and the packed
-    weight ``code`` adds ``column_codes(params, M)[a]``; ``verify_bijections``,
-    the walk's one caller, reads psi's and phi's domains off the flags."""
-    delta, codes = params.delta, column_codes(params, M)
-    stack = [(0, (), True, True, 0)]
-    while stack:
-        node = stack.pop()
-        yield node
-        m, lam, reduced, strict, code = node
-        b = lam[0] if lam else 0
-        for a in range(b if lam and b % delta == 0 else b + 1, M - m + 1):
-            stack.append((m + a, (a,) + lam, reduced and _reduced_gap(a, b, delta),
-                          strict and a != b, code + codes[a]))
 
 
 def enumerate_proper(params: WallParams, m: int) -> list[Partition]:

@@ -30,6 +30,8 @@ from youngwalls import (
     weight,
 )
 
+from walk_oracle import verify_bijections_by_walk
+
 P2 = WallParams(2)
 P3 = WallParams(3)
 
@@ -423,9 +425,9 @@ def test_cores_match_their_oracles_on_any_input(n, lam, other):
 
 
 class TestCertification:
-    # the public maps and verify run one certified image of the table of
-    # cores, built per call from the bijections module's globals: rebinding
-    # a core there reaches both
+    # the public maps and the walk oracle run one certified image of the
+    # table of cores, built per call from the bijections module's globals:
+    # rebinding a core there reaches both
 
     def test_verify_catches_certification_failure(self, monkeypatch):
         real = bijections._psi_core
@@ -437,7 +439,7 @@ class TestCertification:
         monkeypatch.setattr(bijections, "_psi_core", wrong_hat)
         with pytest.raises(CertificationError, match="^psi round trip mismatch$"):
             psi(Partition((7,)), P2)
-        assert not verify_bijections(P2, 7).passed
+        assert not verify_bijections_by_walk(P2, 7).passed
 
     def test_verify_catches_a_rebound_rebuild_core(self, monkeypatch):
         real = bijections._phi_rebuild_core
@@ -448,7 +450,7 @@ class TestCertification:
         monkeypatch.setattr(bijections, "_phi_rebuild_core", one_pair_short)
         with pytest.raises(CertificationError, match="^phi round trip mismatch$"):
             phi(Partition((3, 3, 1)), P2)
-        assert verify_bijections(P2, 7).counterexample == {
+        assert verify_bijections_by_walk(P2, 7).counterexample == {
             "m": 6, "map": "phi", "partition": (3, 3),
             "error": "phi round trip mismatch"
         }
@@ -460,7 +462,7 @@ class TestCertification:
             return real(reduced, hat, params) + (1,)
 
         monkeypatch.setattr(bijections, "_psi_rebuild_core", off_by_one_column)
-        report = verify_bijections(P2, 7)
+        report = verify_bijections_by_walk(P2, 7)
         assert not report.passed
         assert report.counterexample == {"m": 6, "map": "psi", "partition": (6,),
                                          "error": "psi round trip mismatch"}
@@ -470,7 +472,7 @@ class TestCertification:
             raise CertificationError("psi result not reduced")
 
         monkeypatch.setattr(bijections, "_psi_core", refusing)
-        report = verify_bijections(P2, 7)
+        report = verify_bijections_by_walk(P2, 7)
         assert not report.passed
         # the wall's own failure, not the image loss it causes at m = 6
         assert report.counterexample == {"m": 6, "map": "psi", "partition": (6,),
@@ -514,31 +516,50 @@ def _nothing_added(part, hat, params):
     return tuple(part)
 
 
+def _no_quanta(a, b, delta):
+    """A broken psi step: no adjacency sheds a quantum."""
+    return 0
+
+
+def _keeps_every_part(v, r, delta):
+    """A broken phi step: keeps the whole run."""
+    return r, 0, v // delta
+
+
+def _adds_nothing(x, h, delta):
+    """A broken psi rebuild step: puts no quantum back."""
+    return x
+
+
+def _pair_at_zero(j, delta):
+    """A broken phi rebuild step: puts each pair back at height 0."""
+    return 0
+
+
 @pytest.mark.parametrize(
-    "core, body, public_call, name, first_wall, error",
-    # a core that strips nothing fails first on its target family
-    [("_psi_core", _nothing_stripped, lambda: psi(Partition((7,)), P2),
-      "psi", (6,), "psi result not reduced"),
-     ("_phi_core", _nothing_stripped, lambda: phi(Partition((3, 3, 1)), P2),
-      "phi", (3, 3), "phi result not strict"),
-     ("_psi_rebuild_core", _nothing_added,
-      lambda: psi_inv(Partition((1,)), Partition((1,)), P2), "psi", (6,),
-      "psi round trip mismatch"),
-     ("_phi_rebuild_core", _nothing_added,
-      lambda: phi_inv(Partition((1,)), Partition((1,)), P2), "phi", (3, 3),
-      "phi round trip mismatch")],
+    "step, body, public_call, witness",
+    # the core that folds or maps the step breaks, and verify reports the
+    # smallest state of the step that breaks a claim
+    [("_psi_step", _no_quanta, lambda: psi(Partition((7,)), P2),
+      {"m": 6, "map": "psi", "partition": (6,), "error": "psi hat size"}),
+     ("_phi_step", _keeps_every_part, lambda: phi(Partition((3, 3, 1)), P2),
+      {"m": 6, "map": "phi", "partition": (3, 3), "error": "phi result not strict"}),
+     ("_psi_rebuild_step", _adds_nothing,
+      lambda: psi_inv(Partition((1,)), Partition((1,)), P2),
+      {"m": 6, "map": "psi", "partition": (6,), "error": "psi round trip mismatch"}),
+     ("_phi_rebuild_step", _pair_at_zero,
+      lambda: phi_inv(Partition((1,)), Partition((1,)), P2),
+      {"m": 6, "map": "phi", "partition": (3, 3), "error": "phi round trip mismatch"})],
     ids=["psi_core", "phi_core", "psi_rebuild_core", "phi_rebuild_core"],
 )
-def test_one_core_serves_map_and_verify(monkeypatch, core, body, public_call,
-                                        name, first_wall, error):
-    # swapping the body of the one function object breaks it for every
-    # caller that holds it: the public map and verify alike
-    monkeypatch.setattr(getattr(bijections, core), "__code__", body.__code__)
+def test_one_core_serves_map_and_verify(monkeypatch, step, body, public_call,
+                                        witness):
+    # swapping the body of the one step function object breaks it for every
+    # caller that holds it: the core that the public map runs, and verify
+    monkeypatch.setattr(getattr(bijections, step), "__code__", body.__code__)
     with pytest.raises((ValueError, CertificationError)):
         public_call()
-    assert verify_bijections(P2, 7).counterexample == {
-        "m": 6, "map": name, "partition": first_wall, "error": error
-    }
+    assert verify_bijections(P2, 7).counterexample == witness
 
 
 @pytest.mark.parametrize("name, wall, family",

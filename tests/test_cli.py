@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -171,17 +172,20 @@ def test_vch_width_budget_boundary(capsys, monkeypatch):
 
 
 def test_verify_budget_counts_only_enumerating_checks(capsys, monkeypatch):
-    # n=2, m <= 8 has 1+1+1+2+2+3+5+6+7 = 28 proper walls, which only
-    # bijections walks, and (2 + 1) * 9 = 27 table cells
-    argv = ["verify", "--n-range", "2", "--max-m", "8", "--checks"]
-    monkeypatch.setattr(cli, "MAX_OBJECTS", 28)
+    # n=2, m <= 12: (2 + 1) * 13 = 39 table cells, and 70 strict partitions,
+    # at most one vch table entry each; bijections lists nothing, so only
+    # the cells bound it
+    argv = ["verify", "--n-range", "2", "--max-m", "12", "--checks"]
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 39)
     assert run_cli(capsys, *argv, "bijections,reduced-equivalence")[0] == 0
     assert run_cli(capsys, *argv, "bijections,reduced-equivalence,counts")[0] == 0
-    monkeypatch.setattr(cli, "MAX_OBJECTS", 27)
-    assert run_cli(capsys, *argv, "reduced-equivalence")[0] == 0
+    code, out, err = run_cli(capsys, *argv, "bijections,vch")
+    assert (code, out, err) == (2, "", "error: --max-m is too large\n")
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 38)
     for checks in ("bijections,reduced-equivalence", "bijections"):
         code, out, err = run_cli(capsys, *argv, checks)
-        assert (code, out, err) == (2, "", "error: --max-m is too large\n")
+        assert (code, out, err) == (2, "", "error: --n-range is too large\n")
+    assert run_cli(capsys, *argv, "euler")[0] == 0
 
 
 def test_verify_refuses_many_ranks_before_any_table(capsys, monkeypatch):
@@ -210,13 +214,13 @@ def test_verify_rank_budget_boundary(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, option",
     [(["--n-range", "100", "--max-m", "110"], "--max-m"),
-     # rank 100 alone holds 826,605 entries at max_m 80; two ranks do not fit
+     # one rank counts 826,605 entries at max_m 80; two ranks do not fit
      (["--n-range", "100..101", "--max-m", "80"], "--n-range")],
 )
 def test_verify_refuses_vch_tables_before_any_is_built(capsys, monkeypatch,
                                                        argv, option):
-    # within the cell budget, but a strict table of rank n holds at least
-    # one entry per strict partition of each m <= min(n, max_m)
+    # within the cell budget, but each table of a rank may hold one entry
+    # per strict partition of each m <= max_m
     def refuse(*args):
         raise AssertionError("weight table built")
 
@@ -236,8 +240,25 @@ def test_verify_vch_entry_budget_boundary(capsys, monkeypatch):
     assert run_cli(capsys, *argv) == (2, "", "error: --max-m is too large\n")
 
 
+def test_default_verify_budget_boundary(capsys):
+    # the strict partitions of m <= 81 number 1e6 or fewer, of m <= 82 more:
+    # vch's table bound, not a walk of the proper walls, sets the limit
+    argv = ["verify", "--n-range", "2", "--max-m"]
+    code, out, _ = run_cli(capsys, *argv, "81")
+    assert code == 0 and out.count("PASS") == 6
+    assert run_cli(capsys, *argv, "82") == (2, "", "error: --max-m is too large\n")
+
+
+def test_verify_refuses_cubic_vch_tables_fast(capsys):
+    # these tables would take minutes to build; the bound is read first
+    started = time.perf_counter()
+    argv = ["verify", "--n-range", "2", "--max-m", "2000", "--checks", "vch"]
+    assert run_cli(capsys, *argv) == (2, "", "error: --max-m is too large\n")
+    assert time.perf_counter() - started < 1
+
+
 def test_verify_budget_counts_a_repeated_check_once(capsys, monkeypatch):
-    # n=2, m <= 7: 21 proper walls for bijections, 24 table cells
+    # n=2, m <= 7: 24 table cells, all that bijections counts
     monkeypatch.setattr(cli, "MAX_OBJECTS", 24)
     argv = ["verify", "--n-range", "2", "--max-m", "7", "--checks"]
     code, once, _ = run_cli(capsys, *argv, "bijections")
@@ -530,18 +551,21 @@ class TestVerify:
         assert "elapsed" in err  # diagnostics stay off stdout
         assert "elapsed" not in out
 
-    @pytest.mark.parametrize("checks, walked", [(None, True), ("bijections", True),
-                                                ("euler,counts", False),
-                                                ("euler", False)])
+    @pytest.mark.parametrize("checks, bijections", [(None, True),
+                                                    ("bijections", True),
+                                                    ("euler,counts", False),
+                                                    ("euler", False)])
     def test_the_plan_line_counts_what_the_budget_admitted(self, capsys, checks,
-                                                           walked):
+                                                           bijections):
+        # bijections lists no wall, so the plan counts the table cells alone
         argv = ["verify", "--n-range", "2..4", "--max-m", "16"]
         code, _, err = run_cli(capsys, *argv, *(["--checks", checks] if checks else []))
         assert code == 0
-        walls = sum(sum(proper_counts(WallParams(n), 16)) for n in (2, 3, 4))
         cells = 17 * (2 + 3 + 4 + 3) if checks != "euler" else 0
-        first, *_ = err.splitlines()
-        assert first == f"# plan proper_walls={walls * walked} table_cells={cells}"
+        first, *rest = err.splitlines()
+        assert first == f"# plan table_cells={cells}"
+        ran = [line.split()[2] for line in rest if line.startswith("# bijections ")]
+        assert ran == ["n=2", "n=3", "n=4"] * bijections
 
     def test_check_selection_and_json(self, capsys):
         code, out, _ = run_cli(

@@ -6,9 +6,11 @@ No line is longer than 88 characters, so the source line count cannot be
 brought down by joining lines.  Stdout carries one record per command: only
 ``cli.main`` writes it, and every other ``print`` goes to stderr.  The
 reduction maps' cores are paired with their rebuilds and target families in
-one table, ``bijections._maps``: no other module names a core, and
-``verify`` reaches them only through their certified image,
-``bijections._image``, never the table or the canonical-form rule.  The window
+one table, ``bijections._maps``: no other module names a core.  Each core is
+the fold (a rebuild core, the map) of one step function, and does none of
+the step's arithmetic, so ``verify``, which certifies the steps, certifies
+what the cores run; ``verify`` names the four steps and no core, image,
+table, walk or enumerator.  The window
 DP counts the reduced walls alone: outside ``partitions`` only
 ``walls.reduced_counts`` names it, and the product tables name no window
 routine, not even the window table ``partitions._windows`` that the
@@ -92,10 +94,33 @@ def test_only_bijections_names_a_core(path):
         assert CORES <= names
 
 
-def test_verify_reaches_the_maps_only_through_their_image():
+STEPS = {"_psi_core": "_psi_step", "_phi_core": "_phi_step",
+         "_psi_rebuild_core": "_psi_rebuild_step",
+         "_phi_rebuild_core": "_phi_rebuild_step"}
+
+
+def test_each_core_is_the_fold_of_its_step():
+    tree = ast.parse((ROOT / "src" / "youngwalls" / "bijections.py").read_text())
+    functions = {top.name: top for top in tree.body
+                 if isinstance(top, ast.FunctionDef)}
+    for core, step in STEPS.items():
+        assert step in _names(functions[core]), core
+        # the quanta, the halving and the height are the step's alone
+        ops = {type(node.op) for node in ast.walk(functions[core])
+               if isinstance(node, ast.BinOp)}
+        assert ops & {ast.FloorDiv, ast.Mod} == set(), core
+        # a step is one expression on one state: no loop, branch or call
+        *_, body = functions[step].body
+        assert isinstance(body, ast.Return), step
+        assert not any(isinstance(node, (ast.comprehension, ast.IfExp, ast.Call))
+                       for node in ast.walk(body)), step
+
+
+def test_verify_reaches_the_maps_only_through_their_steps():
     names = _names(ast.parse((ROOT / "src" / "youngwalls" / "verify.py").read_text()))
-    assert "_image" in names
-    assert names & {"_maps", "_canonical"} == set()
+    assert set(STEPS.values()) <= names
+    assert names & (CORES | {"_image", "_maps", "_canonical", "_walk_proper"}) == set()
+    assert not any(name.startswith("enumerate_") for name in names)
 
 
 WINDOW_ROUTINES = {"_windows", "_count_window", "_enumerate_window", "reduced_counts",

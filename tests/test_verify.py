@@ -1,6 +1,5 @@
 import re
 import time
-import tracemalloc
 
 import pytest
 
@@ -24,6 +23,9 @@ from youngwalls import bijections, psi, virtual_character, walls, weight
 from youngwalls.bijections import _phi_core, _psi_core
 from youngwalls.walls import column_codes
 from youngwalls.verify import _report, _witness_key
+
+import walk_oracle
+from walk_oracle import verify_bijections_by_walk
 
 
 class TestIndividualVerifiers:
@@ -71,23 +73,34 @@ class TestIndividualVerifiers:
         assert verify_bijections(WallParams(n), max_m).passed
         assert time.perf_counter() - started < 5
 
-    def test_bijections_streams_the_walls(self):
-        # 18,219 proper walls at n = 2, m <= 40: a list of them, or of their
-        # nodes, would take the peak well past the images and tables kept
-        tracemalloc.start()
-        try:
-            assert verify_bijections(WallParams(2), 40).passed
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 2**20
+    def test_bijections_at_the_size_bound_lists_no_wall(self, monkeypatch):
+        # O(max_m^2) states of the steps; walking the proper walls of up to
+        # 2000 blocks would never end
+        def refuse(*args):
+            raise AssertionError("bijections walked the proper walls")
+
+        monkeypatch.setattr(walk_oracle, "_walk_proper", refuse)
+        started = time.perf_counter()
+        assert verify_bijections(WallParams(2), 2000).passed
+        assert time.perf_counter() - started < 5
+
+    def test_bijections_runs_no_core_and_no_image(self, monkeypatch):
+        # verify checks the steps that the cores fold, never a core or the
+        # certified image that the public maps run
+        def refuse(*args):
+            raise AssertionError("verify ran a core or an image")
+
+        for name in ("_psi_core", "_phi_core", "_psi_rebuild_core",
+                     "_phi_rebuild_core", "_image"):
+            monkeypatch.setattr(bijections, name, refuse)
+        assert verify_bijections(WallParams(3), 30).passed
 
     def test_reduced_equivalence_at_the_size_bound_lists_no_wall(self,
                                                                  monkeypatch):
         def refuse(*args):
             raise AssertionError("reduced-equivalence enumerated")
 
-        monkeypatch.setattr(verify, "_walk_proper", refuse)
+        monkeypatch.setattr(walk_oracle, "_walk_proper", refuse)
         started = time.perf_counter()
         assert verify_reduced_equivalence(WallParams(2), 2000).passed
         assert time.perf_counter() - started < 5
@@ -115,20 +128,21 @@ class TestIndividualVerifiers:
         def refuse(*args):
             raise AssertionError("vch enumerated")
 
-        monkeypatch.setattr(verify, "_walk_proper", refuse)
+        monkeypatch.setattr(walk_oracle, "_walk_proper", refuse)
         assert verify_vch_identity(WallParams(3), 30).passed
 
     def test_verify_enumerates_only_proper_walls(self):
-        # codomains are counted from the tables, never listed; the one walk
-        # of the proper walls is verify's only enumerator
+        # and not even those: every check reads tables or local states, and
+        # the walk of the proper walls lives on in the tests' oracle alone
         names = [name for name, value in vars(verify).items()
                  if name.startswith(("enumerate_", "_walk_"))
                  and getattr(value, "__module__", None) != verify.__name__]
-        assert names == ["_walk_proper"]
+        assert names == []
 
     def test_each_map_runs_once_per_domain_wall(self, monkeypatch):
-        # the walk's flags decide both domains, so no whole-wall predicate
-        # runs on a walked wall: Partition.is_strict reads phi's images only
+        # in the walk oracle the walk's flags decide both domains, so no
+        # whole-wall predicate runs on a walked wall: Partition.is_strict
+        # reads phi's images only
         params, max_m = WallParams(2), 20
         calls = {"_psi_core": [], "_phi_core": [], "is_strict": []}
 
@@ -145,7 +159,7 @@ class TestIndividualVerifiers:
                                 counted(name, getattr(bijections, name)))
         monkeypatch.setattr(Partition, "is_strict",
                             counted("is_strict", Partition.is_strict))
-        assert verify_bijections(params, max_m).passed
+        assert verify_bijections_by_walk(params, max_m).passed
         proper = sum(proper_counts(params, max_m))
         assert len(calls["_psi_core"]) == proper - sum(reduced_counts(params, max_m))
         assert len(calls["_phi_core"]) == proper - sum(strict_counts(max_m)) == 169
@@ -192,18 +206,21 @@ def truncated(fn, drop):
 
 
 def table_bumped_at(side, index):
+    """The walk oracle with its ``side`` table off by one at ``index``."""
+
     def perturb(monkeypatch):
-        monkeypatch.setattr(verify, side, off_by_one_at(getattr(verify, side), index))
+        real = getattr(walk_oracle, side)
+        monkeypatch.setattr(walk_oracle, side, off_by_one_at(real, index))
 
     return perturb
 
 
 def walls_edited_at(m0, edit):
-    """``verify``'s walk with its walls of ``m0`` blocks, in descending
+    """The oracle's walk with its walls of ``m0`` blocks, in descending
     lexicographic order, replaced by ``edit`` of them."""
 
     def perturb(monkeypatch):
-        real = verify._walk_proper
+        real = walk_oracle._walk_proper
 
         def edited(params, M):
             nodes = list(real(params, M))
@@ -211,16 +228,16 @@ def walls_edited_at(m0, edit):
                            key=lambda node: node[1], reverse=True)
             return [node for node in nodes if node[0] != m0] + edit(at_m0)
 
-        monkeypatch.setattr(verify, "_walk_proper", edited)
+        monkeypatch.setattr(walk_oracle, "_walk_proper", edited)
 
     return perturb
 
 
 def walk_flag_flipped(wall, index):
-    """``verify``'s walk with field ``index`` of ``wall``'s node negated."""
+    """The oracle's walk with field ``index`` of ``wall``'s node negated."""
 
     def perturb(monkeypatch):
-        real = verify._walk_proper
+        real = walk_oracle._walk_proper
 
         def flipped(params, M):
             for node in real(params, M):
@@ -228,7 +245,7 @@ def walk_flag_flipped(wall, index):
                     node = node[:index] + (not node[index],) + node[index + 1:]
                 yield node
 
-        monkeypatch.setattr(verify, "_walk_proper", flipped)
+        monkeypatch.setattr(walk_oracle, "_walk_proper", flipped)
 
     return perturb
 
@@ -375,8 +392,9 @@ class TestEverySideIsRead:
              "strict_flag_drops_a_wall", "strict_flag_adds_a_wall"],
     )
     def test_bijections(self, monkeypatch, perturb, witness):
+        # verify reads neither the walk nor these tables: its oracle does
         perturb(monkeypatch)
-        report = verify_bijections(WallParams(2), 20)
+        report = verify_bijections_by_walk(WallParams(2), 20)
         assert report.counterexample == witness
 
     @pytest.mark.parametrize("rule", ["_reduced_gap", "_removable_at"],
@@ -416,6 +434,15 @@ class TestEverySideIsRead:
         assert not report.passed
         assert report.counterexample["m"] == 16
 
+    def test_short_partition_table(self, monkeypatch):
+        # P(3) is first read at m = 3 * 2*delta = 18: a table one entry short
+        # fails there instead of raising IndexError
+        real = verify.partition_counts
+        monkeypatch.setattr(verify, "partition_counts", truncated(real, 1))
+        report = verify_fock(WallParams(2), 20)
+        assert not report.passed
+        assert report.counterexample == {"m": 18, "proper": 72, "decomposition": None}
+
 
 def test_size_clause_fails_the_public_map_and_verify(monkeypatch):
     # 19 blocks for the 13-block wall (13,), and a rebuild that still gives
@@ -423,7 +450,7 @@ def test_size_clause_fails_the_public_map_and_verify(monkeypatch):
     psi_image_forged((13,), Partition((1,)), Partition((2, 1)))(monkeypatch)
     with pytest.raises(CertificationError, match="^psi round trip mismatch$"):
         psi(Partition((13,)), WallParams(2))
-    assert verify_bijections(WallParams(2), 20).counterexample == wall_failed(
+    assert verify_bijections_by_walk(WallParams(2), 20).counterexample == wall_failed(
         13, "psi", (13,), "psi round trip mismatch")
 
 
@@ -439,23 +466,22 @@ def one_column_off(real, h):
 
 
 class TestPackedWeightCheck:
-    """The wall's packed weight comes from the walk and the image's from
-    ``verify``'s own ``column_codes``: perturbing either side is caught."""
+    """``verify`` compares its own ``column_codes`` per column; in the walk
+    oracle the wall's packed weight comes from the walk and the image's from
+    the oracle's ``column_codes``: perturbing any side is caught."""
 
     def test_the_packed_check_is_read(self, monkeypatch):
         off = one_column_off(verify.column_codes, 1)
         monkeypatch.setattr(verify, "column_codes", off)
         report = verify_bijections(WallParams(2), 20)
-        # phi sends (3, 3, 1) and psi (7,) to ((1,), (1,)); only the image's
-        # one-block column is miscounted, and (3, 3, 1) is the smaller wall
-        assert report.counterexample == {"m": 7, "map": "phi",
-                                         "partition": (3, 3, 1),
+        # a column of 7 blocks must outweigh one of 1 by a column of 6
+        assert report.counterexample == {"m": 7, "map": "psi", "partition": (7,),
                                          "error": "weight shift mismatch"}
 
     def test_the_walks_packed_weight_is_read(self, monkeypatch):
         off = one_column_off(walls.column_codes, 7)
         monkeypatch.setattr(walls, "column_codes", off)
-        report = verify_bijections(WallParams(2), 20)
+        report = verify_bijections_by_walk(WallParams(2), 20)
         # psi sends (7,) to ((1,), (1,)), the first domain wall with a
         # seven-block column; only the walk's code for it is off
         assert report.counterexample == {"m": 7, "map": "psi", "partition": (7,),
@@ -483,6 +509,120 @@ class TestPackedWeightCheck:
                         assert (shift == j * cycle) == per_color == (j == k)
                     compared += 1
         assert compared > 1000
+
+
+# Mutants of the four steps, each a body for the step's one function object:
+# the cores fold the mutated step, so the walk oracle sees it through
+# ``bijections._image``, and ``verify`` evaluates the same object.
+STEP_MUTANTS = {
+    "e_term_flipped": ("_psi_step", lambda a, b, delta:
+                       (a - b - (a % delta == 0)) // (2 * delta)),
+    "e_term_dropped": ("_psi_step", lambda a, b, delta: (a - b) // (2 * delta)),
+    "period_plus_one": ("_psi_step", lambda a, b, delta:
+                        (a - b - (a % delta != 0)) // (2 * delta + 1)),
+    "period_minus_one": ("_psi_step", lambda a, b, delta:
+                         (a - b - (a % delta != 0)) // (2 * delta - 1)),
+    "gap_plus_one": ("_psi_step", lambda a, b, delta:
+                     (a - b + 1 - (a % delta != 0)) // (2 * delta)),
+    "t_capped_at_1": ("_psi_step", lambda a, b, delta:
+                      min((a - b - (a % delta != 0)) // (2 * delta), 1)),
+    "kept_min_r_1": ("_phi_step", lambda v, r, delta: (min(r, 1), r // 2, v // delta)),
+    "pairs_rounded_up": ("_phi_step", lambda v, r, delta:
+                         (r % 2, (r + 1) // 2, v // delta)),
+    "j_plus_one": ("_phi_step", lambda v, r, delta: (r % 2, r // 2, v // delta + 1)),
+    "column_off_by_one": ("_psi_rebuild_step", lambda x, h, delta:
+                          x + 2 * delta * h + (h > 1)),
+    "pair_off_by_one": ("_phi_rebuild_step", lambda j, delta: j * delta + (j > 1)),
+}
+
+
+def seven_as_six(real):
+    """``column_codes`` with a column of 7 blocks weighed as one of 6."""
+
+    def codes(params, M):
+        codes = real(params, M)
+        if M >= 7:
+            codes[7] = codes[6]
+        return codes
+
+    return codes
+
+
+class TestLocalAgainstWalk:
+    """``verify``'s local check and the walk oracle agree: both pass on the
+    shipped steps, and both fail on every mutant of a step or the codes."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_both_pass(self, n):
+        assert verify_bijections(WallParams(n), 24).passed
+        assert verify_bijections_by_walk(WallParams(n), 24).passed
+
+    # at n = 5 two mutants give the reduced adjacencies (13, 1) and (12, 1)
+    # a quantum, and no non-reduced wall of m <= 24 holds them: the walk
+    # passes there, and the local claims, sufficient but not necessary, fail
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("mutant", [*STEP_MUTANTS, "codes_7_as_6"])
+    def test_both_fail_on_each_mutant(self, monkeypatch, mutant, n):
+        if mutant == "codes_7_as_6":
+            # the walk reads walls' binding, the images the oracle's own
+            for module in (verify, walls, walk_oracle):
+                monkeypatch.setattr(module, "column_codes",
+                                    seven_as_six(module.column_codes))
+        else:
+            step, body = STEP_MUTANTS[mutant]
+            monkeypatch.setattr(getattr(bijections, step), "__code__", body.__code__)
+        assert not verify_bijections(WallParams(n), 24).passed
+        assert not verify_bijections_by_walk(WallParams(n), 24).passed
+
+
+def psi_claim(m, wall, error):
+    return {"m": m, "map": "psi", "partition": wall, "error": error}
+
+
+def phi_claim(m, wall, error):
+    return {"m": m, "map": "phi", "partition": wall, "error": error}
+
+
+class TestLocalClaims:
+    """Each mutant fails ``verify``'s local check on the smallest state it
+    breaks, recorded as the wall that state stands for (n = 2, delta = 3)."""
+
+    @pytest.mark.parametrize("mutant, witness", [
+        # (0, 0) past the last part gets t = -1
+        ("e_term_flipped", psi_claim(0, (), "psi hat size")),
+        # a quantum on the reduced adjacency (7, 1): the hat is non-empty on it
+        ("e_term_dropped", psi_claim(8, (7, 1), "psi hat size")),
+        # no quantum on the non-reduced (6, 0)
+        ("period_plus_one", psi_claim(6, (6,), "psi hat size")),
+        ("period_minus_one", psi_claim(7, (6, 1), "psi hat size")),
+        ("gap_plus_one", psi_claim(7, (6, 1), "psi hat size")),
+        # (12, 0) keeps 6 over 0 after one quantum: not a reduced adjacency
+        ("t_capped_at_1", psi_claim(12, (12,), "psi result not reduced")),
+        ("kept_min_r_1", phi_claim(6, (3, 3), "phi round trip mismatch")),
+        ("pairs_rounded_up", phi_claim(1, (1,), "phi round trip mismatch")),
+        ("j_plus_one", phi_claim(6, (3, 3), "phi round trip mismatch")),
+        ("column_off_by_one", psi_claim(12, (12,), "psi round trip mismatch")),
+        ("pair_off_by_one", phi_claim(12, (6, 6), "phi round trip mismatch"))])
+    def test_each_step_mutant(self, monkeypatch, mutant, witness):
+        step, body = STEP_MUTANTS[mutant]
+        monkeypatch.setattr(getattr(bijections, step), "__code__", body.__code__)
+        assert verify_bijections(WallParams(2), 20).counterexample == witness
+
+    def test_periodicity_is_read(self, monkeypatch):
+        # one pair off at b >= 2*delta, where only the row 2*delta below reads it
+        def one_pair_off(a, b, delta):
+            return (a - b - (a % delta != 0)) // (2 * delta) + ((a, b) == (8, 7))
+
+        monkeypatch.setattr(bijections._psi_step, "__code__", one_pair_off.__code__)
+        assert verify_bijections(WallParams(2), 20).counterexample == psi_claim(
+            15, (8, 7), "psi step not periodic")
+
+    def test_the_pair_weight_is_read(self, monkeypatch):
+        # two columns of delta blocks must weigh one column of 2*delta
+        off = one_column_off(verify.column_codes, 3)
+        monkeypatch.setattr(verify, "column_codes", off)
+        assert verify_bijections(WallParams(2), 20).counterexample == phi_claim(
+            6, (3, 3), "weight shift mismatch")
 
 
 class TestReportPlumbing:
@@ -574,14 +714,14 @@ class TestRunChecks:
             (r.check, tuple(r.params.items())) for r in b
         ]
 
-    def test_only_bijections_walks_the_proper_walls(self, monkeypatch):
-        real, walks = verify._walk_proper, []
+    def test_bijections_runs_once_per_rank(self, monkeypatch):
+        real, walks = verify.verify_bijections, []
 
         def counted(params, M):
             walks.append(params.n)
             return real(params, M)
 
-        monkeypatch.setattr(verify, "_walk_proper", counted)
+        monkeypatch.setattr(verify, "verify_bijections", counted)
         reports = run_checks((2, 3), 20, 50, checks=("reduced-equivalence",))
         assert walks == []
         assert all(r.passed for r in reports)

@@ -23,7 +23,9 @@ from youngwalls import (
 )
 from youngwalls.characters import proper_weight_table
 from youngwalls.partitions import _windows
-from youngwalls.walls import _reduced_gap, _walk_proper, column_codes
+from youngwalls.walls import _reduced_gap, column_codes
+
+from walk_oracle import _walk_proper
 
 P2 = WallParams(2)
 P3 = WallParams(3)
@@ -312,8 +314,8 @@ def test_removable_segment_matches_whole_wall_oracle(n):
 
 
 class TestWalk:
-    """``_walk_proper`` against ``enumerate_proper``, the whole-wall flags,
-    the columns' packed weights and the count tables."""
+    """The walk oracle's ``_walk_proper`` against ``enumerate_proper``, the
+    whole-wall flags, the columns' packed weights and the count tables."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_enumerator_and_flags(self, n):
