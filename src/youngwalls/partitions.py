@@ -8,7 +8,7 @@ results are exact at any size.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import ge, gt
+from operator import ge, gt, index
 from typing import Iterable
 
 
@@ -28,7 +28,7 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> Partition:
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(index, parts))
         k = len(parts)
         while k and parts[k - 1] == 0:
             k -= 1

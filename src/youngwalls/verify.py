@@ -17,16 +17,16 @@ blocks can have, which decides both whole-wall tests; it lists no wall.
 cores fold (``bijections._psi_step`` per adjacency, ``_phi_step`` per run,
 a rebuild step per column or pair) and the column codes on every state a
 wall of at most max_m blocks can show them.  With P = 2*delta, t the psi
-step and g ``_reduced_gap``: (1) on a proper adjacency (a, b), b = 0 past
-the last part, and on (0, 0), t >= 0, t == 0 exactly when g(a, b),
-a - P*t >= b and g(a - P*t, b); (2) t and g keep their values when a and
-b both grow by P; (3) the psi rebuild puts column x with h quanta back as
-x + P*h; (4) from a reduced adjacency (x, y), (0, 0) included, and each
-d >= 0, the rebuilt (x + P*d, y) is proper with t == d; (5) phi splits a
-run (v, r) into kept in {0, 1} parts v and (r - kept) / 2 parts j with
-delta*j == v, which the rebuild puts back at v; (6) codes[a + P] equals
-codes[a] + codes[P], and 2*codes[j*delta] equals j*codes[P].  (1) and (4)
-are checked for b < P, and (2) carries them to every pair.
+step, g ``_reduced_gap`` and p ``_proper_gap``: (1) on every (a, b) with p,
+b = 0 past the last part, (0, 0) included, t >= 0, t == 0 exactly when
+g(a, b), a - P*t >= b and g(a - P*t, b); (2) t and g keep their values when
+a and b both grow by P; (3) the psi rebuild puts column x with h quanta
+back as x + P*h; (4) from a reduced adjacency (x, y), (0, 0) included, and
+each d >= 0, the rebuilt (x + P*d, y) has p and t == d; (5) phi splits a
+run (v, r), r >= 2 only with p(v, v), into kept in {0, 1} parts v and
+(r - kept) / 2 parts j with delta*j == v, which the rebuild puts back at v;
+(6) codes[a + P] equals codes[a] + codes[P], and 2*codes[j*delta] equals
+j*codes[P].  (1) and (4) are checked for b < P, and (2) carries them on.
 
 These imply each whole-wall clause.  Let T_i be the sum of t over the
 adjacencies i, i+1, ... of a proper wall lam: psi gives part
@@ -64,8 +64,8 @@ from .bijections import (_phi_rebuild_step, _phi_step, _psi_rebuild_step,
 from .characters import reduced_weight_table, strict_weight_table, unpack_weight
 from .partitions import odd_counts, partition_counts, strict_counts
 from .series import series_product_odd, series_product_strict
-from .walls import (WallParams, _reduced_gap, _removable_at, column_codes,
-                    proper_counts, reduced_counts)
+from .walls import (WallParams, _proper_gap, _reduced_gap, _removable_at,
+                    column_codes, proper_counts, reduced_counts)
 
 
 class VerificationReport:
@@ -193,14 +193,14 @@ def verify_reduced_equivalence(params: WallParams, max_m: int) -> VerificationRe
     ``is_reduced`` is ``all`` of ``_reduced_gap`` and ``has_removable_delta``
     ``any`` of ``_removable_at`` over a wall's adjacencies (a, b), the last
     part against b = 0.  Each adjacency of such a wall has a >= 1,
-    a + b <= max_m, and b < a or b == a with delta | a, so when the rules
-    disagree on none of these O(max_m^2) pairs, the two tests agree on every
-    such wall.  A failing pair is recorded as the wall (a, b), or (a,)."""
+    a + b <= max_m, and b < a, or b == a where ``_proper_gap(a, a)``, so
+    when the rules disagree on none of these O(max_m^2) pairs, the two tests
+    agree on every such wall.  A failing pair is recorded as (a, b), or (a,)."""
     started = time.perf_counter()
     delta = params.delta
     failures = [{"m": a + b, "partition": (a, b) if b else (a,)}
                 for a in range(1, max_m + 1)
-                for b in range(min(a + (a % delta == 0), max_m - a + 1))
+                for b in range(min(a + _proper_gap(a, a, delta), max_m - a + 1))
                 if _reduced_gap(a, b, delta) == _removable_at(a, b, delta)]
     return _report("reduced-equivalence", {"n": params.n, "max_m": max_m},
                    failures, started)
@@ -230,8 +230,8 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
         if v + period <= max_m:
             claim(codes[v + period] - codes[v] == codes[period], "psi",
                   "weight shift mismatch", v + period)
-        # the runs (v, r) of proper walls: r >= 2 only on the delta grid
-        longest = 0 if not v else max_m // v if v % delta == 0 else 1
+        # the runs (v, r) of proper walls: r >= 2 only where (v, v) is proper
+        longest = 0 if not v else max_m // v if _proper_gap(v, v, delta) else 1
         if longest >= 2:
             claim(2 * codes[v] == v // delta * codes[period], "phi",
                   "weight shift mismatch", v, v)
@@ -249,15 +249,15 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
             claim(now == then, "psi", "psi step not periodic", a, b)
         below[b] = row
         for a, (t, gap) in zip(count(b), row if b < period else ()):
-            if a > b or a % delta == 0:  # proper, or (0, 0)
+            if _proper_gap(a, b, delta):  # (0, 0) included
                 claim(t >= 0 and (t == 0) == gap, "psi", "psi hat size", a, b)
                 claim(a - period * t >= b and _reduced_gap(a - period * t, b, delta),
                       "psi", "psi result not reduced", a, b)
         for a, (_, gap) in zip(count(b), row if b < period else ()):
             for d in range((max_m - a - b) // period + 1 if gap else 0):
                 x, y = _psi_rebuild_step(a, d, delta), _psi_rebuild_step(b, 0, delta)
-                claim(x >= y and (x > y or x % delta == 0) and _psi_step(x, y, delta)
-                      == d, "psi", "image does not match codomain", a + period * d, b)
+                claim(_proper_gap(x, y, delta) and _psi_step(x, y, delta) == d, "psi",
+                      "image does not match codomain", a + period * d, b)
     return _report("bijections", {"n": params.n, "max_m": max_m}, failures, started)
 
 

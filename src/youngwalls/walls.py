@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import accumulate, repeat
+from operator import index
 from typing import Iterable
 
 from .partitions import Partition, _count_window, _enumerate_window, _product_table
@@ -34,7 +35,7 @@ class WallParams(namedtuple("WallParams", "n")):
     __slots__ = ()
 
     def __new__(cls, n: int) -> WallParams:
-        if n < 2:
+        if (n := index(n)) < 2:
             raise ValueError(f"rank n must be at least 2, got {n}")
         return super().__new__(cls, n)
 
@@ -53,10 +54,14 @@ class WallParams(namedtuple("WallParams", "n")):
         return 2 * (self.n + 1)
 
 
+def _proper_gap(a: int, b: int, delta: int) -> bool:
+    """The proper rule on part ``a`` over ``b``: ``_reduced_gap`` without its cap."""
+    return b < a or b == a and a % delta == 0
+
+
 def is_proper(lam: Partition, params: WallParams) -> bool:
-    """Equal adjacent positive parts are allowed only at multiples of delta."""
-    delta = params.delta
-    return all(a != b or a % delta == 0 for a, b in zip(lam, lam[1:]))
+    """``_proper_gap`` holds on every adjacency, the last part against 0."""
+    return all(map(_proper_gap, lam, lam[1:] + (0,), repeat(params.delta)))
 
 
 def _reduced_gap(a: int, b: int, delta: int) -> bool:
@@ -67,10 +72,8 @@ def _reduced_gap(a: int, b: int, delta: int) -> bool:
 
 
 def _removable_at(a: int, b: int, delta: int) -> bool:
-    """Whether part ``a`` can drop 2*delta blocks over its right neighbour
-    ``b`` and leave that adjacency weakly decreasing and proper."""
-    shortened = a - 2 * delta
-    return shortened >= b and (shortened != b or shortened % delta == 0)
+    """Whether part ``a`` can shed 2*delta blocks over ``b`` and stay proper."""
+    return _proper_gap(a - 2 * delta, b, delta)
 
 
 def is_reduced(lam: Partition, params: WallParams) -> bool:

@@ -49,6 +49,12 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition((3, -1))
 
+    @pytest.mark.parametrize("parts", [(2.5, 1), (3.0,), ("3",), (3, None)])
+    def test_rejects_non_integer_parts(self, parts):
+        # a float part was truncated and a string one parsed
+        with pytest.raises(TypeError):
+            Partition(parts)
+
     def test_indexing_and_hash_are_the_tuples(self):
         lam = Partition((4, 2))
         assert lam[0] == 4

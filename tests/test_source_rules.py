@@ -15,7 +15,10 @@ DP counts the reduced walls alone: outside ``partitions`` only
 ``walls.reduced_counts`` names it, and the product tables name no window
 routine, not even the window table ``partitions._windows`` that the
 enumerator and both window DPs read, so the two sides of ``fock`` and
-``vch`` stay independent code.
+``vch`` stay independent code.  The proper rule on one adjacency is stated
+once, in ``walls._proper_gap``, which ``is_proper``, ``_removable_at`` and
+``verify`` read: ``verify`` holds no ``%`` at all, and in ``walls`` a ``%`` by
+delta sits only there and in ``_reduced_gap``, the rule with its cap.
 
 Every ``youngwalls`` process pays the package's imports before its first
 command, so they stay small and all up front: no module imports
@@ -121,6 +124,22 @@ def test_verify_reaches_the_maps_only_through_their_steps():
     assert set(STEPS.values()) <= names
     assert names & (CORES | {"_image", "_maps", "_canonical", "_walk_proper"}) == set()
     assert not any(name.startswith("enumerate_") for name in names)
+
+
+def _mods(tree):
+    """(top-level definition, divisor) of every ``%`` in a module."""
+    return [(getattr(top, "name", None), ast.unparse(node.right))
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)]
+
+
+def test_the_proper_rule_is_stated_once():
+    source = ROOT / "src" / "youngwalls"
+    assert _mods(ast.parse((source / "verify.py").read_text())) == []
+    walls = ast.parse((source / "walls.py").read_text())
+    owners = {owner for owner, divisor in _mods(walls)
+              if divisor.split(".")[-1] == "delta"}
+    assert owners == {"_proper_gap", "_reduced_gap"}
 
 
 WINDOW_ROUTINES = {"_windows", "_count_window", "_enumerate_window", "reduced_counts",

@@ -536,6 +536,17 @@ STEP_MUTANTS = {
 }
 
 
+# Mutants of the proper rule, each a whole ``walls._proper_gap``, written in
+# the window form 0 < a - b + e: the walk oracle keeps its own rule, so the
+# checks that must see one are ``bijections`` and ``reduced-equivalence``
+GAP_MUTANTS = {
+    "proper_e_term_dropped": lambda a, b, delta: 0 < a - b,
+    "proper_e_term_flipped": lambda a, b, delta: 0 < a - b + (a % delta != 0),
+    "proper_weak_bound": lambda a, b, delta: 0 <= a - b + (a % delta == 0),
+    "proper_bound_plus_one": lambda a, b, delta: 1 < a - b + (a % delta == 0),
+}
+
+
 def seven_as_six(real):
     """``column_codes`` with a column of 7 blocks weighed as one of 6."""
 
@@ -550,7 +561,8 @@ def seven_as_six(real):
 
 class TestLocalAgainstWalk:
     """``verify``'s local check and the walk oracle agree: both pass on the
-    shipped steps, and both fail on every mutant of a step or the codes."""
+    shipped steps, and both fail on every mutant of a step or the codes.  A
+    mutant of the proper rule fails both checks of ``verify`` that read it."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_both_pass(self, n):
@@ -561,9 +573,15 @@ class TestLocalAgainstWalk:
     # a quantum, and no non-reduced wall of m <= 24 holds them: the walk
     # passes there, and the local claims, sufficient but not necessary, fail
     @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("mutant", [*STEP_MUTANTS, "codes_7_as_6"])
+    @pytest.mark.parametrize("mutant", [*STEP_MUTANTS, "codes_7_as_6", *GAP_MUTANTS])
     def test_both_fail_on_each_mutant(self, monkeypatch, mutant, n):
-        if mutant == "codes_7_as_6":
+        checks = verify_bijections, verify_bijections_by_walk
+        if mutant in GAP_MUTANTS:
+            # walls reads the rule in is_proper and _removable_at
+            for module in (walls, verify):
+                monkeypatch.setattr(module, "_proper_gap", GAP_MUTANTS[mutant])
+            checks = verify_bijections, verify_reduced_equivalence
+        elif mutant == "codes_7_as_6":
             # the walk reads walls' binding, the images the oracle's own
             for module in (verify, walls, walk_oracle):
                 monkeypatch.setattr(module, "column_codes",
@@ -571,8 +589,8 @@ class TestLocalAgainstWalk:
         else:
             step, body = STEP_MUTANTS[mutant]
             monkeypatch.setattr(getattr(bijections, step), "__code__", body.__code__)
-        assert not verify_bijections(WallParams(n), 24).passed
-        assert not verify_bijections_by_walk(WallParams(n), 24).passed
+        for check in checks:
+            assert not check(WallParams(n), 24).passed, check.__name__
 
 
 def psi_claim(m, wall, error):

@@ -23,7 +23,7 @@ from youngwalls import (
 )
 from youngwalls.characters import proper_weight_table
 from youngwalls.partitions import _windows
-from youngwalls.walls import _reduced_gap, column_codes
+from youngwalls.walls import _proper_gap, _reduced_gap, column_codes
 
 from walk_oracle import _walk_proper
 
@@ -44,6 +44,11 @@ def branching_reduced_gap(a, b, delta):
     """Oracle: the reduced-gap rule branching on the delta grid."""
     gap = a - b
     return 0 < gap <= 2 * delta if a % delta else gap < 2 * delta
+
+
+def branching_proper_gap(a, b, delta):
+    """Oracle: the proper rule branching on the delta grid."""
+    return a > b if a % delta else a >= b
 
 
 def naive_weight(lam, params):
@@ -76,6 +81,18 @@ class TestWallParams:
         assert WallParams(3)._replace(n=5) == WallParams(5)
         with pytest.raises(ValueError, match="got 1$"):
             WallParams(3)._replace(n=1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_non_integer_rank_rejected(self, n):
+        # a float rank would give a float delta and float weights
+        with pytest.raises(TypeError):
+            WallParams(n)
+        with pytest.raises(TypeError):
+            WallParams(3)._replace(n=n)
+
+    def test_bool_rank_is_an_int_and_meets_the_rank_rule(self):
+        with pytest.raises(ValueError, match="got 1$"):
+            WallParams(True)
 
     def test_keyword_construction_and_repr(self):
         assert WallParams(n=3) == WallParams(3)
@@ -128,6 +145,8 @@ class TestColumnPredicates:
     def test_proper(self):
         assert is_proper(Partition((3, 3, 1)), P2)
         assert not is_proper(Partition((2, 2, 2)), P2)
+        # a part below its right neighbour is no wall
+        assert not is_proper((1, 2), P2)
         assert is_proper(Partition(), P2)
         assert is_proper(Partition(), P3)
 
@@ -153,6 +172,10 @@ class TestColumnPredicates:
             for b in range(a + 1):
                 assert _reduced_gap(a, b, delta) == branching_reduced_gap(
                     a, b, delta), (a, b)
+            # the proper rule also refuses a part below its right neighbour
+            for b in range(a + 2):
+                assert _proper_gap(a, b, delta) == branching_proper_gap(
+                    a, b, delta), (a, b)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_scalar_rules_read_the_window_table(self, n):
@@ -161,6 +184,7 @@ class TestColumnPredicates:
         params, M = WallParams(n), 30
         delta = params.delta
         for gap, rule in ((2 * delta, lambda a, b: _reduced_gap(a, b, delta)),
+                          (M + 1, lambda a, b: _proper_gap(a, b, delta)),
                           (M + 1, lambda a, b: is_proper(Partition((a, b)), params))):
             windows = _windows(M, delta, gap)
             assert len(windows) == M + 1
