@@ -76,6 +76,16 @@ def _within_budget(objects: int, option: str) -> None:
         raise ValueError(f"{option} is too large")
 
 
+def _states(checks: set[str], n: int, M: int) -> int:
+    """The (a, b) states that ``verify``'s selected O(M^2) checks visit at
+    rank n: bijections' psi rows, b <= M // 2 and b <= a <= M - b, and
+    reduced-equivalence's pairs, 1 <= a <= M and
+    b < min(a + [(n + 1) | a], M + 1 - a)."""
+    rows, pairs = (M + 2) ** 2 // 4, (M + 1) ** 2 // 4 + M // (2 * n + 2)
+    return (rows * ("bijections" in checks)
+            + pairs * ("reduced-equivalence" in checks))
+
+
 def _counts(set_name: str, n: int | None, M: int) -> list[int]:
     """The set's count table for m = 0..M."""
     if set_name == "strict":
@@ -203,11 +213,16 @@ def cmd_verify(args: argparse.Namespace) -> Record:
     tables = any(check != "euler" for check in checks)
     cells = (args.max_m + 1) * (sum(n_values) + len(n_values)) if tables else 0
     _within_budget(cells, "--n-range")
-    # each vch table holds at most one weight per strict partition of each m
-    per_rank, entries = sum(strict_counts(args.max_m)), 0
-    for n in n_values if "vch" in checks else ():
+    # per rank, each vch table holds at most one weight per strict partition
+    # of each m, and bijections and reduced-equivalence visit O(max_m^2) states
+    walked = {"bijections", "reduced-equivalence"} & set(checks)
+    per_rank = sum(strict_counts(args.max_m)) if "vch" in checks else 0
+    entries = states = 0
+    for n in n_values if per_rank or walked else ():
         entries += per_rank
-        _within_budget(entries, "--max-m" if n == n_values[0] else "--n-range")
+        states += _states(walked, n, args.max_m)
+        option = "--max-m" if n == n_values[0] else "--n-range"
+        _within_budget(max(entries, states), option)
     print(f"# plan table_cells={cells}", file=sys.stderr)
     reports = run_checks(n_values, args.max_m, args.degree, checks)
     for r in reports:
@@ -299,8 +314,9 @@ MAX_SIZE = 2000
 #: Most objects a request may handle, read off the count tables first: the
 #: members of an ``enum`` or ``vch`` set, the numbers ``vch``'s terms may
 #: print (members * (n + 1)), and summed over ``verify``'s ranks, the table
-#: cells, (n + 1) * (max_m + 1), and the ``vch`` tables' entries, at most one
-#: per strict partition of each m <= max_m.
+#: cells, (n + 1) * (max_m + 1), the ``vch`` tables' entries, at most one
+#: per strict partition of each m <= max_m, and the (a, b) states of
+#: ``bijections`` and ``reduced-equivalence`` (``_states``).
 MAX_OBJECTS = 10**6
 
 

@@ -172,20 +172,75 @@ def test_vch_width_budget_boundary(capsys, monkeypatch):
 
 
 def test_verify_budget_counts_only_enumerating_checks(capsys, monkeypatch):
-    # n=2, m <= 12: (2 + 1) * 13 = 39 table cells, and 70 strict partitions,
-    # at most one vch table entry each; bijections lists nothing, so only
-    # the cells bound it
-    argv = ["verify", "--n-range", "2", "--max-m", "12", "--checks"]
-    monkeypatch.setattr(cli, "MAX_OBJECTS", 39)
+    # n=2, m <= 16: (2 + 1) * 17 = 51 table cells, 81 bijections states and
+    # 74 reduced-equivalence states, 155 in all, and 169 strict partitions,
+    # at most one vch table entry each; the entries bound vch alone
+    argv = ["verify", "--n-range", "2", "--max-m", "16", "--checks"]
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 155)
     assert run_cli(capsys, *argv, "bijections,reduced-equivalence")[0] == 0
     assert run_cli(capsys, *argv, "bijections,reduced-equivalence,counts")[0] == 0
     code, out, err = run_cli(capsys, *argv, "bijections,vch")
     assert (code, out, err) == (2, "", "error: --max-m is too large\n")
-    monkeypatch.setattr(cli, "MAX_OBJECTS", 38)
-    for checks in ("bijections,reduced-equivalence", "bijections"):
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 81)
+    assert run_cli(capsys, *argv, "bijections")[0] == 0
+    assert run_cli(capsys, *argv, "reduced-equivalence,counts")[0] == 0
+    code, out, err = run_cli(capsys, *argv, "bijections,reduced-equivalence")
+    assert (code, out, err) == (2, "", "error: --max-m is too large\n")
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 50)
+    for checks in ("counts", "euler,fock"):
         code, out, err = run_cli(capsys, *argv, checks)
         assert (code, out, err) == (2, "", "error: --n-range is too large\n")
     assert run_cli(capsys, *argv, "euler")[0] == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+@pytest.mark.parametrize("M", [0, 1, 2, 13, 24, 31])
+def test_verify_budget_counts_the_states_each_check_visits(monkeypatch, n, M):
+    # the distinct (a, b) that bijections' psi step and reduced-equivalence's
+    # removal rule are called on
+    seen = {"bijections": set(), "reduced-equivalence": set()}
+    for check, name in (("bijections", "_psi_step"),
+                        ("reduced-equivalence", "_removable_at")):
+        def logged(a, b, delta, real=getattr(verify, name), states=seen[check]):
+            states.add((a, b))
+            return real(a, b, delta)
+
+        monkeypatch.setattr(verify, name, logged)
+    assert all(report.passed for report in verify.run_checks(
+        (n,), M, 0, ("bijections", "reduced-equivalence")))
+    for check, states in seen.items():
+        assert cli._states({check}, n, M) == len(states), check
+    assert cli._states(set(seen), n, M) == sum(map(len, seen.values()))
+
+
+def test_verify_state_budget_boundary(capsys, monkeypatch):
+    # at m <= 16, rank 2 counts 81 + 74 states and rank 3 counts 81 + 72 + 2
+    argv = ["verify", "--n-range", "2..3", "--max-m", "16", "--checks",
+            "bijections,reduced-equivalence"]
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 310)
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 309)
+    assert run_cli(capsys, *argv) == (2, "", "error: --n-range is too large\n")
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 155)
+    assert run_cli(capsys, *argv[:2], "2", *argv[3:])[0] == 0
+    monkeypatch.setattr(cli, "MAX_OBJECTS", 154)
+    assert run_cli(capsys, *argv[:2], "2", *argv[3:]) == (
+        2, "", "error: --max-m is too large\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # one rank over: 1,002,001 states, though 986,493 table cells fit
+    ["--n-range", "2..30", "--max-m", "2000", "--checks", "bijections"],
+    ["--n-range", "2..30", "--max-m", "2000", "--checks", "reduced-equivalence"],
+    # 1,001,000 and 1,000,333 states at one rank, just over 10**6
+    ["--n-range", "2", "--max-m", "1999", "--checks", "bijections"],
+    ["--n-range", "2", "--max-m", "1999", "--checks", "reduced-equivalence"],
+])
+def test_verify_refuses_quadratic_checks_fast(capsys, argv):
+    # admitted, each would run 0.2 s to 18 s (CPython 3.11.7, 2-vCPU VM)
+    started = time.perf_counter()
+    assert run_cli(capsys, "verify", *argv) == (2, "", "error: --max-m is too large\n")
+    assert time.perf_counter() - started < 1
 
 
 def test_verify_refuses_many_ranks_before_any_table(capsys, monkeypatch):
@@ -258,7 +313,8 @@ def test_verify_refuses_cubic_vch_tables_fast(capsys):
 
 
 def test_verify_budget_counts_a_repeated_check_once(capsys, monkeypatch):
-    # n=2, m <= 7: 24 table cells, all that bijections counts
+    # n=2, m <= 7: 24 table cells and 20 bijections states; counted twice,
+    # the states would be 40
     monkeypatch.setattr(cli, "MAX_OBJECTS", 24)
     argv = ["verify", "--n-range", "2", "--max-m", "7", "--checks"]
     code, once, _ = run_cli(capsys, *argv, "bijections")

@@ -19,6 +19,9 @@ enumerator and both window DPs read, so the two sides of ``fock`` and
 once, in ``walls._proper_gap``, which ``is_proper``, ``_removable_at`` and
 ``verify`` read: ``verify`` holds no ``%`` at all, and in ``walls`` a ``%`` by
 delta sits only there and in ``_reduced_gap``, the rule with its cap.
+``euler``'s two sides are the product of (1 + t^i) and the odd-part DP:
+``verify`` names neither ``series_product_odd`` nor ``reciprocal``, a second
+odd-parts side.
 
 Every ``youngwalls`` process pays the package's imports before its first
 command, so they stay small and all up front: no module imports
@@ -140,6 +143,12 @@ def test_the_proper_rule_is_stated_once():
     owners = {owner for owner, divisor in _mods(walls)
               if divisor.split(".")[-1] == "delta"}
     assert owners == {"_proper_gap", "_reduced_gap"}
+
+
+def test_euler_has_one_odd_parts_side():
+    names = _names(ast.parse((ROOT / "src" / "youngwalls" / "verify.py").read_text()))
+    assert names & {"series_product_odd", "reciprocal"} == set()
+    assert {"series_product_strict", "odd_counts"} <= names
 
 
 WINDOW_ROUTINES = {"_windows", "_count_window", "_enumerate_window", "reduced_counts",

@@ -25,6 +25,7 @@ from youngwalls.walls import column_codes
 from youngwalls.verify import _report, _witness_key
 
 import walk_oracle
+from grid import off_by_one_at, term_off_by_one_at
 from walk_oracle import verify_bijections_by_walk
 
 
@@ -173,29 +174,6 @@ class TestIndividualVerifiers:
         assert verify_bijections(params, params.period - 1).passed
 
 
-def off_by_one_at(fn, m0):
-    """``fn`` with the degree-``m0`` entry of its table or series raised by 1."""
-
-    def bumped(*args):
-        values = list(fn(*args))
-        values[m0] += 1
-        return values
-
-    return bumped
-
-
-def term_off_by_one_at(fn, m0):
-    """``fn`` with one weight term of the degree-``m0`` entry of its weight
-    table raised by 1."""
-
-    def bumped(*args):
-        table = [dict(entry) for entry in fn(*args)]
-        table[m0][min(table[m0])] += 1
-        return table
-
-    return bumped
-
-
 def truncated(fn, drop):
     """``fn`` with the last ``drop`` entries of its table cut off."""
 
@@ -294,18 +272,22 @@ class TestEverySideIsRead:
     """Each check fails, at the perturbed degree, when any one of its
     independent sides is off by one there."""
 
-    @pytest.mark.parametrize(
-        "side",
-        ["series_product_strict", "series_product_odd", "strict_counts", "odd_counts"],
-    )
+    @pytest.mark.parametrize("side", ["series_product_strict", "odd_counts"])
     def test_euler(self, monkeypatch, side):
         monkeypatch.setattr(verify, side, off_by_one_at(getattr(verify, side), 17))
         report = verify_euler(40)
         assert not report.passed
         assert report.counterexample["m"] == 17
-        assert set(report.counterexample) == {
-            "m", "strict_series", "odd_series", "strict_count", "odd_count"
-        }
+        assert set(report.counterexample) == {"m", "strict_series", "odd_count"}
+
+    def test_euler_reads_no_pentagonal_strict_table(self, monkeypatch):
+        # prod (1 - t^(2i)) / prod (1 - t^i) is the odd-parts series once
+        # the even factors cancel: as a side it would read the identity
+        def refuse(*args):
+            raise AssertionError("euler built the pentagonal strict table")
+
+        monkeypatch.setattr(verify, "strict_counts", refuse)
+        assert verify_euler(200).passed
 
     @pytest.mark.parametrize("side", ["reduced_counts", "strict_counts"])
     def test_counts(self, monkeypatch, side):
