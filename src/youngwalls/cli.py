@@ -20,7 +20,7 @@ from .bijections import phi, phi_inv, psi, psi_inv
 from .characters import (proper_weight_table, reduced_weight_table,
                          strict_weight_table, unpack_weight)
 from .partitions import Partition, _canonical, enumerate_strict, strict_counts
-from .verify import ALL_CHECKS, _refuse_unknown, run_checks
+from .verify import ALL_CHECKS, MAX_OBJECTS, plan, run_checks
 from .walls import (
     WallParams,
     enumerate_proper,
@@ -74,16 +74,6 @@ def _scope(params: dict[str, Any]) -> str:
 def _within_budget(objects: int, option: str) -> None:
     if objects > MAX_OBJECTS:
         raise ValueError(f"{option} is too large")
-
-
-def _states(checks: set[str], n: int, M: int) -> int:
-    """The (a, b) states that ``verify``'s selected O(M^2) checks visit at
-    rank n: bijections' psi rows, b <= M // 2 and b <= a <= M - b, and
-    reduced-equivalence's pairs, 1 <= a <= M and
-    b < min(a + [(n + 1) | a], M + 1 - a)."""
-    rows, pairs = (M + 2) ** 2 // 4, (M + 1) ** 2 // 4 + M // (2 * n + 2)
-    return (rows * ("bijections" in checks)
-            + pairs * ("reduced-equivalence" in checks))
 
 
 def _counts(set_name: str, n: int | None, M: int) -> list[int]:
@@ -208,22 +198,7 @@ def cmd_verify(args: argparse.Namespace) -> Record:
     if "" in names:
         raise ValueError("--checks has an empty check name")
     checks = tuple(dict.fromkeys(names))
-    _refuse_unknown(checks)
-    # per-rank tables grow with n too: vch's weight codes hold n + 1 counts
-    tables = any(check != "euler" for check in checks)
-    cells = (args.max_m + 1) * (sum(n_values) + len(n_values)) if tables else 0
-    _within_budget(cells, "--n-range")
-    # per rank, each vch table holds at most one weight per strict partition
-    # of each m, and bijections and reduced-equivalence visit O(max_m^2) states
-    walked = {"bijections", "reduced-equivalence"} & set(checks)
-    per_rank = sum(strict_counts(args.max_m)) if "vch" in checks else 0
-    entries = states = 0
-    for n in n_values if per_rank or walked else ():
-        entries += per_rank
-        states += _states(walked, n, args.max_m)
-        option = "--max-m" if n == n_values[0] else "--n-range"
-        _within_budget(max(entries, states), option)
-    print(f"# plan table_cells={cells}", file=sys.stderr)
+    print(f"# plan table_cells={plan(n_values, args.max_m, checks)}", file=sys.stderr)
     reports = run_checks(n_values, args.max_m, args.degree, checks)
     for r in reports:
         print(f"# {r.check} {_scope(r.params)} elapsed={r.elapsed:.3f}s",
@@ -246,7 +221,8 @@ def text_verify(payload: dict[str, Any]) -> Iterator[str]:
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     """The CLI parser.  Given a command's name, it holds that command's
     subparser alone, so a call builds only what it runs; otherwise, as for
-    ``--help`` or an unknown name, it holds all of them."""
+    ``--help``, it holds all of them, and an unknown name exits as a usage
+    error."""
     sets = {"choices": ("proper", "reduced", "strict"), "required": True}
     rank = {"type": int, "required": True, "help": "wall rank, at least 2"}
     optional_rank = {**rank, "required": False}
@@ -299,6 +275,10 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
             p.add_argument(option, **keywords)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(func=func, text=text)
+    if only not in commands and only is not None and not only.startswith("-"):
+        # worded here, since argparse drops its quotes on some Python versions
+        parser.error(f"argument command: invalid choice: {only!r} "
+                     f"(choose from {', '.join(map(repr, commands))})")
     return parser
 
 
@@ -310,15 +290,6 @@ MAX_RANK = 10**6
 #: window-rule count table holds O(M^2) big integers, and ``count --set
 #: reduced --n 1000000`` at this size already takes about 0.6 s and 100 MB.
 MAX_SIZE = 2000
-
-#: Most objects a request may handle, read off the count tables first: the
-#: members of an ``enum`` or ``vch`` set, the numbers ``vch``'s terms may
-#: print (members * (n + 1)), and summed over ``verify``'s ranks, the table
-#: cells, (n + 1) * (max_m + 1), the ``vch`` tables' entries, at most one
-#: per strict partition of each m <= max_m, and the (a, b) states of
-#: ``bijections`` and ``reduced-equivalence`` (``_states``).
-MAX_OBJECTS = 10**6
-
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv

@@ -49,7 +49,9 @@ member's code exceeds max_m - 2k, so adding them carries none.
 
 A failing report carries the smallest offending cell and, where
 applicable, the lexicographically smallest offending object, so failures
-reproduce deterministically.
+reproduce deterministically.  ``plan`` sizes a run from closed forms
+before any table is built, and ``run_checks`` and the CLI both refuse,
+with its ValueError, a run over ``MAX_OBJECTS``.
 """
 
 from __future__ import annotations
@@ -92,20 +94,12 @@ class VerificationReport:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-def _report(
-    check: str,
-    params: dict[str, Any],
-    failures: list[dict[str, Any]],
-    started: float,
-) -> VerificationReport:
+def _report(check: str, params: dict[str, Any], failures: list[dict[str, Any]],
+            started: float) -> VerificationReport:
     witness = min(failures, key=_witness_key) if failures else None
-    return VerificationReport(
-        check=check,
-        params=params,
-        passed=not failures,
-        counterexample=witness,
-        elapsed=time.perf_counter() - started,
-    )
+    return VerificationReport(check, params, passed=not failures,
+                              counterexample=witness,
+                              elapsed=time.perf_counter() - started)
 
 
 def _witness_key(failure: dict[str, Any]) -> tuple:
@@ -270,17 +264,52 @@ ALL_CHECKS = (
 )
 
 
-def _refuse_unknown(checks: tuple[str, ...]) -> None:
-    unknown = [c for c in checks if c not in ALL_CHECKS]
-    if unknown:
+#: Most objects a request may handle, read off count tables or closed forms
+#: before anything is built: the members of an ``enum`` or ``vch`` set, the
+#: numbers ``vch``'s terms may print, and each of ``plan``'s three sums.
+MAX_OBJECTS = 10**6
+
+
+def _states(checks: set[str], n: int, M: int) -> int:
+    """The (a, b) states that the selected O(M^2) checks visit at rank n:
+    bijections' psi rows, b <= M // 2 and b <= a <= M - b, and
+    reduced-equivalence's pairs, 1 <= a <= M and
+    b < min(a + [(n + 1) | a], M + 1 - a)."""
+    rows, pairs = (M + 2) ** 2 // 4, (M + 1) ** 2 // 4 + M // (2 * n + 2)
+    return (rows * ("bijections" in checks)
+            + pairs * ("reduced-equivalence" in checks))
+
+
+def plan(n_values: tuple[int, ...], max_m: int, checks: tuple[str, ...]) -> int:
+    """The table cells the checks build, once they are admitted: a
+    ValueError names an unknown check, else the option to lower when the
+    cells, the vch entries or the walked states exceed MAX_OBJECTS."""
+    if unknown := [c for c in checks if c not in ALL_CHECKS]:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    # per-rank tables grow with n too: vch's weight codes hold n + 1 counts
+    tables = any(check != "euler" for check in checks)
+    cells = (max_m + 1) * (sum(n_values) + len(n_values)) if tables else 0
+    if cells > MAX_OBJECTS:
+        raise ValueError("--n-range is too large")
+    # per rank, each vch table holds at most one weight per strict partition
+    # of each m, and bijections and reduced-equivalence visit O(max_m^2) states
+    walked = {"bijections", "reduced-equivalence"} & set(checks)
+    per_rank = sum(strict_counts(max_m)) if "vch" in checks else 0
+    entries = states = 0
+    for rank, n in enumerate(n_values if per_rank or walked else ()):
+        entries += per_rank
+        states += _states(walked, n, max_m)
+        if max(entries, states) > MAX_OBJECTS:
+            raise ValueError(f"{'--n-range' if rank else '--max-m'} is too large")
+    return cells
 
 
 def run_checks(n_values: tuple[int, ...], max_m: int, euler_degree: int,
                checks: tuple[str, ...] = ALL_CHECKS) -> list[VerificationReport]:
-    """Run the selected checks over all ranks; reports come back ordered by
-    (check, n) so identical invocations produce identical output."""
-    _refuse_unknown(checks)
+    """Run the selected checks over all ranks once ``plan`` admits them;
+    reports come back ordered by (check, n), so identical invocations
+    produce identical output."""
+    plan(n_values, max_m, checks)
     # built per call, not at module level: the perfbench tracer rebinds the
     # module's verify_* globals, and a module-level dict would keep calling
     # the unwrapped functions and read zero for every verify.* layer metric

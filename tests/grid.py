@@ -121,16 +121,17 @@ def _other_argvs() -> list[list[str]]:
     for set_name, n in (("strict", None), ("reduced", 2), ("reduced", 3),
                         ("proper", 2), ("proper", 5)):
         rank = [] if n is None else ["--n", str(n)]
-        argvs += [["enum", "--set", set_name, *rank, "--m", str(m)] for m in (0, 1, 13)]
         argvs += [["count", "--set", set_name, *rank, "--max-m", "20"]]
-        argvs += [["vch", "--set", set_name, "--n", str(n or 2), "--m", str(m)]
-                  for m in (0, 7, 13)]
+    argvs += [["enum", "--set", "strict", "--m", str(m)] for m in (0, 1, 13)]
+    argvs += [[command, "--set", set_name, "--n", str(n), "--m", str(m)]
+              for command in ("enum", "vch")
+              for set_name in ("proper", "reduced", "strict")
+              for n in (2, 3, 5) for m in (0, 1, 7, 13, 20)]
     argvs += [["pschar", "--n", str(n), "--degree", "30"] for n in (2, 5)]
     argvs += [["weight", "--n", str(n), "--partition", partition]
               for n, partition in ((2, "7"), (2, ""), (3, "20,9,9,1"), (2, "1,2"))]
-    # usage and domain errors; argparse words an unknown command differently
-    # across Python versions, so that one is left to the usage goldens
-    argvs += [["--help"], ["weight", "--help"], ["verify", "--help"],
+    # usage and domain errors
+    argvs += [["--help"], ["weight", "--help"], ["verify", "--help"], ["bogus"],
               ["enum", "--set", "proper", "--m", "5"],
               ["weight", "--n", "3", "--partition", "1", "extra"],
               ["enum", "--set", "strict", "--m", "-1"],

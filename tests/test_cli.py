@@ -176,17 +176,17 @@ def test_verify_budget_counts_only_enumerating_checks(capsys, monkeypatch):
     # 74 reduced-equivalence states, 155 in all, and 169 strict partitions,
     # at most one vch table entry each; the entries bound vch alone
     argv = ["verify", "--n-range", "2", "--max-m", "16", "--checks"]
-    monkeypatch.setattr(cli, "MAX_OBJECTS", 155)
+    monkeypatch.setattr(verify, "MAX_OBJECTS", 155)
     assert run_cli(capsys, *argv, "bijections,reduced-equivalence")[0] == 0
     assert run_cli(capsys, *argv, "bijections,reduced-equivalence,counts")[0] == 0
     code, out, err = run_cli(capsys, *argv, "bijections,vch")
     assert (code, out, err) == (2, "", "error: --max-m is too large\n")
-    monkeypatch.setattr(cli, "MAX_OBJECTS", 81)
+    monkeypatch.setattr(verify, "MAX_OBJECTS", 81)
     assert run_cli(capsys, *argv, "bijections")[0] == 0
     assert run_cli(capsys, *argv, "reduced-equivalence,counts")[0] == 0
     code, out, err = run_cli(capsys, *argv, "bijections,reduced-equivalence")
     assert (code, out, err) == (2, "", "error: --max-m is too large\n")
-    monkeypatch.setattr(cli, "MAX_OBJECTS", 50)
+    monkeypatch.setattr(verify, "MAX_OBJECTS", 50)
     for checks in ("counts", "euler,fock"):
         code, out, err = run_cli(capsys, *argv, checks)
         assert (code, out, err) == (2, "", "error: --n-range is too large\n")
@@ -209,37 +209,58 @@ def test_verify_budget_counts_the_states_each_check_visits(monkeypatch, n, M):
     assert all(report.passed for report in verify.run_checks(
         (n,), M, 0, ("bijections", "reduced-equivalence")))
     for check, states in seen.items():
-        assert cli._states({check}, n, M) == len(states), check
-    assert cli._states(set(seen), n, M) == sum(map(len, seen.values()))
+        assert verify._states({check}, n, M) == len(states), check
+    assert verify._states(set(seen), n, M) == sum(map(len, seen.values()))
 
 
 def test_verify_state_budget_boundary(capsys, monkeypatch):
     # at m <= 16, rank 2 counts 81 + 74 states and rank 3 counts 81 + 72 + 2
     argv = ["verify", "--n-range", "2..3", "--max-m", "16", "--checks",
             "bijections,reduced-equivalence"]
-    monkeypatch.setattr(cli, "MAX_OBJECTS", 310)
+    monkeypatch.setattr(verify, "MAX_OBJECTS", 310)
     assert run_cli(capsys, *argv)[0] == 0
-    monkeypatch.setattr(cli, "MAX_OBJECTS", 309)
+    monkeypatch.setattr(verify, "MAX_OBJECTS", 309)
     assert run_cli(capsys, *argv) == (2, "", "error: --n-range is too large\n")
-    monkeypatch.setattr(cli, "MAX_OBJECTS", 155)
+    monkeypatch.setattr(verify, "MAX_OBJECTS", 155)
     assert run_cli(capsys, *argv[:2], "2", *argv[3:])[0] == 0
-    monkeypatch.setattr(cli, "MAX_OBJECTS", 154)
+    monkeypatch.setattr(verify, "MAX_OBJECTS", 154)
     assert run_cli(capsys, *argv[:2], "2", *argv[3:]) == (
         2, "", "error: --max-m is too large\n")
 
 
-@pytest.mark.parametrize("argv", [
+QUADRATIC = [
     # one rank over: 1,002,001 states, though 986,493 table cells fit
     ["--n-range", "2..30", "--max-m", "2000", "--checks", "bijections"],
     ["--n-range", "2..30", "--max-m", "2000", "--checks", "reduced-equivalence"],
     # 1,001,000 and 1,000,333 states at one rank, just over 10**6
     ["--n-range", "2", "--max-m", "1999", "--checks", "bijections"],
     ["--n-range", "2", "--max-m", "1999", "--checks", "reduced-equivalence"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", QUADRATIC)
 def test_verify_refuses_quadratic_checks_fast(capsys, argv):
     # admitted, each would run 0.2 s to 18 s (CPython 3.11.7, 2-vCPU VM)
     started = time.perf_counter()
     assert run_cli(capsys, "verify", *argv) == (2, "", "error: --max-m is too large\n")
+    assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("argv", QUADRATIC + [
+    ["--n-range", "2", "--max-m", "2000", "--checks", "vch"]])
+def test_run_checks_refuses_what_verify_refuses_fast(monkeypatch, argv):
+    # the library call gets the CLI's refusal, before any table or state
+    def refuse(*args):
+        raise AssertionError("work done before the budget")
+
+    for name in ("strict_weight_table", "reduced_weight_table", "_psi_step",
+                 "_removable_at"):
+        monkeypatch.setattr(verify, name, refuse)
+    options = dict(zip(argv[::2], argv[1::2]))
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="^--max-m is too large$"):
+        verify.run_checks(parse_n_range(options["--n-range"]),
+                          int(options["--max-m"]), 0, (options["--checks"],))
     assert time.perf_counter() - started < 1
 
 
@@ -252,16 +273,19 @@ def test_verify_refuses_many_ranks_before_any_table(capsys, monkeypatch):
     argv = ["verify", "--n-range", "2..1000000", "--max-m", "8", "--checks"]
     code, out, err = run_cli(capsys, *argv, "counts")
     assert (code, out, err) == (2, "", "error: --n-range is too large\n")
-    # euler builds no per-rank table, so the ranks do not bound it
+    # euler builds no per-rank table, so the ranks do not bound it, nor are
+    # they walked to size the other checks
+    started = time.perf_counter()
     assert run_cli(capsys, *argv, "euler")[0] == 0
+    assert time.perf_counter() - started < 1
 
 
 def test_verify_rank_budget_boundary(capsys, monkeypatch):
     # ranks 2 and 3 at max_m 7: (3 + 4) * 8 = 56 table cells
     argv = ["verify", "--n-range", "2..3", "--max-m", "7", "--checks", "counts"]
-    monkeypatch.setattr(cli, "MAX_OBJECTS", 56)
+    monkeypatch.setattr(verify, "MAX_OBJECTS", 56)
     assert run_cli(capsys, *argv)[0] == 0
-    monkeypatch.setattr(cli, "MAX_OBJECTS", 55)
+    monkeypatch.setattr(verify, "MAX_OBJECTS", 55)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", "error: --n-range is too large\n")
 
@@ -289,9 +313,9 @@ def test_verify_vch_entry_budget_boundary(capsys, monkeypatch):
     # n = 30, max_m = 30: 31 * 31 = 961 table cells fit where the 2,035
     # strict partitions of m <= 30 do not
     argv = ["verify", "--n-range", "30", "--max-m", "30", "--checks", "vch"]
-    monkeypatch.setattr(cli, "MAX_OBJECTS", 2035)
+    monkeypatch.setattr(verify, "MAX_OBJECTS", 2035)
     assert run_cli(capsys, *argv)[0] == 0
-    monkeypatch.setattr(cli, "MAX_OBJECTS", 2034)
+    monkeypatch.setattr(verify, "MAX_OBJECTS", 2034)
     assert run_cli(capsys, *argv) == (2, "", "error: --max-m is too large\n")
 
 
@@ -315,7 +339,7 @@ def test_verify_refuses_cubic_vch_tables_fast(capsys):
 def test_verify_budget_counts_a_repeated_check_once(capsys, monkeypatch):
     # n=2, m <= 7: 24 table cells and 20 bijections states; counted twice,
     # the states would be 40
-    monkeypatch.setattr(cli, "MAX_OBJECTS", 24)
+    monkeypatch.setattr(verify, "MAX_OBJECTS", 24)
     argv = ["verify", "--n-range", "2", "--max-m", "7", "--checks"]
     code, once, _ = run_cli(capsys, *argv, "bijections")
     assert code == 0

@@ -21,7 +21,10 @@ once, in ``walls._proper_gap``, which ``is_proper``, ``_removable_at`` and
 delta sits only there and in ``_reduced_gap``, the rule with its cap.
 ``euler``'s two sides are the product of (1 + t^i) and the odd-part DP:
 ``verify`` names neither ``series_product_odd`` nor ``reciprocal``, a second
-odd-parts side.
+odd-parts side.  ``verify`` owns its work budget, so that a library
+``run_checks`` refuses what the CLI refuses: ``cli`` imports no private
+``verify`` name, ``cmd_verify`` holds no check name, and ``MAX_OBJECTS`` is
+assigned in one module alone.
 
 Every ``youngwalls`` process pays the package's imports before its first
 command, so they stay small and all up front: no module imports
@@ -38,6 +41,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from youngwalls.verify import ALL_CHECKS
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "youngwalls").glob("*.py"))
@@ -149,6 +154,26 @@ def test_euler_has_one_odd_parts_side():
     names = _names(ast.parse((ROOT / "src" / "youngwalls" / "verify.py").read_text()))
     assert names & {"series_product_odd", "reciprocal"} == set()
     assert {"series_product_strict", "odd_counts"} <= names
+
+
+def test_verify_owns_its_budget():
+    cli = ast.parse((ROOT / "src" / "youngwalls" / "cli.py").read_text())
+    imported = {alias.name for node in ast.walk(cli)
+                if isinstance(node, ast.ImportFrom)
+                and node.module in ("verify", "youngwalls.verify")
+                for alias in node.names}
+    assert "plan" in imported
+    assert [name for name in imported if name.startswith("_")] == []
+    cmd_verify, = [top for top in cli.body
+                   if getattr(top, "name", None) == "cmd_verify"]
+    constants = {node.value for node in ast.walk(cmd_verify)
+                 if isinstance(node, ast.Constant)}
+    assert constants & set(ALL_CHECKS) == set()
+    owners = [path.name for path in SOURCES
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Name) and node.id == "MAX_OBJECTS"
+              and isinstance(node.ctx, ast.Store)]
+    assert owners == ["verify.py"]
 
 
 WINDOW_ROUTINES = {"_windows", "_count_window", "_enumerate_window", "reduced_counts",
