@@ -20,7 +20,7 @@ from .bijections import phi, phi_inv, psi, psi_inv
 from .characters import (proper_weight_table, reduced_weight_table,
                          strict_weight_table, unpack_weight)
 from .partitions import Partition, _canonical, enumerate_strict, strict_counts
-from .verify import ALL_CHECKS, MAX_OBJECTS, plan, run_checks
+from .verify import ALL_CHECKS, MAX_OBJECTS, MAX_SIZE, plan, run_checks
 from .walls import (
     WallParams,
     enumerate_proper,
@@ -198,7 +198,8 @@ def cmd_verify(args: argparse.Namespace) -> Record:
     if "" in names:
         raise ValueError("--checks has an empty check name")
     checks = tuple(dict.fromkeys(names))
-    print(f"# plan table_cells={plan(n_values, args.max_m, checks)}", file=sys.stderr)
+    cells = plan(n_values, args.max_m, args.degree, checks)
+    print(f"# plan table_cells={cells}", file=sys.stderr)
     reports = run_checks(n_values, args.max_m, args.degree, checks)
     for r in reports:
         print(f"# {r.check} {_scope(r.params)} elapsed={r.elapsed:.3f}s",
@@ -285,11 +286,6 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 #: Largest accepted ``--n``: a weight vector holds n + 1 counts, so a rank
 #: near ``sys.maxsize`` would fail on memory rather than as a usage error.
 MAX_RANK = 10**6
-
-#: Largest accepted ``--m``, ``--max-m`` and ``--degree``: the reduced walls'
-#: window-rule count table holds O(M^2) big integers, and ``count --set
-#: reduced --n 1000000`` at this size already takes about 0.6 s and 100 MB.
-MAX_SIZE = 2000
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv

@@ -145,6 +145,17 @@ def _product_table(M: int, d: int, codes: list[int]) -> list[dict[int, int]]:
     return table
 
 
+def _product_counts(M: int, d: int) -> list[int]:
+    """Numbers of the partitions of m = 0..M whose parts off the multiples of
+    ``d`` are distinct: ``_product_table`` with every code 0, on plain ints."""
+    _check_non_negative(M)
+    counts = [1] + [0] * M
+    for i in range(1, M + 1):
+        for m in range(i, M + 1) if i % d == 0 else range(M, i - 1, -1):
+            counts[m] += counts[m - i]
+    return counts
+
+
 def _pentagonal(M: int) -> list[tuple[int, int]]:
     """The terms (degree, sign) of prod_{i >= 1} (1 - t^i) up to degree M:
     by Euler's pentagonal number theorem, degree k(3k-1)/2 with sign (-1)^k

@@ -7,6 +7,8 @@ they never overflow regardless of degree.
 
 from __future__ import annotations
 
+from .partitions import _product_counts
+
 
 def reciprocal(coeffs: list[int]) -> list[int]:
     """Multiplicative inverse modulo t^(M+1), M = len(coeffs) - 1.
@@ -27,24 +29,11 @@ def reciprocal(coeffs: list[int]) -> list[int]:
     return inv
 
 
-def _times_one_plus_power(coeffs: list[int], k: int, sign: int) -> None:
-    """Multiply the coefficient array in place by (1 + sign*t^k)."""
-    for j in range(len(coeffs) - 1, k - 1, -1):
-        coeffs[j] += sign * coeffs[j - k]
-
-
 def series_product_strict(truncation: int) -> list[int]:
-    """The product of (1 + t^i) over i = 1..M, truncated at degree M.
-
-    Coefficient m counts the partitions of m into distinct parts.
-    """
-    if truncation < 0:
-        raise ValueError("truncation degree must be non-negative")
-    coeffs = [0] * (truncation + 1)
-    coeffs[0] = 1
-    for i in range(1, truncation + 1):
-        _times_one_plus_power(coeffs, i, +1)
-    return coeffs
+    """The product of (1 + t^i) over i = 1..M, truncated at degree M, by
+    ``_product_counts``: coefficient m counts the partitions of m into
+    distinct parts."""
+    return _product_counts(truncation, truncation + 1)
 
 
 def series_product_odd(truncation: int) -> list[int]:
@@ -55,8 +44,8 @@ def series_product_odd(truncation: int) -> list[int]:
     """
     if truncation < 0:
         raise ValueError("truncation degree must be non-negative")
-    denom = [0] * (truncation + 1)
-    denom[0] = 1
+    denom = [1] + [0] * truncation
     for i in range(1, truncation + 1, 2):
-        _times_one_plus_power(denom, i, -1)
+        for j in range(truncation, i - 1, -1):
+            denom[j] -= denom[j - i]
     return reciprocal(denom)

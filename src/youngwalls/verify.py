@@ -51,7 +51,7 @@ A failing report carries the smallest offending cell and, where
 applicable, the lexicographically smallest offending object, so failures
 reproduce deterministically.  ``plan`` sizes a run from closed forms
 before any table is built, and ``run_checks`` and the CLI both refuse,
-with its ValueError, a run over ``MAX_OBJECTS``.
+with its ValueError, a run over ``MAX_SIZE`` or ``MAX_OBJECTS``.
 """
 
 from __future__ import annotations
@@ -269,6 +269,11 @@ ALL_CHECKS = (
 #: numbers ``vch``'s terms may print, and each of ``plan``'s three sums.
 MAX_OBJECTS = 10**6
 
+#: Largest accepted ``--m``, ``--max-m`` and ``--degree``: the reduced walls'
+#: window-rule count table holds O(M^2) big integers, and ``count --set
+#: reduced --n 1000000`` at this size already takes about 0.6 s and 100 MB.
+MAX_SIZE = 2000
+
 
 def _states(checks: set[str], n: int, M: int) -> int:
     """The (a, b) states that the selected O(M^2) checks visit at rank n:
@@ -280,12 +285,17 @@ def _states(checks: set[str], n: int, M: int) -> int:
             + pairs * ("reduced-equivalence" in checks))
 
 
-def plan(n_values: tuple[int, ...], max_m: int, checks: tuple[str, ...]) -> int:
+def plan(n_values: tuple[int, ...], max_m: int, euler_degree: int,
+         checks: tuple[str, ...]) -> int:
     """The table cells the checks build, once they are admitted: a
-    ValueError names an unknown check, else the option to lower when the
-    cells, the vch entries or the walked states exceed MAX_OBJECTS."""
+    ValueError names an unknown check, else the option to lower when max_m
+    or the degree exceeds MAX_SIZE, or the cells, the vch entries or the
+    walked states exceed MAX_OBJECTS."""
     if unknown := [c for c in checks if c not in ALL_CHECKS]:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    for option, value in (("--max-m", max_m), ("--degree", euler_degree)):
+        if value > MAX_SIZE:
+            raise ValueError(f"{option} is too large")
     # per-rank tables grow with n too: vch's weight codes hold n + 1 counts
     tables = any(check != "euler" for check in checks)
     cells = (max_m + 1) * (sum(n_values) + len(n_values)) if tables else 0
@@ -309,7 +319,7 @@ def run_checks(n_values: tuple[int, ...], max_m: int, euler_degree: int,
     """Run the selected checks over all ranks once ``plan`` admits them;
     reports come back ordered by (check, n), so identical invocations
     produce identical output."""
-    plan(n_values, max_m, checks)
+    plan(n_values, max_m, euler_degree, checks)
     # built per call, not at module level: the perfbench tracer rebinds the
     # module's verify_* globals, and a module-level dict would keep calling
     # the unwrapped functions and read zero for every verify.* layer metric

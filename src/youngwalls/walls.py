@@ -20,7 +20,7 @@ from itertools import accumulate, repeat
 from operator import index
 from typing import Iterable
 
-from .partitions import Partition, _count_window, _enumerate_window, _product_table
+from .partitions import Partition, _count_window, _enumerate_window, _product_counts
 
 #: Block counts per color (a_0, ..., a_n); always of length n+1.
 WeightVector = tuple[int, ...]
@@ -106,9 +106,9 @@ def enumerate_reduced(params: WallParams, m: int) -> list[Partition]:
 
 
 def proper_counts(params: WallParams, M: int) -> list[int]:
-    """Numbers of proper walls with m = 0..M blocks: the product of
-    (1 + t^i) over the parts i off the delta grid and 1/(1 - t^i) on it."""
-    return [sum(e.values()) for e in _product_table(M, params.delta, [0] * (M + 1))]
+    """Numbers of proper walls with m = 0..M blocks by ``_product_counts``:
+    the product of (1 + t^i) off the delta grid and 1/(1 - t^i) on it."""
+    return _product_counts(M, params.delta)
 
 
 def reduced_counts(params: WallParams, M: int) -> list[int]:

@@ -247,21 +247,31 @@ def test_verify_refuses_quadratic_checks_fast(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", QUADRATIC + [
-    ["--n-range", "2", "--max-m", "2000", "--checks", "vch"]])
-def test_run_checks_refuses_what_verify_refuses_fast(monkeypatch, argv):
+    ["--n-range", "2", "--max-m", "2000", "--checks", "vch"],
+    # over MAX_SIZE: admitted, each would run 1 s to 3 s
+    ["--degree", "4000", "--checks", "euler"],
+    ["--max-m", "3000", "--checks", "counts,fock"]])
+def test_run_checks_refuses_what_verify_refuses_fast(capsys, monkeypatch, argv):
     # the library call gets the CLI's refusal, before any table or state
     def refuse(*args):
         raise AssertionError("work done before the budget")
 
     for name in ("strict_weight_table", "reduced_weight_table", "_psi_step",
-                 "_removable_at"):
+                 "_removable_at", "series_product_strict", "odd_counts",
+                 "reduced_counts", "proper_counts"):
         monkeypatch.setattr(verify, name, refuse)
-    options = dict(zip(argv[::2], argv[1::2]))
+    options = {"--n-range": "2", "--max-m": "0", "--degree": "0",
+               **dict(zip(argv[::2], argv[1::2]))}
+    # only the degree case sets --degree, and it is the option refused there
+    option = "--degree" if "--degree" in argv else "--max-m"
     started = time.perf_counter()
-    with pytest.raises(ValueError, match="^--max-m is too large$"):
+    with pytest.raises(ValueError, match=f"^{option} is too large$"):
         verify.run_checks(parse_n_range(options["--n-range"]),
-                          int(options["--max-m"]), 0, (options["--checks"],))
+                          int(options["--max-m"]), int(options["--degree"]),
+                          tuple(options["--checks"].split(",")))
     assert time.perf_counter() - started < 1
+    error = f"error: {option} is too large\n"
+    assert run_cli(capsys, "verify", *argv) == (2, "", error)
 
 
 def test_verify_refuses_many_ranks_before_any_table(capsys, monkeypatch):

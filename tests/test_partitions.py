@@ -17,7 +17,8 @@ from youngwalls import (
     series_product_strict,
     strict_counts,
 )
-from youngwalls.partitions import _count_window, _enumerate_window, _product_table
+from youngwalls.partitions import (_count_window, _enumerate_window, _product_counts,
+                                   _product_table)
 
 
 def ascending_partitions(m, least=1):
@@ -183,12 +184,17 @@ class TestCountTables:
     def test_window_counts_match_enumeration(self):
         # d = 1 gives all partitions, d = M + 1 the strict ones; at
         # d = M // 2 + 1 a gap of 2*d first exceeds M + 1 parts; codes[i] = 1
-        # keys each partition by its number of parts
+        # keys each partition by its number of parts, and with every code 0
+        # the table is _product_counts' one count per size
         M = 30
         codes = [0] + [1] * M
         for d in (1, 2, 3, 4, M // 2 + 1, M + 1):
+            listings = [_enumerate_window(m, d, m + 1) for m in range(M + 1)]
             assert _product_table(M, d, codes) == [
-                Counter(map(len, _enumerate_window(m, d, m + 1))) for m in range(M + 1)
+                Counter(map(len, lams)) for lams in listings
+            ], d
+            assert _product_counts(M, d) == [len(lams) for lams in listings] == [
+                sum(entry.values()) for entry in _product_table(M, d, [0] * (M + 1))
             ], d
             assert _count_window(M, d) == [
                 len(_enumerate_window(m, d, 2 * d)) for m in range(M + 1)
@@ -226,7 +232,10 @@ class TestCountTables:
     def test_window_count_of_nothing(self):
         assert _count_window(0, 1) == [1]
         assert _product_table(0, 1, [0]) == [{0: 1}]
+        assert _product_counts(0, 1) == [1]
         with pytest.raises(ValueError):
             _count_window(-1, 1)
+        with pytest.raises(ValueError):
+            _product_counts(-1, 1)
         with pytest.raises(ValueError):
             _product_table(-1, 1, [])

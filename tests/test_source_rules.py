@@ -15,16 +15,20 @@ DP counts the reduced walls alone: outside ``partitions`` only
 ``walls.reduced_counts`` names it, and the product tables name no window
 routine, not even the window table ``partitions._windows`` that the
 enumerator and both window DPs read, so the two sides of ``fock`` and
-``vch`` stay independent code.  The proper rule on one adjacency is stated
-once, in ``walls._proper_gap``, which ``is_proper``, ``_removable_at`` and
-``verify`` read: ``verify`` holds no ``%`` at all, and in ``walls`` a ``%`` by
-delta sits only there and in ``_reduced_gap``, the rule with its cap.
+``vch`` stay independent code.  The product is expanded by two routines
+alone: ``partitions._product_counts`` for the count tables
+``proper_counts`` and ``series_product_strict``, and
+``partitions._product_table`` for the two weight tables.  The proper rule
+on one adjacency is stated once, in ``walls._proper_gap``, which
+``is_proper``, ``_removable_at`` and ``verify`` read: ``verify`` holds no
+``%`` at all, and in ``walls`` a ``%`` by delta sits only there and in
+``_reduced_gap``, the rule with its cap.
 ``euler``'s two sides are the product of (1 + t^i) and the odd-part DP:
 ``verify`` names neither ``series_product_odd`` nor ``reciprocal``, a second
 odd-parts side.  ``verify`` owns its work budget, so that a library
 ``run_checks`` refuses what the CLI refuses: ``cli`` imports no private
-``verify`` name, ``cmd_verify`` holds no check name, and ``MAX_OBJECTS`` is
-assigned in one module alone.
+``verify`` name, ``cmd_verify`` holds no check name, and ``MAX_OBJECTS`` and
+``MAX_SIZE`` are each assigned in one module alone.
 
 Every ``youngwalls`` process pays the package's imports before its first
 command, so they stay small and all up front: no module imports
@@ -169,16 +173,21 @@ def test_verify_owns_its_budget():
     constants = {node.value for node in ast.walk(cmd_verify)
                  if isinstance(node, ast.Constant)}
     assert constants & set(ALL_CHECKS) == set()
-    owners = [path.name for path in SOURCES
-              for node in ast.walk(ast.parse(path.read_text()))
-              if isinstance(node, ast.Name) and node.id == "MAX_OBJECTS"
-              and isinstance(node.ctx, ast.Store)]
-    assert owners == ["verify.py"]
+    for constant in ("MAX_OBJECTS", "MAX_SIZE"):
+        owners = [path.name for path in SOURCES
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Name) and node.id == constant
+                  and isinstance(node.ctx, ast.Store)]
+        assert owners == ["verify.py"], constant
 
 
 WINDOW_ROUTINES = {"_windows", "_count_window", "_enumerate_window", "reduced_counts",
                    "reduced_weight_table"}
-PRODUCT_TABLES = {"strict_weight_table", "proper_weight_table", "proper_counts"}
+#: Each product table and the one routine that expands its product.
+PRODUCT_TABLES = {"strict_weight_table": "_product_table",
+                  "proper_weight_table": "_product_table",
+                  "proper_counts": "_product_counts",
+                  "series_product_strict": "_product_counts"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -193,12 +202,19 @@ def test_only_reduced_counts_names_the_window_dp(path):
 
 
 def test_product_tables_name_no_window_routine():
-    tables = {top.name: _names(top) for path in SOURCES
-              for top in ast.parse(path.read_text()).body
+    # the top-level definitions other than the routine itself that name it;
+    # an import names no caller
+    tops = [top for path in SOURCES for top in ast.parse(path.read_text()).body
+            if not isinstance(top, ast.ImportFrom)]
+    for routine in set(PRODUCT_TABLES.values()):
+        callers = {getattr(top, "name", None) for top in tops
+                   if routine in _names(top) and getattr(top, "name", None) != routine}
+        assert callers == {table for table, expands in PRODUCT_TABLES.items()
+                           if expands == routine}, routine
+    tables = {top.name: _names(top) for top in tops
               if getattr(top, "name", None) in PRODUCT_TABLES}
-    assert tables.keys() == PRODUCT_TABLES
+    assert tables.keys() == PRODUCT_TABLES.keys()
     for name, names in tables.items():
-        assert "_product_table" in names, name
         assert names & WINDOW_ROUTINES == set(), name
 
 
