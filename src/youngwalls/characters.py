@@ -44,10 +44,10 @@ def proper_weight_table(params: WallParams, M: int) -> WeightTable:
 
 
 def reduced_weight_table(params: WallParams, M: int) -> WeightTable:
-    """Weights of the reduced walls with m = 0..M blocks, by the DP of
-    ``partitions._count_window`` with weight-graded entries: ``after[r][a]``
-    holds the weights of the ways to place ``r`` more blocks after a part
-    ``a`` (after the start at a = 0), the entries ``after[r - b][b]``
+    """Weights of the reduced walls with m = 0..M blocks, row by row by the
+    recursion of ``partitions._count_window`` on weight-graded entries:
+    ``after[r][a]`` holds the weights of the ways to place ``r`` more blocks
+    after part ``a`` (a = 0: the start), the entries ``after[r - b][b]``
     shifted by column ``b``'s code over the parts ``b`` in ``a``'s window."""
     _check_non_negative(M)
     codes, windows = column_codes(params, M), _windows(M, params.delta, params.period)

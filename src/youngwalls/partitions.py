@@ -7,7 +7,7 @@ results are exact at any size.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from math import isqrt
 from operator import ge, gt, index
 from typing import Iterable
 
@@ -105,23 +105,54 @@ def enumerate_strict(m: int) -> list[Partition]:
     return _enumerate_window(m, m + 1, m + 1)
 
 
+def _width(M: int) -> int:
+    """Bits B per coefficient of a series to degree M packed as the integer
+    sum c_m 2^(m*B): whole bytes above 4*sqrt(M) > log2 p(M), as p(M) <
+    e^(pi sqrt(2M/3)) (Apostol, Thm 14.5).  Each coefficient of the packed
+    DPs counts distinct partitions of some m <= M, so no field carries; the
+    window DP subtracts only a sum it added, so none borrows."""
+    return 8 * ((4 * (isqrt(M) + 1) + 8) // 8)
+
+
+def _shifted(series: int, i: int, M: int, B: int) -> int:
+    """t^i times the packed series, truncated at degree M."""
+    return (series & ((1 << (M + 1 - i) * B) - 1)) << i * B
+
+
+def _over_one_minus(series: int, i: int, M: int, B: int) -> int:
+    """The packed series over (1 - t^i) = (1 + t^i)(1 + t^(2i))..., to M."""
+    while i <= M:
+        series, i = series + _shifted(series, i, M, B), 2 * i
+    return series
+
+
+def _unpack(series: int, M: int, B: int) -> list[int]:
+    """The coefficients c_0..c_M of a packed series."""
+    raw, w = series.to_bytes((M + 1) * B // 8, "little"), B // 8
+    return [int.from_bytes(raw[k : k + w], "little") for k in range(0, len(raw), w)]
+
+
 def _count_window(M: int, d: int) -> list[int]:
     """Numbers of partitions of m = 0..M obeying ``_windows``' rule at gap
-    2*d (the reduced walls at d = delta), filled bottom-up in O(M^2):
-    ``after[r][a]`` counts the ways to place ``r`` more blocks after part
-    ``a`` (after the start at a = 0), the sum of ``after[r - b][b]`` (place
-    ``b``, then the rest) over the ``b`` in ``a``'s window, read as a
-    difference of prefix sums over ``b``."""
+    2*d (the reduced walls at d = delta).  With ``after[r][a]`` the ways to
+    place ``r`` more blocks after part ``a`` (a = 0: the start), the packed
+    series T_a = sum_r after[r][a] t^r is [a may end] + sum t^b T_b over
+    a's window, over (1 - t^a) where the window reaches a.  For a = 1..M, a
+    running sum slides over the U_b = t^b T_b, keeping each only until a
+    later window drops it; the counts are T_0 = 1 + sum U_b."""
     _check_non_negative(M)
-    windows = _windows(M, d, 2 * d)
-    after = [[int(ends) for _, _, ends in windows]]
-    for r in range(1, M + 1):
-        # prefix[x]: the ways to place r blocks starting with a part at most x
-        prefix = [0, *accumulate(after[r - b][b] for b in range(1, r + 1))]
-        prefix += [prefix[-1]] * (M - r)
-        after.append([prefix[hi] - prefix[lo - 1]
-                      for lo, hi, _ in windows[: M - r + 1]])
-    return [row[0] for row in after]
+    B, windows = _width(M), _windows(M, d, 2 * d)
+    kept: dict[int, int] = {}
+    running = total = 0
+    for a, (lo, hi, ends) in enumerate(windows[1:], 1):
+        for b in range(windows[a - 1][0], lo):
+            running -= kept.pop(b)
+        u = _shifted(running + ends, a, M, B)
+        u = _over_one_minus(u, a, M, B) if hi == a else u
+        running, total = running + u, total + u
+        if a < windows[M][0]:
+            kept[a] = u
+    return _unpack(total + 1, M, B)
 
 
 def _add_shifted(acc: dict[int, int], terms: dict[int, int], shift: int) -> None:
@@ -147,13 +178,16 @@ def _product_table(M: int, d: int, codes: list[int]) -> list[dict[int, int]]:
 
 def _product_counts(M: int, d: int) -> list[int]:
     """Numbers of the partitions of m = 0..M whose parts off the multiples of
-    ``d`` are distinct: ``_product_table`` with every code 0, on plain ints."""
+    ``d`` are distinct: ``_product_table`` with every code 0, as the packed
+    series of the product of (1 + t^i) off the d grid and 1/(1 - t^i) on it."""
     _check_non_negative(M)
-    counts = [1] + [0] * M
+    B, series = _width(M), 1
     for i in range(1, M + 1):
-        for m in range(i, M + 1) if i % d == 0 else range(M, i - 1, -1):
-            counts[m] += counts[m - i]
-    return counts
+        if i % d:
+            series += _shifted(series, i, M, B)
+        else:
+            series = _over_one_minus(series, i, M, B)
+    return _unpack(series, M, B)
 
 
 def _pentagonal(M: int) -> list[tuple[int, int]]:

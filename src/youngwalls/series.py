@@ -7,7 +7,7 @@ they never overflow regardless of degree.
 
 from __future__ import annotations
 
-from .partitions import _product_counts
+from .partitions import _check_non_negative, _product_counts
 
 
 def reciprocal(coeffs: list[int]) -> list[int]:
@@ -42,8 +42,7 @@ def series_product_odd(truncation: int) -> list[int]:
     Computed as one reciprocal of the assembled denominator.  Coefficient m
     counts the partitions of m into odd parts.
     """
-    if truncation < 0:
-        raise ValueError("truncation degree must be non-negative")
+    _check_non_negative(truncation)
     denom = [1] + [0] * truncation
     for i in range(1, truncation + 1, 2):
         for j in range(truncation, i - 1, -1):

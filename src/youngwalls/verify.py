@@ -269,9 +269,9 @@ ALL_CHECKS = (
 #: numbers ``vch``'s terms may print, and each of ``plan``'s three sums.
 MAX_OBJECTS = 10**6
 
-#: Largest accepted ``--m``, ``--max-m`` and ``--degree``: the reduced walls'
-#: window-rule count table holds O(M^2) big integers, and ``count --set
-#: reduced --n 1000000`` at this size already takes about 0.6 s and 100 MB.
+#: Largest accepted ``--m``, ``--max-m`` and ``--degree``: a count table is
+#: O(M log M) shift-and-adds of an O(M^1.5)-bit packed series, and ``verify
+#: --max-m 2000 --degree 2000 --checks counts,fock`` at one rank takes 0.3 s.
 MAX_SIZE = 2000
 
 
@@ -288,14 +288,16 @@ def _states(checks: set[str], n: int, M: int) -> int:
 def plan(n_values: tuple[int, ...], max_m: int, euler_degree: int,
          checks: tuple[str, ...]) -> int:
     """The table cells the checks build, once they are admitted: a
-    ValueError names an unknown check, else the option to lower when max_m
-    or the degree exceeds MAX_SIZE, or the cells, the vch entries or the
-    walked states exceed MAX_OBJECTS."""
+    ValueError names an unknown check, else the option to mend when max_m
+    or the degree exceeds MAX_SIZE or is negative, or the cells, the vch
+    entries or the walked states exceed MAX_OBJECTS."""
     if unknown := [c for c in checks if c not in ALL_CHECKS]:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
     for option, value in (("--max-m", max_m), ("--degree", euler_degree)):
         if value > MAX_SIZE:
             raise ValueError(f"{option} is too large")
+        if value < 0:
+            raise ValueError(f"{option} must be non-negative")
     # per-rank tables grow with n too: vch's weight codes hold n + 1 counts
     tables = any(check != "euler" for check in checks)
     cells = (max_m + 1) * (sum(n_values) + len(n_values)) if tables else 0

@@ -274,6 +274,29 @@ def test_run_checks_refuses_what_verify_refuses_fast(capsys, monkeypatch, argv):
     assert run_cli(capsys, "verify", *argv) == (2, "", error)
 
 
+@pytest.mark.parametrize("max_m, degree, checks, option", [
+    (-1, 0, "bijections", "--max-m"),
+    (-1, 0, "reduced-equivalence", "--max-m"),
+    (-1, 0, "counts", "--max-m"),
+    (0, -1, "euler", "--degree"),
+    # the CLI's order: --max-m is refused before --degree
+    (-1, -1, "euler", "--max-m")])
+def test_run_checks_refuses_negative_sizes(capsys, monkeypatch, max_m, degree,
+                                           checks, option):
+    # the library call gets the CLI's refusal, not a table's or a passing report
+    def refuse(*args):
+        raise AssertionError("work done before the budget")
+
+    for name in ("_psi_step", "_removable_at", "series_product_strict",
+                 "odd_counts", "reduced_counts", "proper_counts"):
+        monkeypatch.setattr(verify, name, refuse)
+    with pytest.raises(ValueError, match=f"^{option} must be non-negative$"):
+        verify.run_checks((2,), max_m, degree, (checks,))
+    argv = ["--max-m", str(max_m), "--degree", str(degree), "--checks", checks]
+    error = f"error: {option} must be non-negative\n"
+    assert run_cli(capsys, "verify", *argv) == (2, "", error)
+
+
 def test_verify_refuses_many_ranks_before_any_table(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("per-rank table built")

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -18,7 +19,10 @@ from youngwalls import (
     strict_counts,
 )
 from youngwalls.partitions import (_count_window, _enumerate_window, _product_counts,
-                                   _product_table)
+                                   _product_table, _width)
+from youngwalls.verify import MAX_SIZE
+
+from count_oracle import count_window_by_list, product_counts_by_list
 
 
 def ascending_partitions(m, least=1):
@@ -199,6 +203,42 @@ class TestCountTables:
             assert _count_window(M, d) == [
                 len(_enumerate_window(m, d, 2 * d)) for m in range(M + 1)
             ], d
+
+    def test_packed_kernels_match_list_oracles(self):
+        # the d grids of test_window_counts_match_enumeration and their
+        # neighbours, a window of a quarter and of half the parts, and none
+        for M in range(121):
+            for d in sorted({*range(1, 8), M // 4 + 1, M // 2 + 1, M + 1}):
+                assert _product_counts(M, d) == product_counts_by_list(M, d), (M, d)
+                assert _count_window(M, d) == count_window_by_list(M, d), (M, d)
+
+    @pytest.mark.parametrize("d", [2, 3, 126, 251, 501])
+    def test_packed_kernels_match_list_oracles_at_five_hundred(self, d):
+        assert _product_counts(500, d) == product_counts_by_list(500, d)
+        assert _count_window(500, d) == count_window_by_list(500, d)
+
+    def test_packed_width_holds_every_count(self):
+        # no coefficient of the packed kernels exceeds p(M), and each field
+        # is whole bytes, which _unpack slices
+        counts = partition_counts(MAX_SIZE)
+        for M, count in enumerate(counts):
+            assert _width(M) >= count.bit_length() and _width(M) % 8 == 0, M
+
+    @pytest.mark.parametrize("d, list_mib", [(3, 22.9), (251, 59.1), (500, 69.3),
+                                             (10**6 + 1, 76.5)])
+    def test_window_count_memory(self, d, list_mib):
+        # below the traced peak of count_oracle's list DP at the admitted
+        # limit (CPython 3.11); a narrow window, or one that never drops a
+        # column, keeps a few packed series, not one per column to drop
+        tracemalloc.start()
+        try:
+            _count_window(MAX_SIZE, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < list_mib * 2**20
+        if d in (3, 10**6 + 1):
+            assert peak < 2**21
 
     def test_tables_match_enumeration_to_thirty(self):
         M = 30

@@ -72,10 +72,10 @@ class TestGeneratingProducts:
         assert series_product_strict(8)[8] == 6
 
     def test_negative_truncation_rejected(self):
-        with pytest.raises(ValueError):
-            series_product_strict(-1)
-        with pytest.raises(ValueError):
-            series_product_odd(-1)
+        # both products refuse as the count tables do
+        for product in (series_product_strict, series_product_odd):
+            with pytest.raises(ValueError, match="^m must be non-negative, got -1$"):
+                product(-1)
 
     def test_euler_identity_to_five_hundred(self):
         strict_series = series_product_strict(500)

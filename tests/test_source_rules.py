@@ -18,7 +18,11 @@ enumerator and both window DPs read, so the two sides of ``fock`` and
 ``vch`` stay independent code.  The product is expanded by two routines
 alone: ``partitions._product_counts`` for the count tables
 ``proper_counts`` and ``series_product_strict``, and
-``partitions._product_table`` for the two weight tables.  The proper rule
+``partitions._product_table`` for the two weight tables.
+``_product_counts`` and the window DP ``_count_window`` both run on one
+packed integer per series and share its helpers, which read no window
+routine, nor does ``_product_counts``: only ``_count_window`` reads
+``_windows``' rule among the packed kernels.  The proper rule
 on one adjacency is stated once, in ``walls._proper_gap``, which
 ``is_proper``, ``_removable_at`` and ``verify`` read: ``verify`` holds no
 ``%`` at all, and in ``walls`` a ``%`` by delta sits only there and in
@@ -216,6 +220,22 @@ def test_product_tables_name_no_window_routine():
     assert tables.keys() == PRODUCT_TABLES.keys()
     for name, names in tables.items():
         assert names & WINDOW_ROUTINES == set(), name
+
+
+#: The packed-series helpers that _product_counts and _count_window share.
+PACKED_HELPERS = {"_width", "_shifted", "_over_one_minus", "_unpack"}
+
+
+def test_packed_kernels_share_helpers_that_read_no_window():
+    source = (ROOT / "src" / "youngwalls" / "partitions.py").read_text()
+    tops = {top.name: _names(top) for top in ast.parse(source).body
+            if isinstance(top, ast.FunctionDef)}
+    assert PACKED_HELPERS <= tops.keys()
+    for kernel in ("_product_counts", "_count_window"):
+        assert PACKED_HELPERS <= tops[kernel], kernel
+    for name in PACKED_HELPERS | {"_product_counts"}:
+        assert tops[name] & WINDOW_ROUTINES == set(), name
+    assert "_windows" in tops["_count_window"]
 
 
 def _imported_packages(tree):

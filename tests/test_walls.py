@@ -444,8 +444,8 @@ class TestCountTables:
             ]
 
     def test_proper_counts_stream(self):
-        # the product keeps one count per size, not the window DP's
-        # O(M^2) table (4.7 MB here)
+        # the product keeps one packed series of M + 1 counts (32 kB here),
+        # not an O(M^2) table of them (1.8 MB in count_oracle's window DP)
         tracemalloc.start()
         try:
             proper_counts(P2, 500)
