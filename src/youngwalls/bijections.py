@@ -75,26 +75,22 @@ def _maps() -> dict[str, tuple[Callable, Callable, Callable, tuple[str, ...]]]:
                     ("strict", "delete", "strict"))}
 
 
-def _image(name: str) -> Callable[[tuple, WallParams], tuple[tuple, tuple]]:
-    """Map ``name``'s core, certified: ``image(lam, params)`` returns the raw
-    image (part, hat) of a wall in the map's domain, and raises
-    ``CertificationError`` unless part is canonical and in the target family,
-    hat is canonical and non-empty, |part| + 2*delta*|hat| == |lam|, and the
-    rebuild core gives ``lam`` back.  The one statement of these clauses."""
+def _image(name: str, lam: tuple, params: WallParams) -> tuple[tuple, tuple]:
+    """Map ``name``'s core, certified: the raw image (part, hat) of a wall
+    ``lam`` in the map's domain.  Raises ``CertificationError`` unless part
+    is canonical and in the target family, hat is canonical and non-empty,
+    |part| + 2*delta*|hat| == |lam|, and the rebuild core gives ``lam``
+    back.  The one statement of these clauses."""
     core, rebuild, in_target, (family, *_) = _maps()[name]
-
-    def image(lam: tuple, params: WallParams) -> tuple[tuple, tuple]:
-        part, hat = core(lam, params)
-        if not (_canonical(part) and in_target(part, params)):
-            raise CertificationError(f"{name} result not {family}")
-        if not (_canonical(hat) and hat):
-            raise CertificationError(f"{name} hat size")
-        if (sum(part) + params.period * sum(hat) != sum(lam)
-                or rebuild(part, hat, params) != lam):
-            raise CertificationError(f"{name} round trip mismatch")
-        return part, hat
-
-    return image
+    part, hat = core(lam, params)
+    if not (_canonical(part) and in_target(part, params)):
+        raise CertificationError(f"{name} result not {family}")
+    if not (_canonical(hat) and hat):
+        raise CertificationError(f"{name} hat size")
+    if (sum(part) + params.period * sum(hat) != sum(lam)
+            or rebuild(part, hat, params) != lam):
+        raise CertificationError(f"{name} round trip mismatch")
+    return part, hat
 
 
 def _forward(name: str, lam: Partition,
@@ -105,7 +101,7 @@ def _forward(name: str, lam: Partition,
         raise ValueError(f"{lam!r} is not a proper wall")
     if in_target(lam, params):
         raise ValueError(f"{lam!r} is already {family}; nothing to {verb}")
-    part, hat = _image(name)(lam, params)
+    part, hat = _image(name, lam, params)
     return Partition(part), Partition(hat)
 
 

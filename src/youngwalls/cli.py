@@ -20,7 +20,8 @@ from .bijections import phi, phi_inv, psi, psi_inv
 from .characters import (proper_weight_table, reduced_weight_table,
                          strict_weight_table, unpack_weight)
 from .partitions import Partition, _canonical, enumerate_strict, strict_counts
-from .verify import ALL_CHECKS, MAX_OBJECTS, MAX_SIZE, plan, run_checks
+from .verify import (ALL_CHECKS, MAX_OBJECTS, MAX_RANK, MAX_SIZE, admit, plan,
+                     run_checks)
 from .walls import (
     WallParams,
     enumerate_proper,
@@ -58,8 +59,7 @@ def parse_n_range(text: str) -> tuple[int, ...]:
     b = int(match[2] or a)
     if a < 2 or b < a:
         raise ValueError(f"bad n-range {text!r}: need 2 <= A <= B")
-    if b > MAX_RANK:
-        raise ValueError("--n-range is too large")
+    admit("--n-range", b, MAX_RANK)
     return tuple(range(a, b + 1))
 
 
@@ -69,11 +69,6 @@ def _literal(values) -> str:
 
 def _scope(params: dict[str, Any]) -> str:
     return " ".join(f"{k}={v}" for k, v in params.items())
-
-
-def _within_budget(objects: int, option: str) -> None:
-    if objects > MAX_OBJECTS:
-        raise ValueError(f"{option} is too large")
 
 
 def _counts(set_name: str, n: int | None, M: int) -> list[int]:
@@ -86,7 +81,7 @@ def _counts(set_name: str, n: int | None, M: int) -> list[int]:
 
 def _members(set_name: str, n: int | None, m: int) -> list[Partition]:
     """The set's members of size m, after its count table says they fit."""
-    _within_budget(_counts(set_name, n, m)[m], "--m")
+    admit("--m", _counts(set_name, n, m)[m], MAX_OBJECTS)
     if set_name == "strict":
         return enumerate_strict(m)
     enumerate_walls = enumerate_proper if set_name == "proper" else enumerate_reduced
@@ -153,9 +148,9 @@ def text_map(payload: dict[str, Any]) -> Iterator[str]:
 def cmd_vch(args: argparse.Namespace) -> Record:
     wall_params, m = WallParams(args.n), args.m
     members = _counts(args.set, args.n, m)[m]
-    _within_budget(members, "--m")
+    admit("--m", members, MAX_OBJECTS)
     # a table entry has at most one term per member, each of n + 1 numbers
-    _within_budget(members * (args.n + 1), "--n")
+    admit("--n", members * (args.n + 1), MAX_OBJECTS)
     tables = {"proper": proper_weight_table, "reduced": reduced_weight_table,
               "strict": strict_weight_table}
     entry = tables[args.set](wall_params, m)[m]
@@ -283,10 +278,6 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-#: Largest accepted ``--n``: a weight vector holds n + 1 counts, so a rank
-#: near ``sys.maxsize`` would fail on memory rather than as a usage error.
-MAX_RANK = 10**6
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv[0] if argv else None)
@@ -294,17 +285,13 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "set", "strict") != "strict" and args.n is None:
         parser.error(f"--n is required for --set {args.set}")
     try:
+        if getattr(args, "n", None) is not None:
+            WallParams(args.n)  # the rank floor, even where the set reads no rank
         for bound in ("n", "m", "max_m", "degree"):
             value = getattr(args, bound, None)
-            if value is None:
-                continue
-            option = "--" + bound.replace("_", "-")
-            if value > (MAX_RANK if bound == "n" else MAX_SIZE):
-                raise ValueError(f"{option} is too large")
-            if bound == "n" and value < 2:
-                raise ValueError(f"rank n must be at least 2, got {value}")
-            if value < 0:
-                raise ValueError(f"{option} must be non-negative")
+            if value is not None:
+                admit("--" + bound.replace("_", "-"), value,
+                      MAX_RANK if bound == "n" else MAX_SIZE)
         params, payload = args.func(args)
         if args.format == "json":
             record = {"command": args.command, "params": params, "payload": payload}

@@ -51,7 +51,9 @@ A failing report carries the smallest offending cell and, where
 applicable, the lexicographically smallest offending object, so failures
 reproduce deterministically.  ``plan`` sizes a run from closed forms
 before any table is built, and ``run_checks`` and the CLI both refuse,
-with its ValueError, a run over ``MAX_SIZE`` or ``MAX_OBJECTS``.
+with its ValueError, a run over ``MAX_SIZE`` or ``MAX_OBJECTS``.  Every
+refusal of an option as too large or negative, the CLI's too, is
+``admit``'s, against a cap its caller passes (``MAX_RANK`` for a rank).
 """
 
 from __future__ import annotations
@@ -274,6 +276,19 @@ MAX_OBJECTS = 10**6
 #: --max-m 2000 --degree 2000 --checks counts,fock`` at one rank takes 0.3 s.
 MAX_SIZE = 2000
 
+#: Largest accepted ``--n`` and ``--n-range`` top: a weight vector holds n + 1
+#: counts, so a rank near ``sys.maxsize`` would fail on memory, not as a usage error.
+MAX_RANK = 10**6
+
+
+def admit(option: str, value: int, cap: int) -> None:
+    """Refuse ``value`` for ``option`` when it is above ``cap``, then when it
+    is negative: the one statement of both rules, for the CLI and the library."""
+    if value > cap:
+        raise ValueError(f"{option} is too large")
+    if value < 0:
+        raise ValueError(f"{option} must be non-negative")
+
 
 def _states(checks: set[str], n: int, M: int) -> int:
     """The (a, b) states that the selected O(M^2) checks visit at rank n:
@@ -288,21 +303,18 @@ def _states(checks: set[str], n: int, M: int) -> int:
 def plan(n_values: tuple[int, ...], max_m: int, euler_degree: int,
          checks: tuple[str, ...]) -> int:
     """The table cells the checks build, once they are admitted: a
-    ValueError names an unknown check, else the option to mend when max_m
-    or the degree exceeds MAX_SIZE or is negative, or the cells, the vch
-    entries or the walked states exceed MAX_OBJECTS."""
+    ValueError names an unknown check, else ``admit`` refuses, in this
+    order, max_m and then the degree against MAX_SIZE, and the cells, then
+    the vch entries and the walked states, against MAX_OBJECTS, naming the
+    option to mend."""
     if unknown := [c for c in checks if c not in ALL_CHECKS]:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    for option, value in (("--max-m", max_m), ("--degree", euler_degree)):
-        if value > MAX_SIZE:
-            raise ValueError(f"{option} is too large")
-        if value < 0:
-            raise ValueError(f"{option} must be non-negative")
+    admit("--max-m", max_m, MAX_SIZE)
+    admit("--degree", euler_degree, MAX_SIZE)
     # per-rank tables grow with n too: vch's weight codes hold n + 1 counts
     tables = any(check != "euler" for check in checks)
     cells = (max_m + 1) * (sum(n_values) + len(n_values)) if tables else 0
-    if cells > MAX_OBJECTS:
-        raise ValueError("--n-range is too large")
+    admit("--n-range", cells, MAX_OBJECTS)
     # per rank, each vch table holds at most one weight per strict partition
     # of each m, and bijections and reduced-equivalence visit O(max_m^2) states
     walked = {"bijections", "reduced-equivalence"} & set(checks)
@@ -311,8 +323,7 @@ def plan(n_values: tuple[int, ...], max_m: int, euler_degree: int,
     for rank, n in enumerate(n_values if per_rank or walked else ()):
         entries += per_rank
         states += _states(walked, n, max_m)
-        if max(entries, states) > MAX_OBJECTS:
-            raise ValueError(f"{'--n-range' if rank else '--max-m'} is too large")
+        admit("--n-range" if rank else "--max-m", max(entries, states), MAX_OBJECTS)
     return cells
 
 

@@ -141,6 +141,11 @@ def _other_argvs() -> list[list[str]]:
               ["verify", "--checks", "bogus"], ["verify", "--checks", "euler,"],
               ["verify", "--n-range", "1..2"], ["verify", "--n-range", "2..1000001"],
               ["verify", "--max-m", "82"], ["verify", "--degree", "2001"]]
+    # the rank floor, a given --n below 2 on any command, below 0 too
+    argvs += [["enum", "--set", "strict", "--n", "1", "--m", "3"],
+              ["count", "--set", "strict", "--n", "0", "--max-m", "2"],
+              ["vch", "--set", "strict", "--n", "1", "--m", "2"],
+              ["weight", "--n", "-1", "--partition", "1"]]
     return argvs
 
 

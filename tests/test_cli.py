@@ -143,6 +143,34 @@ def test_negative_size_exits_two(capsys, argv, option):
     assert run_cli(capsys, *argv) == (2, "", f"error: {option} must be non-negative\n")
 
 
+@pytest.mark.parametrize(
+    "argv, n",
+    [(["enum", "--set", "strict", "--n", "1", "--m", "3"], 1),
+     (["count", "--set", "strict", "--n", "0", "--max-m", "2"], 0),
+     (["vch", "--set", "strict", "--n", "1", "--m", "2"], 1),
+     # below 0 too, the rank floor is the refusal, not the sign
+     (["weight", "--n", "-1", "--partition", "1"], -1),
+     (["pschar", "--n", "1", "--degree", "3"], 1),
+     (["map", "--alg", "psi", "--n", "0", "--partition", "7"], 0)],
+)
+def test_rank_below_two_exits_two(capsys, argv, n):
+    # a strict set reads no rank, but a given --n is still held to the floor
+    error = f"error: rank n must be at least 2, got {n}\n"
+    assert run_cli(capsys, *argv) == (2, "", error)
+
+
+def test_admit_refuses_above_the_cap_then_below_zero():
+    for value in (0, 2000):
+        verify.admit("--m", value, 2000)
+    with pytest.raises(ValueError, match="^--m is too large$"):
+        verify.admit("--m", 2001, 2000)
+    with pytest.raises(ValueError, match="^--m must be non-negative$"):
+        verify.admit("--m", -1, 2000)
+    # the cap is read first
+    with pytest.raises(ValueError, match="^--m is too large$"):
+        verify.admit("--m", -1, -2)
+
+
 def test_largest_size_is_accepted(capsys):
     assert cli.MAX_SIZE == 2000
     code, out, _ = run_cli(capsys, "count", "--set", "strict", "--max-m", "2000")

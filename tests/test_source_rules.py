@@ -31,8 +31,11 @@ on one adjacency is stated once, in ``walls._proper_gap``, which
 ``verify`` names neither ``series_product_odd`` nor ``reciprocal``, a second
 odd-parts side.  ``verify`` owns its work budget, so that a library
 ``run_checks`` refuses what the CLI refuses: ``cli`` imports no private
-``verify`` name, ``cmd_verify`` holds no check name, and ``MAX_OBJECTS`` and
-``MAX_SIZE`` are each assigned in one module alone.
+``verify`` name, ``cmd_verify`` holds no check name, and ``MAX_OBJECTS``,
+``MAX_SIZE`` and ``MAX_RANK`` are each assigned in ``verify`` alone.  Each
+refusal is worded once: an option that is too large or negative only in
+``verify.admit``, which the CLI calls too, a negative size passed to the
+library only in ``partitions``, and a rank below 2 only in ``walls``.
 
 Every ``youngwalls`` process pays the package's imports before its first
 command, so they stay small and all up front: no module imports
@@ -177,12 +180,31 @@ def test_verify_owns_its_budget():
     constants = {node.value for node in ast.walk(cmd_verify)
                  if isinstance(node, ast.Constant)}
     assert constants & set(ALL_CHECKS) == set()
-    for constant in ("MAX_OBJECTS", "MAX_SIZE"):
+    for constant in ("MAX_OBJECTS", "MAX_SIZE", "MAX_RANK"):
         owners = [path.name for path in SOURCES
                   for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, ast.Name) and node.id == constant
                   and isinstance(node.ctx, ast.Store)]
         assert owners == ["verify.py"], constant
+
+
+def _strings(path):
+    """(module, top-level definition, text) of every string constant in a
+    module, the literal parts of f-strings included."""
+    return [(path.name, getattr(top, "name", None), node.value)
+            for top in ast.parse(path.read_text()).body for node in ast.walk(top)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+def test_each_refusal_is_worded_once():
+    strings = [string for path in SOURCES for string in _strings(path)]
+    assert [s for s in strings if s[2].endswith("is too large")] == [
+        ("verify.py", "admit", " is too large")]
+    assert [s for s in strings if "must be non-negative" in s[2]] == [
+        ("partitions.py", "_check_non_negative", "m must be non-negative, got "),
+        ("verify.py", "admit", " must be non-negative")]
+    assert [s[:2] for s in strings if "rank n must be at least 2" in s[2]] == [
+        ("walls.py", "WallParams")]
 
 
 WINDOW_ROUTINES = {"_windows", "_count_window", "_enumerate_window", "reduced_counts",

@@ -65,11 +65,11 @@ def verify_bijections_by_walk(params: WallParams, max_m: int) -> VerificationRep
     failures = []
 
     def certifier(name: str) -> Callable[[int, tuple, int], None]:
-        image, found = _image(name), images[name]
+        found = images[name]
 
         def certify(m: int, lam: tuple, code: int) -> None:
             try:
-                part, hat = image(lam, params)
+                part, hat = _image(name, lam, params)
                 if code - sum(map(codes.__getitem__, part)) != sum(hat) * cycle:
                     raise CertificationError("weight shift mismatch")
                 found[m].append(part + (0,) + hat)
