@@ -18,7 +18,7 @@ from collections import Counter
 from typing import Iterable
 
 from .partitions import (Partition, _add_shifted, _check_non_negative, _product_table,
-                         _windows)
+                         _sub_shifted, _windows)
 from .walls import WallParams, WeightVector, column_codes, reduced_counts, weight
 
 #: One entry per size m: packed weight code -> number of members.
@@ -48,17 +48,35 @@ def reduced_weight_table(params: WallParams, M: int) -> WeightTable:
     recursion of ``partitions._count_window`` on weight-graded entries:
     ``after[r][a]`` holds the weights of the ways to place ``r`` more blocks
     after part ``a`` (a = 0: the start), the entries ``after[r - b][b]``
-    shifted by column ``b``'s code over the parts ``b`` in ``a``'s window."""
+    shifted by column ``b``'s code over the parts ``b`` in ``a``'s window.
+
+    The start's window [1, r] is summed on its own.  For a = 1..M - r the
+    window is [lo, min(hi, r)], and ``_windows`` gives hi = a - 1, or a on
+    the delta grid, with lo = hi - 2*delta + 1 cut at 1: both ends only move
+    right as a grows.  So one running dict per row takes each term when b
+    enters the window and takes it back when b leaves, deleting a code whose
+    count returns to 0.  Cell a is a copy of it, taken when the window moved
+    (cells are read, never changed), and empty once lo passes r."""
     _check_non_negative(M)
     codes, windows = column_codes(params, M), _windows(M, params.delta, params.period)
     after = [[{0: 1} if ends else {} for _, _, ends in windows]]
     for r in range(1, M + 1):
-        row = []
-        for lo, hi, _ in windows[: M - r + 1]:
-            acc: dict[int, int] = {}
-            for b in range(lo, (hi if hi < r else r) + 1):
-                _add_shifted(acc, after[r - b][b], codes[b])
-            row.append(acc)
+        start: dict[int, int] = {}
+        for b in range(1, r + 1):
+            _add_shifted(start, after[r - b][b], codes[b])
+        row, running, cell, first, last = [start], {}, {}, 1, 0
+        for lo, hi, _ in windows[1 : M - r + 1]:
+            if lo > r:  # the window has passed every part that fits
+                row += [{}] * (M - r + 1 - len(row))
+                break
+            hi = hi if hi < r else r
+            if first < lo or last < hi:
+                for b in range(first, lo):
+                    _sub_shifted(running, after[r - b][b], codes[b])
+                for b in range(last + 1, hi + 1):
+                    _add_shifted(running, after[r - b][b], codes[b])
+                first, last, cell = lo, hi, dict(running)
+            row.append(cell)
         after.append(row)
     return [row[0] for row in after]
 

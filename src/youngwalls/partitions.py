@@ -162,6 +162,17 @@ def _add_shifted(acc: dict[int, int], terms: dict[int, int], shift: int) -> None
         acc[code] = acc.get(code, 0) + count
 
 
+def _sub_shifted(acc: dict[int, int], terms: dict[int, int], shift: int) -> None:
+    """Take back what ``_add_shifted(acc, terms, shift)`` added, deleting
+    each code whose count returns to 0."""
+    for code, count in terms.items():
+        code += shift
+        if acc[code] == count:
+            del acc[code]
+        else:
+            acc[code] -= count
+
+
 def _product_table(M: int, d: int, codes: list[int]) -> list[dict[int, int]]:
     """Per m = 0..M, packed code -> number of the partitions of m whose parts
     off the multiples of ``d`` are distinct, part i adding ``codes[i]``: the

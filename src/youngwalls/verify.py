@@ -113,17 +113,18 @@ def _witness_key(failure: dict[str, Any]) -> tuple:
 
 def _agree(check: str, params: dict[str, Any], max_m: int, started: float,
            /, record: Callable = dict, **columns: list) -> VerificationReport:
-    """Report every m <= max_m where the named per-m columns do not all
-    agree, as {"m": m, **record(<column>=value, ...)}; the default record is
-    the values themselves.  A column that ends before m reads None there,
-    so a short column fails at its first missing m."""
-    failures = []
-    for m in range(max_m + 1):
-        values = {name: column[m] if m < len(column) else None
-                  for name, column in columns.items()}
-        first, *rest = values.values()
-        if None in values.values() or any(value != first for value in rest):
-            failures.append({"m": m, **record(**values)})
+    """Report every m <= max_m where the two named per-m columns differ, as
+    {"m": m, **record(<column>=value, ...)}; the default record is the
+    values themselves.  A column that ends before m reads None there, so a
+    short column fails at its first missing m.  Columns that agree, cut at
+    max_m + 1, pass on one list comparison, with no record built."""
+    (one, xs), (other, ys) = columns.items()
+    xs, ys, failures = xs[: max_m + 1], ys[: max_m + 1], []
+    if xs != ys or len(xs) <= max_m:
+        pad = [None] * (max_m + 1)
+        failures = [{"m": m, **record(**{one: x, other: y})}
+                    for m, x, y in zip(range(max_m + 1), xs + pad, ys + pad)
+                    if x is None or x != y]
     return _report(check, params, failures, started)
 
 

@@ -1,5 +1,7 @@
-"""The list-based count tables: the differential oracle of the packed-series
-kernels ``partitions._product_counts`` and ``partitions._count_window``.
+"""The list-based count tables and the per-cell weight table: differential
+oracles of the packed-series kernels ``partitions._product_counts`` and
+``partitions._count_window`` and of the running window of
+``characters.reduced_weight_table``.
 
 The kernels store a whole series as one integer and take a few big-integer
 shifts and additions per factor or per column.  These are the plain-list
@@ -8,12 +10,16 @@ per (row, part): the same recursions on independent arithmetic, so a field
 that carried, borrowed or was cut at the wrong degree shows as a differing
 count.  Both read ``partitions._windows`` or the ``d`` grid exactly as the
 kernels do, which is the rule under test elsewhere, against enumeration.
+The weight table's running window adds each term once and takes it back
+once; the oracle sums every cell's window afresh, so a term taken back at
+the wrong part, or a code left at count 0, shows as a differing table.
 
     PYTHONPATH=src:tests python -O tests/count_oracle.py
 
 checks the kernels against these loops at the admitted limit M = 2000, where
 the window DP below takes about half a second per ``d`` (CPython 3.11 on a
-2-vCPU VM), too slow for the tier-1 suite.
+2-vCPU VM), too slow for the tier-1 suite, and the weight table against the
+cells at ranks 2..5 and M = 120, where rank 5 takes about a quarter second.
 """
 
 from __future__ import annotations
@@ -21,8 +27,10 @@ from __future__ import annotations
 import sys
 from itertools import accumulate
 
-from youngwalls.partitions import (_check_non_negative, _count_window,
+from youngwalls.characters import reduced_weight_table
+from youngwalls.partitions import (_add_shifted, _check_non_negative, _count_window,
                                    _product_counts, _windows)
+from youngwalls.walls import WallParams, column_codes
 
 
 def product_counts_by_list(M: int, d: int) -> list[int]:
@@ -55,15 +63,37 @@ def count_window_by_list(M: int, d: int) -> list[int]:
     return [row[0] for row in after]
 
 
+def reduced_weight_table_by_cells(params: WallParams, M: int) -> list[dict[int, int]]:
+    """Weights of the reduced walls with m = 0..M blocks, each cell on its
+    own: ``after[r][a]`` sums the entries ``after[r - b][b]``, shifted by
+    column ``b``'s code, over every part ``b`` in ``a``'s window cut at r,
+    with no running window carried from cell to cell."""
+    _check_non_negative(M)
+    codes, windows = column_codes(params, M), _windows(M, params.delta, params.period)
+    after = [[{0: 1} if ends else {} for _, _, ends in windows]]
+    for r in range(1, M + 1):
+        row = []
+        for lo, hi, _ in windows[: M - r + 1]:
+            acc: dict[int, int] = {}
+            for b in range(lo, (hi if hi < r else r) + 1):
+                _add_shifted(acc, after[r - b][b], codes[b])
+            row.append(acc)
+        after.append(row)
+    return [row[0] for row in after]
+
+
 #: The admitted limit and the grids checked there: delta = 3 (rank 2), two
 #: windows of about M / 4 and M / 2 parts, and a grid above M, whose window
 #: never drops a column.
 LIMIT, LIMIT_GRIDS = 2000, (3, 251, 500, 2001)
+#: The bound and the ranks at which the weight table meets its cells.
+WEIGHT_M, WEIGHT_RANKS = 120, (2, 3, 4, 5)
 
 
 def main() -> int:
-    """Compare the kernels with the lists at ``LIMIT``; exit 1 on a mismatch.
-    A plain comparison, not an assert, so that it also runs under -O."""
+    """Compare the kernels with the lists at ``LIMIT`` and the weight table
+    with its cells at ``WEIGHT_M``; exit 1 on a mismatch.  A plain
+    comparison, not an assert, so that it also runs under -O."""
     failed = False
     for d in LIMIT_GRIDS:
         for kernel, oracle in ((_product_counts, product_counts_by_list),
@@ -72,6 +102,13 @@ def main() -> int:
             failed |= not same
             print(f"{kernel.__name__}({LIMIT}, {d}): "
                   f"{'equal' if same else 'DIFFERS'}")
+    for n in WEIGHT_RANKS:
+        params = WallParams(n)
+        same = (reduced_weight_table(params, WEIGHT_M)
+                == reduced_weight_table_by_cells(params, WEIGHT_M))
+        failed |= not same
+        print(f"reduced_weight_table(WallParams({n}), {WEIGHT_M}): "
+              f"{'equal' if same else 'DIFFERS'}")
     return 1 if failed else 0
 
 

@@ -21,7 +21,11 @@ from youngwalls.characters import (
     strict_weight_table,
     unpack_weight,
 )
+from youngwalls import characters
+from youngwalls.partitions import _add_shifted, _sub_shifted
 from youngwalls.walls import column_codes
+
+from count_oracle import reduced_weight_table_by_cells
 
 P2 = WallParams(2)
 P3 = WallParams(3)
@@ -151,6 +155,59 @@ class TestWeightTables:
         assert table(P2, 0) == [{0: 1}]
         with pytest.raises(ValueError):
             table(P2, -1)
+
+
+class TestReducedWindow:
+    """The running window of ``reduced_weight_table`` against the per-cell
+    sums of ``count_oracle``, and the merges it does."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12])
+    def test_matches_the_cells_to_forty(self, n):
+        params = WallParams(n)
+        for M in range(41):
+            # dict equality: a code left at count 0 differs
+            assert reduced_weight_table(params, M) == reduced_weight_table_by_cells(
+                params, M), M
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_cells_at_eighty(self, n):
+        params = WallParams(n)
+        assert reduced_weight_table(params, 80) == reduced_weight_table_by_cells(
+            params, 80)
+
+    def test_taking_back_deletes_the_codes_left_at_zero(self):
+        # a 0 left in a window cell reached no start cell at the sizes the
+        # table is tested at, so the helper is held to it directly
+        running = {}
+        _add_shifted(running, {0: 2, 3: 1}, 4)
+        _add_shifted(running, {1: 1, 2: 5}, 3)
+        _sub_shifted(running, {0: 2, 3: 1}, 4)
+        assert running == {4: 1, 5: 5}
+        _sub_shifted(running, {1: 1, 2: 5}, 3)
+        assert running == {}
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_each_term_is_merged_a_bounded_number_of_times(self, monkeypatch, n):
+        # one merge per term into the start cell, at most one in and one out
+        # of the running window: re-summing each cell's window does 4,250
+        # additive merges at n = 5, M = 40, over the M(M + 1) = 1,640 bound
+        calls = Counter()
+
+        def counted(name):
+            merge = getattr(characters, name)
+
+            def count_call(*args):
+                calls[name] += 1
+                merge(*args)
+            return count_call
+
+        for name in ("_add_shifted", "_sub_shifted"):
+            monkeypatch.setattr(characters, name, counted(name))
+        M = 40
+        assert reduced_weight_table(WallParams(n), M) == reduced_weight_table_by_cells(
+            WallParams(n), M)
+        assert 0 < calls["_add_shifted"] <= M * (M + 1)
+        assert calls["_sub_shifted"] <= M * (M + 1) // 2
 
 
 class TestPrincipalCharacter:

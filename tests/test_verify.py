@@ -22,7 +22,7 @@ from youngwalls import proper_counts, reduced_counts, strict_counts
 from youngwalls import bijections, psi, virtual_character, walls, weight
 from youngwalls.bijections import _phi_core, _psi_core
 from youngwalls.walls import column_codes
-from youngwalls.verify import _report, _witness_key
+from youngwalls.verify import _agree, _report, _witness_key
 
 import walk_oracle
 from grid import off_by_one_at, term_off_by_one_at
@@ -680,6 +680,52 @@ class TestReportPlumbing:
         assert sorted([later, cell, wall, {}], key=_witness_key) == [
             {}, wall, cell, later
         ]
+
+
+def agree_by_walk(max_m, record=dict, **columns):
+    """The failure records ``_agree`` must give, by a walk over every m that
+    reads a missing value as None."""
+    failures = []
+    for m in range(max_m + 1):
+        values = {name: column[m] if m < len(column) else None
+                  for name, column in columns.items()}
+        first, *rest = values.values()
+        if None in values.values() or any(value != first for value in rest):
+            failures.append({"m": m, **record(**values)})
+    return failures
+
+
+def named(**values):
+    return {"named": list(values.items())}
+
+
+class TestAgree:
+    def test_passing_columns_build_no_record(self):
+        def record(**values):
+            raise AssertionError("a record built for agreeing columns")
+
+        for left, right, max_m in (([1, 2, 3], [1, 2, 3], 2),
+                                   ([1, 2, 3, 4], [1, 2, 3, 9], 2),
+                                   ([{}, {5: 1}], [{}, {5: 1}, {7: 2}], 1)):
+            assert _agree("fake", {}, max_m, 0.0, record, left=left,
+                          right=right).passed
+
+    @pytest.mark.parametrize("left, right, max_m", [
+        ([1, 2, 3], [1, 2, 3], 4),           # both short
+        ([1, 2, 3, 4], [1, 2], 3),           # one short
+        ([1, 2], [1, 5, 3, 4], 3),           # one short, one differing
+        ([1, 7, 3, 4, 9], [1, 2, 3, 5], 2),  # long: past max_m is not read
+        ([1, 7, 3, 8], [1, 2, 3, 5], 3),
+        ([{}, {4: 1}, {6: 2, 7: 1}], [{}, {4: 1}, {6: 2}], 2),
+        ([{}, {4: 1}], [{}, {4: 1, 5: 0}, {6: 1}], 3),
+    ])
+    def test_failing_columns_give_the_walks_records(self, monkeypatch, left, right,
+                                                    max_m):
+        monkeypatch.setattr(verify, "_report", lambda *args: args[2])
+        for record in (dict, named):
+            got = _agree("fake", {}, max_m, 0.0, record, left=left, right=right)
+            assert got == agree_by_walk(max_m, record, left=left, right=right)
+            assert got
 
 
 class TestRunChecks:
