@@ -1,20 +1,23 @@
 """Command-line surface: enumeration, weights, maps, characters, verify suite.
 
-Every command returns one ``(params, payload)`` record; ``main`` writes it to
-stdout as one JSON document or as text lines rendered from the payload, and
-diagnostics such as elapsed times go to stderr.  Exit codes: 0 on success,
-1 when a verification check fails, 2 on usage or domain errors, 3 on any
-other (internal) error.
+Every command returns ``(params, payload, lines)``: its JSON record and its
+text lines, both built from the same values; ``main`` writes one of them to
+stdout, and diagnostics such as elapsed times go to stderr.  Exit codes: 0
+on success, 1 when a verification check fails, 2 on usage or domain errors,
+3 on any other (internal) error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
 import sys
-from typing import Any, Iterator
+from functools import partial
+from itertools import chain
+from typing import Any, Callable, Iterable
 
 from .bijections import phi, phi_inv, psi, psi_inv
 from .characters import (proper_weight_table, reduced_weight_table,
@@ -31,7 +34,16 @@ from .walls import (
     weight,
 )
 
-Record = tuple[dict[str, Any], dict[str, Any]]
+Record = tuple[dict[str, Any], dict[str, Any], Iterable[str]]
+
+
+def parse_int(text: str) -> int:
+    """Parse an integer option by ``parse_partition``'s digit rule: ASCII
+    digits, an optional leading minus, optional surrounding whitespace."""
+    with contextlib.suppress(ValueError):  # int() refuses past its digit limit
+        if re.fullmatch(r"-?[0-9]+", text.strip()):
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def parse_partition(text: str) -> Partition:
@@ -71,44 +83,38 @@ def _scope(params: dict[str, Any]) -> str:
     return " ".join(f"{k}={v}" for k, v in params.items())
 
 
-def _counts(set_name: str, n: int | None, M: int) -> list[int]:
-    """The set's count table for m = 0..M."""
-    if set_name == "strict":
-        return strict_counts(M)
-    count_walls = proper_counts if set_name == "proper" else reduced_counts
-    return count_walls(WallParams(n), M)
+def _set(name: str, n: int | None) -> list[Callable[[int], Any]]:
+    """The named set's count table, enumerator and weight table at rank n,
+    each on a size alone; looked up per call, so a patched global runs."""
+    tables = {"proper": (proper_counts, enumerate_proper, proper_weight_table),
+              "reduced": (reduced_counts, enumerate_reduced, reduced_weight_table),
+              "strict": (lambda _, M: strict_counts(M),
+                         lambda _, m: enumerate_strict(m), strict_weight_table)}[name]
+    params = None if n is None else WallParams(n)
+    return [partial(table, params) for table in tables]
 
 
-def _members(set_name: str, n: int | None, m: int) -> list[Partition]:
-    """The set's members of size m, after its count table says they fit."""
-    admit("--m", _counts(set_name, n, m)[m], MAX_OBJECTS)
-    if set_name == "strict":
-        return enumerate_strict(m)
-    enumerate_walls = enumerate_proper if set_name == "proper" else enumerate_reduced
-    return enumerate_walls(WallParams(n), m)
+def _admitted(args: argparse.Namespace) -> tuple[int, Callable, Callable]:
+    """The set's member count at --m within MAX_OBJECTS, enumerator, weight table."""
+    counts, members, weights = _set(args.set, args.n)
+    size = counts(args.m)[args.m]
+    admit("--m", size, MAX_OBJECTS)
+    return size, members, weights
 
 
 def cmd_enum(args: argparse.Namespace) -> Record:
-    members = _members(args.set, args.n, args.m)
+    members = _admitted(args)[1](args.m)
     params = {"set": args.set, "n": args.n, "m": args.m}
-    return params, {"count": len(members), "partitions": members}
-
-
-def text_enum(payload: dict[str, Any]) -> Iterator[str]:
-    yield f"count: {payload['count']}"
-    yield from map(_literal, payload["partitions"])
+    lines = chain([f"count: {len(members)}"], map(_literal, members))
+    return params, {"count": len(members), "partitions": members}, lines
 
 
 def cmd_weight(args: argparse.Namespace) -> Record:
     lam = parse_partition(args.partition)
     vec = list(weight(lam, WallParams(args.n)))
     params = {"n": args.n, "partition": lam}
-    return params, {"weight": vec, "total": sum(vec)}
-
-
-def text_weight(payload: dict[str, Any]) -> Iterator[str]:
-    yield f"weight: [{_literal(payload['weight'])}]"
-    yield f"total: {payload['total']}"
+    lines = [f"weight: [{_literal(vec)}]", f"total: {sum(vec)}"]
+    return params, {"weight": vec, "total": sum(vec)}, lines
 
 
 def cmd_map(args: argparse.Namespace) -> Record:
@@ -121,70 +127,46 @@ def cmd_map(args: argparse.Namespace) -> Record:
         hat = parse_partition(args.hat)
         record_params["hat"] = hat
         inverse = psi_inv if args.alg == "psi-inv" else phi_inv
-        return record_params, {"result": inverse(lam, hat, params)}
+        wall = inverse(lam, hat, params)
+        return record_params, {"result": wall}, [f"result: {_literal(wall)}"]
     if args.hat is not None:
         raise ValueError(f"--hat is only for the inverse maps, not {args.alg}")
     result = (psi if args.alg == "psi" else phi)(lam, params)
     payload: dict[str, Any] = {"reduced": result.reduced_part,
                                "hat": result.hat_part, "k": result.k}
+    lines = [f"reduced: {_literal(result.reduced_part)}",
+             f"hat: {_literal(result.hat_part)}", f"k: {result.k}"]
     if args.trace:
         key = "t" if args.alg == "psi" else "pair"
         payload["trace"] = [{"l": s.l, "i": s.i, key: s.value} for s in result.trace]
-    return record_params, payload
-
-
-def text_map(payload: dict[str, Any]) -> Iterator[str]:
-    if "result" in payload:
-        yield f"result: {_literal(payload['result'])}"
-        return
-    yield f"reduced: {_literal(payload['reduced'])}"
-    yield f"hat: {_literal(payload['hat'])}"
-    yield f"k: {payload['k']}"
-    for step in payload.get("trace", []):
-        key = "t" if "t" in step else "pair"
-        yield f"step {step['l']}: i={step['i']} {key}={step[key]}"
+        lines += [f"step {s.l}: i={s.i} {key}={s.value}" for s in result.trace]
+    return record_params, payload, lines
 
 
 def cmd_vch(args: argparse.Namespace) -> Record:
     wall_params, m = WallParams(args.n), args.m
-    members = _counts(args.set, args.n, m)[m]
-    admit("--m", members, MAX_OBJECTS)
+    size, _, weights = _admitted(args)
     # a table entry has at most one term per member, each of n + 1 numbers
-    admit("--n", members * (args.n + 1), MAX_OBJECTS)
-    tables = {"proper": proper_weight_table, "reduced": reduced_weight_table,
-              "strict": strict_weight_table}
-    entry = tables[args.set](wall_params, m)[m]
+    admit("--n", size * (args.n + 1), MAX_OBJECTS)
+    entry = weights(m)[m]
     vch = sorted((unpack_weight(code, wall_params, m), c) for code, c in entry.items())
     terms = [{"weight": list(v), "multiplicity": c} for v, c in vch]
+    lines = [f"terms: {len(terms)}", *(f"[{_literal(v)}] x{c}" for v, c in vch)]
     params = {"set": args.set, "n": args.n, "m": m}
-    return params, {"total": sum(entry.values()), "terms": terms}
-
-
-def text_vch(payload: dict[str, Any]) -> Iterator[str]:
-    yield f"terms: {len(payload['terms'])}"
-    for term in payload["terms"]:
-        yield f"[{_literal(term['weight'])}] x{term['multiplicity']}"
+    return params, {"total": sum(entry.values()), "terms": terms}, lines
 
 
 def cmd_pschar(args: argparse.Namespace) -> Record:
-    coeffs = reduced_counts(WallParams(args.n), args.degree)
+    coeffs = _set("reduced", args.n)[0](args.degree)
     payload = {"degree": args.degree, "coefficients": coeffs}
-    return {"n": args.n, "degree": args.degree}, payload
-
-
-def text_pschar(payload: dict[str, Any]) -> Iterator[str]:
-    yield f"degree: {payload['degree']}"
-    yield "coefficients: " + _literal(payload["coefficients"])
+    lines = [f"degree: {args.degree}", "coefficients: " + _literal(coeffs)]
+    return {"n": args.n, "degree": args.degree}, payload, lines
 
 
 def cmd_count(args: argparse.Namespace) -> Record:
-    counts = _counts(args.set, args.n, args.max_m)
-    return {"set": args.set, "n": args.n, "max_m": args.max_m}, {"counts": counts}
-
-
-def text_count(payload: dict[str, Any]) -> Iterator[str]:
-    for m, c in enumerate(payload["counts"]):
-        yield f"{m}: {c}"
+    counts = _set(args.set, args.n)[0](args.max_m)
+    params = {"set": args.set, "n": args.n, "max_m": args.max_m}
+    return params, {"counts": counts}, (f"{m}: {c}" for m, c in enumerate(counts))
 
 
 def cmd_verify(args: argparse.Namespace) -> Record:
@@ -199,19 +181,14 @@ def cmd_verify(args: argparse.Namespace) -> Record:
     for r in reports:
         print(f"# {r.check} {_scope(r.params)} elapsed={r.elapsed:.3f}s",
               file=sys.stderr)
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.check} {_scope(r.params)}"
+             + ("" if r.passed else " counterexample="
+                + json.dumps(r.counterexample, sort_keys=True)) for r in reports]
     params = {"n_range": list(n_values), "max_m": args.max_m,
               "degree": args.degree, "checks": list(checks)}
     payload = {"reports": [r.to_dict() for r in reports],
                "all_passed": all(r.passed for r in reports)}
-    return params, payload
-
-
-def text_verify(payload: dict[str, Any]) -> Iterator[str]:
-    for r in payload["reports"]:
-        line = f"{'PASS' if r['passed'] else 'FAIL'} {r['check']} {_scope(r['params'])}"
-        if not r["passed"]:
-            line += f" counterexample={json.dumps(r['counterexample'], sort_keys=True)}"
-        yield line
+    return params, payload, lines
 
 
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
@@ -220,19 +197,18 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     ``--help``, it holds all of them, and an unknown name exits as a usage
     error."""
     sets = {"choices": ("proper", "reduced", "strict"), "required": True}
-    rank = {"type": int, "required": True, "help": "wall rank, at least 2"}
+    rank = {"type": parse_int, "required": True, "help": "wall rank, at least 2"}
     optional_rank = {**rank, "required": False}
-    size = {"type": int, "required": True}
-    # name: (help, command, text renderer, {option: add_argument keywords});
-    # built per call, so a patched ``cmd_*`` is the one that runs
+    size = {"type": parse_int, "required": True}
+    # name: (help, command, options); built per call, so a patched cmd_* runs
     commands = {
-        "enum": ("list a set of partitions of m", cmd_enum, text_enum,
+        "enum": ("list a set of partitions of m", cmd_enum,
                  {"--set": sets, "--n": optional_rank, "--m": size}),
-        "weight": ("per-color block counts of a wall", cmd_weight, text_weight, {
+        "weight": ("per-color block counts of a wall", cmd_weight, {
             "--n": rank,
             "--partition": {"required": True, "help":
                             "comma literal, e.g. '5,2,1'; empty string for ()"}}),
-        "map": ("run a reduction map or its inverse", cmd_map, text_map, {
+        "map": ("run a reduction map or its inverse", cmd_map, {
             "--alg": {"choices": ("psi", "phi", "psi-inv", "phi-inv"),
                       "required": True},
             "--n": rank,
@@ -240,16 +216,16 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
             "--hat": {"help": "bookkeeping partition literal (inverse maps)"},
             "--trace": {"action": "store_true",
                         "help": "print one line per algorithm step"}}),
-        "vch": ("virtual character of a set", cmd_vch, text_vch,
+        "vch": ("virtual character of a set", cmd_vch,
                 {"--set": sets, "--n": rank, "--m": size}),
-        "pschar": ("reduced-wall counting series", cmd_pschar, text_pschar,
+        "pschar": ("reduced-wall counting series", cmd_pschar,
                    {"--n": rank, "--degree": size}),
-        "count": ("cardinalities of a set for m = 0..max-m", cmd_count, text_count,
+        "count": ("cardinalities of a set for m = 0..max-m", cmd_count,
                   {"--set": sets, "--n": optional_rank, "--max-m": size}),
-        "verify": ("run the identity verification suite", cmd_verify, text_verify, {
+        "verify": ("run the identity verification suite", cmd_verify, {
             "--n-range": {"default": "2..4", "help": "inclusive rank range A..B"},
-            "--max-m": {"type": int, "default": 24},
-            "--degree": {"type": int, "default": 200,
+            "--max-m": {"type": parse_int, "default": 24},
+            "--degree": {"type": parse_int, "default": 200,
                          "help": "degree bound for the series identity"},
             "--checks": {"help": "comma list from: " + ",".join(ALL_CHECKS)}}),
     }
@@ -265,12 +241,12 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         metavar = "{" + ",".join(commands) + "}"
         commands = {only: commands[only]}
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help_text, func, text, options) in commands.items():
+    for name, (help_text, func, options) in commands.items():
         p = sub.add_parser(name, help=help_text)
         for option, keywords in options.items():
             p.add_argument(option, **keywords)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(func=func, text=text)
+        p.set_defaults(func=func)
     if only not in commands and only is not None and not only.startswith("-"):
         # worded here, since argparse drops its quotes on some Python versions
         parser.error(f"argument command: invalid choice: {only!r} "
@@ -292,12 +268,10 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None:
                 admit("--" + bound.replace("_", "-"), value,
                       MAX_RANK if bound == "n" else MAX_SIZE)
-        params, payload = args.func(args)
-        if args.format == "json":
-            record = {"command": args.command, "params": params, "payload": payload}
-            out = json.dumps(record, sort_keys=True)
-        else:
-            out = "\n".join(args.text(payload))
+        params, payload, lines = args.func(args)
+        record = {"command": args.command, "params": params, "payload": payload}
+        out = (json.dumps(record, sort_keys=True) if args.format == "json"
+               else "\n".join(lines))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -66,7 +66,8 @@ from typing import Any, Callable
 from .bijections import (_phi_rebuild_step, _phi_step, _psi_rebuild_step,
                          _psi_step)
 from .characters import reduced_weight_table, strict_weight_table, unpack_weight
-from .partitions import odd_counts, partition_counts, strict_counts
+from .partitions import (_check_non_negative, odd_counts, partition_counts,
+                         strict_counts)
 from .series import series_product_strict
 from .walls import (WallParams, _proper_gap, _reduced_gap, _removable_at,
                     column_codes, proper_counts, reduced_counts)
@@ -191,6 +192,7 @@ def verify_reduced_equivalence(params: WallParams, max_m: int) -> VerificationRe
     a + b <= max_m, and b < a, or b == a where ``_proper_gap(a, a)``, so
     when the rules disagree on none of these O(max_m^2) pairs, the two tests
     agree on every such wall.  A failing pair is recorded as (a, b), or (a,)."""
+    _check_non_negative(max_m)
     started = time.perf_counter()
     delta = params.delta
     failures = [{"m": a + b, "partition": (a, b) if b else (a,)}
@@ -208,6 +210,7 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
     checked over every state a wall of at most max_m blocks can show them.
     A failing state is recorded as the wall it stands for: an adjacency,
     one or two columns, or a run."""
+    _check_non_negative(max_m)
     started = time.perf_counter()
     delta, period = params.delta, params.period
     codes = column_codes(params, max_m)

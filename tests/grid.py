@@ -141,6 +141,11 @@ def _other_argvs() -> list[list[str]]:
               ["verify", "--checks", "bogus"], ["verify", "--checks", "euler,"],
               ["verify", "--n-range", "1..2"], ["verify", "--n-range", "2..1000001"],
               ["verify", "--max-m", "82"], ["verify", "--degree", "2001"]]
+    # integer options by the digit rule of partition literals and --n-range
+    argvs += [["count", "--set", "strict", "--max-m", "1_0"],
+              ["count", "--set", "strict", "--max-m", "\u0663"],
+              ["enum", "--set", "strict", "--m", "+3"],
+              ["enum", "--set", "strict", "--m", "0x3"]]
     # the rank floor, a given --n below 2 on any command, below 0 too
     argvs += [["enum", "--set", "strict", "--n", "1", "--m", "3"],
               ["count", "--set", "strict", "--n", "0", "--max-m", "2"],

@@ -143,6 +143,30 @@ def test_negative_size_exits_two(capsys, argv, option):
     assert run_cli(capsys, *argv) == (2, "", f"error: {option} must be non-negative\n")
 
 
+@pytest.mark.parametrize("value", ["1_0", "+3", "\u0663", "\uff11\uff12", "0x3",
+                                   "abc", "3.0", "", "- 3"])
+@pytest.mark.parametrize("command, option", [
+    (["weight", "--partition", "1", "--n"], "--n"),
+    (["enum", "--set", "strict", "--m"], "--m"),
+    (["count", "--set", "strict", "--max-m"], "--max-m"),
+    (["verify", "--degree"], "--degree"),
+])
+def test_integer_options_follow_the_digit_rule(capsys, command, option, value):
+    # the grammar of partition literals and --n-range: ASCII digits only
+    with pytest.raises(SystemExit) as excinfo:
+        main(command + [value])
+    out, err = capsys.readouterr()
+    assert (excinfo.value.code, out) == (2, "")
+    assert err.count("error:") == 1
+    assert err.splitlines()[-1] == (f"youngwalls {command[0]}: error: argument "
+                                    f"{option}: invalid int value: {value!r}")
+
+
+def test_integer_options_take_surrounding_whitespace(capsys):
+    assert run_cli(capsys, "count", "--set", "strict", "--max-m", " 3 ") == (
+        0, "0: 1\n1: 1\n2: 1\n3: 2\n", "")
+
+
 @pytest.mark.parametrize(
     "argv, n",
     [(["enum", "--set", "strict", "--n", "1", "--m", "3"], 1),
@@ -677,6 +701,15 @@ class TestCount:
         )
         assert code == 0
         assert out.splitlines()[-1] == "8: 6"
+
+
+@pytest.mark.parametrize("argv", [["count", "--set", "strict", "--max-m", "2000"],
+                                  ["enum", "--set", "strict", "--m", "60"]])
+def test_long_text_lines_are_built_lazily(argv):
+    # a JSON call at the limits formats none of them
+    args = cli.build_parser(argv[0]).parse_args(argv)
+    *_, lines = args.func(args)
+    assert iter(lines) is lines
 
 
 class TestVerify:

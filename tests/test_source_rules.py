@@ -36,6 +36,10 @@ odd-parts side.  ``verify`` owns its work budget, so that a library
 refusal is worded once: an option that is too large or negative only in
 ``verify.admit``, which the CLI calls too, a negative size passed to the
 library only in ``partitions``, and a rank below 2 only in ``walls``.
+Each CLI command builds its JSON payload and its text lines from the same
+values, so ``cli`` has no ``text_*`` renderer, and it dispatches on a set
+name once: only ``cli._set`` names the sets' count tables, enumerators and
+weight tables.
 
 Every ``youngwalls`` process pays the package's imports before its first
 command, so they stay small and all up front: no module imports
@@ -186,6 +190,23 @@ def test_verify_owns_its_budget():
                   if isinstance(node, ast.Name) and node.id == constant
                   and isinstance(node.ctx, ast.Store)]
         assert owners == ["verify.py"], constant
+
+
+#: What ``cli`` reads of the three sets: count tables, enumerators, weight tables.
+SET_TABLES = {"proper_counts", "reduced_counts", "strict_counts",
+              "enumerate_proper", "enumerate_reduced", "enumerate_strict",
+              "proper_weight_table", "reduced_weight_table", "strict_weight_table"}
+
+
+def test_cli_renders_no_payload_and_dispatches_on_the_set_once():
+    # the top-level definitions; an import names no caller
+    source = (ROOT / "src" / "youngwalls" / "cli.py").read_text()
+    tops = [top for top in ast.parse(source).body
+            if not isinstance(top, ast.ImportFrom)]
+    names = [getattr(top, "name", None) for top in tops]
+    assert [name for name in names if str(name).startswith("text_")] == []
+    readers = [(name, _names(top) & SET_TABLES) for name, top in zip(names, tops)]
+    assert [(name, read) for name, read in readers if read] == [("_set", SET_TABLES)]
 
 
 def _strings(path):

@@ -173,6 +173,19 @@ class TestIndividualVerifiers:
         params = WallParams(2)
         assert verify_bijections(params, params.period - 1).passed
 
+    @pytest.mark.parametrize("check", [
+        lambda m: verify_euler(m),
+        lambda m: verify_count_identity(WallParams(2), m),
+        lambda m: verify_fock(WallParams(2), m),
+        lambda m: verify_vch_identity(WallParams(2), m),
+        lambda m: verify_bijections(WallParams(2), m),
+        lambda m: verify_reduced_equivalence(WallParams(2), m),
+    ], ids=ALL_CHECKS)
+    def test_a_negative_size_raises(self, check):
+        # a walked check visits no state below 0, but must not pass vacuously
+        with pytest.raises(ValueError, match="^m must be non-negative, got -1$"):
+            check(-1)
+
 
 def truncated(fn, drop):
     """``fn`` with the last ``drop`` entries of its table cut off."""
