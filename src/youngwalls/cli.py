@@ -169,6 +169,14 @@ def cmd_count(args: argparse.Namespace) -> Record:
     return params, {"counts": counts}, (f"{m}: {c}" for m, c in enumerate(counts))
 
 
+def _note(line: str) -> None:
+    """Print a diagnostic line to stderr.  Python sets a stderr closed before
+    start-up to None, and ``print`` would then write to stdout instead."""
+    if sys.stderr is None:
+        raise OSError("stderr is closed")
+    print(line, file=sys.stderr)
+
+
 def cmd_verify(args: argparse.Namespace) -> Record:
     n_values = parse_n_range(args.n_range)
     names = ALL_CHECKS if args.checks is None else args.checks.split(",")
@@ -176,11 +184,10 @@ def cmd_verify(args: argparse.Namespace) -> Record:
         raise ValueError("--checks has an empty check name")
     checks = tuple(dict.fromkeys(names))
     cells = plan(n_values, args.max_m, args.degree, checks)
-    print(f"# plan table_cells={cells}", file=sys.stderr)
+    _note(f"# plan table_cells={cells}")
     reports = run_checks(n_values, args.max_m, args.degree, checks)
     for r in reports:
-        print(f"# {r.check} {_scope(r.params)} elapsed={r.elapsed:.3f}s",
-              file=sys.stderr)
+        _note(f"# {r.check} {_scope(r.params)} elapsed={r.elapsed:.3f}s")
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.check} {_scope(r.params)}"
              + ("" if r.passed else " counterexample="
                 + json.dumps(r.counterexample, sort_keys=True)) for r in reports]
@@ -254,6 +261,26 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _to_devnull(stream: Any) -> None:
+    """Point a stream whose writes fail at devnull, so that the flush at exit
+    stays quiet too (the SIGPIPE note in Python's ``signal`` docs)."""
+    with contextlib.suppress(AttributeError, OSError):
+        fd = stream.fileno()
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+
+
+def _report(line: str, code: int) -> int:
+    """Print a diagnostic line to stderr and return the exit ``code``, or 3
+    if stderr refuses it (closed, or its reader gone; a closed file object
+    raises ``ValueError``): exit 1 stays a failed check's."""
+    try:
+        _note(line)
+    except (OSError, ValueError):
+        _to_devnull(sys.stderr)
+        return 3
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv[0] if argv else None)
@@ -272,21 +299,21 @@ def main(argv: list[str] | None = None) -> int:
         record = {"command": args.command, "params": params, "payload": payload}
         out = (json.dumps(record, sort_keys=True) if args.format == "json"
                else "\n".join(lines))
+    # a "# plan" line that stderr refused lands below too, and _report's own
+    # line then fails the same way and returns 3
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _report(f"error: {exc}", 2)
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _report(f"internal error: {type(exc).__name__}: {exc}", 3)
     try:
+        if sys.stdout is None:  # closed before start-up: print would drop out
+            raise OSError("stdout is closed")
         print(out)
         sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # the reader closed stdout: point it at devnull so that the flush at
-        # exit stays quiet too (the SIGPIPE note in Python's ``signal`` docs)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    except OSError as exc:
+        # the reader closed stdout, or its device is full
+        _to_devnull(sys.stdout)
+        return _report(f"internal error: {type(exc).__name__}: {exc}", 3)
     return 0 if payload.get("all_passed", True) else 1
 
 

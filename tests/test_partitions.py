@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from youngwalls import (
     Partition,
+    WallParams,
     count_odd,
     count_partitions,
     count_strict,
@@ -18,11 +19,15 @@ from youngwalls import (
     series_product_strict,
     strict_counts,
 )
+from youngwalls import partitions
+from youngwalls.characters import proper_weight_table, strict_weight_table
 from youngwalls.partitions import (_count_window, _enumerate_window, _product_counts,
                                    _product_table, _width)
 from youngwalls.verify import MAX_SIZE
+from youngwalls.walls import column_codes
 
-from count_oracle import count_window_by_list, product_counts_by_list
+from count_oracle import (count_window_by_list, product_counts_by_list,
+                          product_table_by_ascending_factors)
 
 
 def ascending_partitions(m, least=1):
@@ -216,6 +221,39 @@ class TestCountTables:
     def test_packed_kernels_match_list_oracles_at_five_hundred(self, d):
         assert _product_counts(500, d) == product_counts_by_list(500, d)
         assert _count_window(500, d) == count_window_by_list(500, d)
+
+    @pytest.mark.parametrize(
+        "n, bounds",
+        [*((n, range(41)) for n in (*range(2, 9), 12)),
+         *((n, [81]) for n in range(2, 6))],
+        ids=lambda value: str(value) if isinstance(value, int) else
+        f"M{value[0]}..{value[-1]}")
+    def test_weight_tables_match_the_ascending_product(self, n, bounds):
+        # every bound to 40, and 81, the largest --max-m that vch admits
+        params = WallParams(n)
+        for M in bounds:
+            codes = column_codes(params, M)
+            assert strict_weight_table(params, M) == (
+                product_table_by_ascending_factors(M, M + 1, codes)), M
+            assert proper_weight_table(params, M) == (
+                product_table_by_ascending_factors(M, params.delta, codes)), M
+
+    def test_strict_weight_table_merges_few_entries(self, monkeypatch):
+        # largest part first, factor i reads only partitions into parts of
+        # at least i and skips the empty ones; smallest part first made 820
+        # calls merging 5,896 entries here
+        entries = []  # len(terms) per call
+        add_shifted = partitions._add_shifted
+
+        def counted(acc, terms, shift):
+            entries.append(len(terms))
+            add_shifted(acc, terms, shift)
+
+        monkeypatch.setattr(partitions, "_add_shifted", counted)
+        strict_weight_table(WallParams(5), 40)
+        assert 0 < len(entries) <= 420
+        assert sum(entries) <= 3309
+        assert 0 not in entries
 
     def test_packed_width_holds_every_count(self):
         # no coefficient of the packed kernels exceeds p(M), and each field
