@@ -264,7 +264,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 def _to_devnull(stream: Any) -> None:
     """Point a stream whose writes fail at devnull, so that the flush at exit
     stays quiet too (the SIGPIPE note in Python's ``signal`` docs)."""
-    with contextlib.suppress(AttributeError, OSError):
+    with contextlib.suppress(AttributeError, OSError, ValueError):
         fd = stream.fileno()
         os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
 
@@ -310,8 +310,8 @@ def main(argv: list[str] | None = None) -> int:
             raise OSError("stdout is closed")
         print(out)
         sys.stdout.flush()
-    except OSError as exc:
-        # the reader closed stdout, or its device is full
+    except (OSError, ValueError) as exc:
+        # the reader closed stdout, its device is full, or a caller closed it
         _to_devnull(sys.stdout)
         return _report(f"internal error: {type(exc).__name__}: {exc}", 3)
     return 0 if payload.get("all_passed", True) else 1

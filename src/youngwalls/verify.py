@@ -49,11 +49,12 @@ member's code exceeds max_m - 2k, so adding them carries none.
 
 A failing report carries the smallest offending cell and, where
 applicable, the lexicographically smallest offending object, so failures
-reproduce deterministically.  ``plan`` sizes a run from closed forms
-before any table is built, and ``run_checks`` and the CLI both refuse,
-with its ValueError, a run over ``MAX_SIZE`` or ``MAX_OBJECTS``.  Every
-refusal of an option as too large or negative, the CLI's too, is
-``admit``'s, against a cap its caller passes (``MAX_RANK`` for a rank).
+reproduce deterministically.  A check is one ``_CHECKS`` entry: its runner,
+and its cost, a closed form that ``plan`` reads before any table is built.
+``run_checks`` and the CLI both refuse, with its ValueError, a run over
+``MAX_SIZE`` or ``MAX_OBJECTS``.  Every refusal of an option as too large
+or negative, the CLI's too, is ``admit``'s, against a cap its caller
+passes (``MAX_RANK`` for a rank).
 """
 
 from __future__ import annotations
@@ -259,15 +260,27 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
     return _report("bijections", {"n": params.n, "max_m": max_m}, failures, started)
 
 
+#: Each check in canonical execution order: its runner's name, read from the
+#: globals per call (the perfbench tracer and tests rebind it), and its cost:
+#: None for one run at the degree and no per-rank table, else (ranks, M) ->
+#: its objects per budget, (table entries, walked states), one per rank or none.
+_CHECKS: dict[str, tuple[str, Callable | None]] = {
+    "euler": ("verify_euler", None),
+    "counts": ("verify_count_identity", lambda ranks, M: ((), ())),
+    "fock": ("verify_fock", lambda ranks, M: ((), ())),
+    # each table holds at most one weight per strict partition of each m <= M
+    "vch": ("verify_vch_identity",
+            lambda ranks, M: ([sum(strict_counts(M))] * len(ranks), ())),
+    # the psi rows (a, b): b <= M // 2 and b <= a <= M - b
+    "bijections": ("verify_bijections",
+                   lambda ranks, M: ((), [(M + 2) ** 2 // 4] * len(ranks))),
+    # the pairs (a, b): 1 <= a <= M and b < min(a + [(n + 1) | a], M + 1 - a)
+    "reduced-equivalence": ("verify_reduced_equivalence", lambda ranks, M: (
+        (), [(M + 1) ** 2 // 4 + M // (2 * n + 2) for n in ranks])),
+}
+
 #: Check names accepted by run_checks, in canonical execution order.
-ALL_CHECKS = (
-    "euler",
-    "counts",
-    "fock",
-    "vch",
-    "bijections",
-    "reduced-equivalence",
-)
+ALL_CHECKS = tuple(_CHECKS)
 
 
 #: Most objects a request may handle, read off count tables or closed forms
@@ -294,55 +307,42 @@ def admit(option: str, value: int, cap: int) -> None:
         raise ValueError(f"{option} must be non-negative")
 
 
-def _states(checks: set[str], n: int, M: int) -> int:
-    """The (a, b) states that the selected O(M^2) checks visit at rank n:
-    bijections' psi rows, b <= M // 2 and b <= a <= M - b, and
-    reduced-equivalence's pairs, 1 <= a <= M and
-    b < min(a + [(n + 1) | a], M + 1 - a)."""
-    rows, pairs = (M + 2) ** 2 // 4, (M + 1) ** 2 // 4 + M // (2 * n + 2)
-    return (rows * ("bijections" in checks)
-            + pairs * ("reduced-equivalence" in checks))
-
-
 def plan(n_values: tuple[int, ...], max_m: int, euler_degree: int,
          checks: tuple[str, ...]) -> int:
     """The table cells the checks build, once they are admitted: a
     ValueError names an unknown check, else ``admit`` refuses, in this
-    order, max_m and then the degree against MAX_SIZE, and the cells, then
-    the vch entries and the walked states, against MAX_OBJECTS, naming the
-    option to mend."""
-    if unknown := [c for c in checks if c not in ALL_CHECKS]:
+    order, max_m and then the degree against MAX_SIZE, the cells, and the
+    larger budget summed from the ``_CHECKS`` costs, against MAX_OBJECTS,
+    naming the option to mend."""
+    if unknown := [c for c in checks if c not in _CHECKS]:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
     admit("--max-m", max_m, MAX_SIZE)
     admit("--degree", euler_degree, MAX_SIZE)
-    # per-rank tables grow with n too: vch's weight codes hold n + 1 counts
-    tables = any(check != "euler" for check in checks)
-    cells = (max_m + 1) * (sum(n_values) + len(n_values)) if tables else 0
+    costs = [cost for check, (_, cost) in _CHECKS.items() if check in checks and cost]
+    # per-rank tables grow with n too: a weight code holds n + 1 counts
+    cells = (max_m + 1) * (sum(n_values) + len(n_values)) if costs else 0
     admit("--n-range", cells, MAX_OBJECTS)
-    # per rank, each vch table holds at most one weight per strict partition
-    # of each m, and bijections and reduced-equivalence visit O(max_m^2) states
-    walked = {"bijections", "reduced-equivalence"} & set(checks)
-    per_rank = sum(strict_counts(max_m)) if "vch" in checks else 0
-    entries = states = 0
-    for rank, n in enumerate(n_values if per_rank or walked else ()):
-        entries += per_rank
-        states += _states(walked, n, max_m)
-        admit("--n-range" if rank else "--max-m", max(entries, states), MAX_OBJECTS)
+    # each check's objects at each rank, per budget; a sum only grows with the
+    # ranks, so the total decides, and the first rank which option to name
+    entries, states = zip(((), ()), *[cost(n_values, max_m) for cost in costs])
+    total = max(sum(map(sum, entries)), sum(map(sum, states)))
+    if total > MAX_OBJECTS:
+        admit("--max-m", max(sum(sum(objects[:1]) for objects in budget)
+                             for budget in (entries, states)), MAX_OBJECTS)
+    admit("--n-range", total, MAX_OBJECTS)
     return cells
 
 
 def run_checks(n_values: tuple[int, ...], max_m: int, euler_degree: int,
                checks: tuple[str, ...] = ALL_CHECKS) -> list[VerificationReport]:
-    """Run the selected checks over all ranks once ``plan`` admits them;
-    reports come back ordered by (check, n), so identical invocations
-    produce identical output."""
+    """Run the selected checks over all ranks once ``plan`` admits them, a
+    check without a cost once, at the degree; reports come back ordered by
+    (check, n), so identical invocations produce identical output."""
     plan(n_values, max_m, euler_degree, checks)
-    # built per call, not at module level: the perfbench tracer rebinds the
-    # module's verify_* globals, and a module-level dict would keep calling
-    # the unwrapped functions and read zero for every verify.* layer metric
-    runners = {"counts": verify_count_identity, "fock": verify_fock,
-               "vch": verify_vch_identity, "bijections": verify_bijections,
-               "reduced-equivalence": verify_reduced_equivalence}
-    reports = [verify_euler(euler_degree)] if "euler" in checks else []
-    return reports + [run(WallParams(n), max_m) for check, run in runners.items()
-                      if check in checks for n in n_values]
+    reports = []
+    for check, (runner, cost) in _CHECKS.items():
+        if check in checks:
+            run = globals()[runner]
+            reports += ([run(euler_degree)] if cost is None
+                        else [run(WallParams(n), max_m) for n in n_values])
+    return reports

@@ -148,6 +148,24 @@ def test_refusing_stderr_returns_three(capsys, monkeypatch, argv, stderr):
     assert capsys.readouterr().out == ""
 
 
+def _closed_real_file():
+    stream = open(os.devnull, "w")
+    stream.close()
+    return stream
+
+
+@pytest.mark.parametrize("stdout, stop", [(_closed_file, ""),
+                                          (_closed_real_file, ".")],
+                         ids=["closed-string-io", "closed-real-file"])
+def test_closed_stdout_file_returns_three(capsys, monkeypatch, stdout, stop):
+    # an in-process caller that closed stdout: print raises ValueError, and
+    # so does a closed real file's fileno() when stdout is pointed at devnull
+    monkeypatch.setattr(sys, "stdout", stdout())
+    assert main(["count", "--set", "strict", "--max-m", "4"]) == 3
+    assert capsys.readouterr().err == (
+        f"internal error: ValueError: I/O operation on closed file{stop}\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_stdout_exits_three():
     # ENOSPC, not EPIPE: an error on stdout is internal whatever its errno
@@ -339,9 +357,15 @@ def test_verify_budget_counts_the_states_each_check_visits(monkeypatch, n, M):
         monkeypatch.setattr(verify, name, logged)
     assert all(report.passed for report in verify.run_checks(
         (n,), M, 0, ("bijections", "reduced-equivalence")))
+    # each walked check's cost at the one rank: no table entries, its states
     for check, states in seen.items():
-        assert verify._states({check}, n, M) == len(states), check
-    assert verify._states(set(seen), n, M) == sum(map(len, seen.values()))
+        assert verify._CHECKS[check][1]((n,), M) == ((), [len(states)]), check
+    assert sum(verify._CHECKS[check][1]((n,), M)[1][0] for check in seen) == sum(
+        map(len, seen.values()))
+    # the other checks with a per-rank table hold no states
+    assert verify._CHECKS["counts"][1]((n,), M) == ((), ())
+    assert verify._CHECKS["fock"][1]((n,), M) == ((), ())
+    assert verify._CHECKS["vch"][1]((n,), M) == ([sum(strict_counts(M))], ())
 
 
 def test_verify_state_budget_boundary(capsys, monkeypatch):
@@ -490,6 +514,20 @@ def test_default_verify_budget_boundary(capsys):
     code, out, _ = run_cli(capsys, *argv, "81")
     assert code == 0 and out.count("PASS") == 6
     assert run_cli(capsys, *argv, "82") == (2, "", "error: --max-m is too large\n")
+
+
+def test_widest_default_verify_at_the_real_cap(capsys, monkeypatch):
+    # at max_m 40 each rank's vch tables may hold 8,697 entries: 115 ranks
+    # (2..116) hold 1,000,155, over 10**6, and 114 ranks fit
+    assert verify.plan(tuple(range(2, 116)), 40, 200, verify.ALL_CHECKS) == 278103
+
+    def refuse(*args):
+        raise AssertionError("weight table built")
+
+    monkeypatch.setattr(verify, "strict_weight_table", refuse)
+    monkeypatch.setattr(verify, "reduced_weight_table", refuse)
+    argv = ["verify", "--n-range", "2..116", "--max-m", "40"]
+    assert run_cli(capsys, *argv) == (2, "", "error: --n-range is too large\n")
 
 
 def test_verify_refuses_cubic_vch_tables_fast(capsys):

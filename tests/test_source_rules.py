@@ -32,10 +32,14 @@ on one adjacency is stated once, in ``walls._proper_gap``, which
 odd-parts side.  ``verify`` owns its work budget, so that a library
 ``run_checks`` refuses what the CLI refuses: ``cli`` imports no private
 ``verify`` name, ``cmd_verify`` holds no check name, and ``MAX_OBJECTS``,
-``MAX_SIZE`` and ``MAX_RANK`` are each assigned in ``verify`` alone.  Each
-refusal is worded once: an option that is too large or negative only in
-``verify.admit``, which the CLI calls too, a negative size passed to the
-library only in ``partitions``, and a rank below 2 only in ``walls``.
+``MAX_SIZE`` and ``MAX_RANK`` are each assigned in ``verify`` alone.
+Each check is stated once, as a ``verify._CHECKS`` entry (its runner and
+its cost): outside docstrings a check name is a table key or the name its
+runner reports, and ``plan`` and ``run_checks`` name no check and no
+runner.  Each refusal is worded once: an option that is too large or
+negative only in ``verify.admit``, which the CLI calls too, a negative
+size passed to the library only in ``partitions``, and a rank below 2
+only in ``walls``.
 Each CLI command builds its JSON payload and its text lines from the same
 values, so ``cli`` has no ``text_*`` renderer, and it dispatches on a set
 name once: only ``cli._set`` names the sets' count tables, enumerators and
@@ -190,6 +194,34 @@ def test_verify_owns_its_budget():
                   if isinstance(node, ast.Name) and node.id == constant
                   and isinstance(node.ctx, ast.Store)]
         assert owners == ["verify.py"], constant
+
+
+def test_each_check_is_stated_once_in_verify():
+    # docstrings aside, a check name is a _CHECKS key and a string in the
+    # runner that reports it: plan and run_checks read every check, and its
+    # runner, off the table
+    tree = ast.parse((ROOT / "src" / "youngwalls" / "verify.py").read_text())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    tables = [top.value for top in tree.body if isinstance(top, ast.AnnAssign)
+              and top.target.id == "_CHECKS"]
+    assert len(tables) == 1, "no single _CHECKS table"
+    keys = {id(key) for key in tables[0].keys}
+    runners = {key.value: value.elts[0].value
+               for key, value in zip(tables[0].keys, tables[0].values)}
+    assert tuple(runners) == ALL_CHECKS
+    named = [(node.value, "_CHECKS" if id(node) in keys else getattr(top, "name", None))
+             for top in tree.body for node in ast.walk(top)
+             if isinstance(node, ast.Constant) and node.value in ALL_CHECKS
+             and id(node) not in docstrings]
+    assert sorted(named) == sorted([(check, "_CHECKS") for check in ALL_CHECKS]
+                                   + list(runners.items()))
+    tops = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    for caller in ("plan", "run_checks"):
+        assert [name for name in _names(tops[caller])
+                if name.startswith("verify_")] == [], caller
 
 
 #: What ``cli`` reads of the three sets: count tables, enumerators, weight tables.

@@ -1,5 +1,6 @@
 import re
 import time
+from itertools import product
 
 import pytest
 
@@ -24,6 +25,7 @@ from youngwalls.bijections import _phi_core, _psi_core
 from youngwalls.walls import column_codes
 from youngwalls.verify import _agree, _report, _witness_key
 
+import plan_oracle
 import walk_oracle
 from grid import off_by_one_at, term_off_by_one_at
 from walk_oracle import verify_bijections_by_walk
@@ -773,27 +775,62 @@ class TestRunChecks:
             (r.check, tuple(r.params.items())) for r in b
         ]
 
-    def test_bijections_runs_once_per_rank(self, monkeypatch):
-        real, walks = verify.verify_bijections, []
+    @pytest.mark.parametrize("check", ALL_CHECKS)
+    def test_a_rebound_runner_runs_once_per_rank(self, monkeypatch, check):
+        # runners are read from the module globals per call, so the one a
+        # tracer or test rebinds is the one that runs; euler runs once
+        runner = verify._CHECKS[check][0]
+        real, calls = getattr(verify, runner), []
 
-        def counted(params, M):
-            walks.append(params.n)
-            return real(params, M)
+        def counted(*args):
+            calls.append(getattr(args[0], "n", None))
+            return real(*args)
 
-        monkeypatch.setattr(verify, "verify_bijections", counted)
-        reports = run_checks((2, 3), 20, 50, checks=("reduced-equivalence",))
-        assert walks == []
+        monkeypatch.setattr(verify, runner, counted)
+        others = tuple(c for c in ALL_CHECKS if c != check)
+        reports = run_checks((2, 3), 20, 50, checks=others)
+        assert calls == []
         assert all(r.passed for r in reports)
-        shuffled = ("reduced-equivalence", "counts", "bijections", "euler")
+        shuffled = (*others[::-1], check, check)
         reports = run_checks((2, 3), 20, 50, checks=shuffled)
-        assert walks == [2, 3]
+        assert calls == ([None] if check == "euler" else [2, 3])
         assert [(r.check, r.params.get("n")) for r in reports] == [
-            ("euler", None), ("counts", 2), ("counts", 3),
-            ("bijections", 2), ("bijections", 3),
-            ("reduced-equivalence", 2), ("reduced-equivalence", 3),
-        ]
+            (c, n) for c in ALL_CHECKS
+            for n in ((None,) if c == "euler" else (2, 3))]
         assert all(r.passed and r.elapsed > 0 for r in reports)
 
     def test_all_checks_constant_matches_runners(self):
         reports = run_checks((2,), 6, 10, checks=ALL_CHECKS)
         assert {r.check for r in reports} == set(ALL_CHECKS)
+
+
+#: plan's differential grid: every subset of the checks, a repeated name and
+#: unknown ones; ranks, sizes, degrees and object caps on both sides of each
+#: refusal
+PLAN_CHECKS = [tuple(c for i, c in enumerate(ALL_CHECKS) if subset >> i & 1)
+               for subset in range(2 ** len(ALL_CHECKS))] + [
+    ("bijections", "vch", "bijections"), ("bogus",), ("counts", "nope", "vch", "x")]
+PLAN_RANKS = [(), (2,), (2, 3), (2, 3, 4, 5), (7, 8, 9), tuple(range(2, 40))]
+PLAN_SIZES = [-1, 0, 1, 7, 16, 30, 40, 82, 2001]
+PLAN_DEGREES = [-1, 0, 200, 2001]
+PLAN_CAPS = [24, 55, 155, 309, 2034, 10**6]
+
+
+def _outcome(plan, *args):
+    try:
+        return plan(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_plan_matches_the_per_check_plan(monkeypatch):
+    # the table-driven plan against the per-check branches and _states it
+    # replaced: the same cells, or the same refusal, on every case
+    cases = list(product(PLAN_RANKS, PLAN_SIZES, PLAN_DEGREES, PLAN_CHECKS))
+    assert len(PLAN_CAPS) * len(cases) == 86832
+    for cap in PLAN_CAPS:
+        monkeypatch.setattr(verify, "MAX_OBJECTS", cap)
+        monkeypatch.setattr(plan_oracle, "MAX_OBJECTS", cap)
+        for args in cases:
+            assert _outcome(verify.plan, *args) == _outcome(
+                plan_oracle.plan, *args), (cap, *args)
