@@ -255,12 +255,17 @@ def strict_counts(M: int) -> list[int]:
 
 def odd_counts(M: int) -> list[int]:
     """Numbers of partitions of m = 0..M into odd parts, by the
-    unbounded-parts DP over the odd parts."""
+    unbounded-parts DP over the odd parts, largest part first.
+
+    Before part p, ``dp[s]`` counts the partitions of s into odd parts
+    above p, of which there are none where 0 < s < p + 2: p's pass adds the
+    partition (p) and reads from 2p on, about M^2/8 additions, not the
+    M^2/4 of smallest part first, which reads every entry."""
     _check_non_negative(M)
-    dp = [0] * (M + 1)
-    dp[0] = 1
-    for part in range(1, M + 1, 2):
-        for total in range(part, M + 1):
+    dp = [1] + [0] * M
+    for part in range(M - 1 + M % 2, 0, -2):
+        dp[part] += 1
+        for total in range(2 * part, M + 1):
             dp[total] += dp[total - part]
     return dp
 

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from itertools import count
+from itertools import repeat
 from typing import Any, Callable
 
 from .bijections import (_phi_rebuild_step, _phi_step, _psi_rebuild_step,
@@ -217,46 +217,52 @@ def verify_bijections(params: WallParams, max_m: int) -> VerificationReport:
     codes = column_codes(params, max_m)
     failures = []
 
-    def claim(holds: bool, name: str, error: str, *parts: int) -> None:
-        if not holds:
-            wall = tuple(filter(None, parts))
-            failures.append({"m": sum(wall), "map": name, "partition": wall,
-                             "error": error})
+    def fail(name: str, error: str, *parts: int) -> None:
+        wall = tuple(filter(None, parts))
+        failures.append({"m": sum(wall), "map": name, "partition": wall,
+                         "error": error})
 
     for v in range(max_m + 1):
-        claim(all(_psi_rebuild_step(v - period * h, h, delta) == v
-                  for h in range(v // period + 1)), "psi", "psi round trip mismatch", v)
-        if v + period <= max_m:
-            claim(codes[v + period] - codes[v] == codes[period], "psi",
-                  "weight shift mismatch", v + period)
+        if not all(_psi_rebuild_step(v - period * h, h, delta) == v
+                   for h in range(v // period + 1)):
+            fail("psi", "psi round trip mismatch", v)
+        if v + period <= max_m and codes[v + period] - codes[v] != codes[period]:
+            fail("psi", "weight shift mismatch", v + period)
         # the runs (v, r) of proper walls: r >= 2 only where (v, v) is proper
         longest = 0 if not v else max_m // v if _proper_gap(v, v, delta) else 1
-        if longest >= 2:
-            claim(2 * codes[v] == v // delta * codes[period], "phi",
-                  "weight shift mismatch", v, v)
+        if longest >= 2 and 2 * codes[v] != v // delta * codes[period]:
+            fail("phi", "weight shift mismatch", v, v)
         for r in range(1, longest + 1):
             kept, pairs, j = _phi_step(v, r, delta)
-            claim(kept in (0, 1), "phi", "phi result not strict", *(v,) * r)
-            claim(kept + 2 * pairs == r and (not pairs or delta * j == v
-                                             == _phi_rebuild_step(j, delta)),
-                  "phi", "phi round trip mismatch", *(v,) * r)
+            if kept not in (0, 1):
+                fail("phi", "phi result not strict", *(v,) * r)
+            if not (kept + 2 * pairs == r and (not pairs or delta * j == v
+                                               == _phi_rebuild_step(j, delta))):
+                fail("phi", "phi round trip mismatch", *(v,) * r)
     below = {}  # (t, g) over a = b..max_m - b, for the last P rows b
     for b in range(max_m // 2 + 1):
-        row = [(_psi_step(a, b, delta), _reduced_gap(a, b, delta))
-               for a in range(b, max_m - b + 1)]
-        for a, now, then in zip(count(b), row, below.pop(b - period, row)):
-            claim(now == then, "psi", "psi step not periodic", a, b)
+        span = range(b, max_m - b + 1)
+        row = list(zip(map(_psi_step, span, repeat(b), repeat(delta)),
+                       map(_reduced_gap, span, repeat(b), repeat(delta))))
+        # the row P below, one entry per a - b, is longer by 2P
+        then = below.pop(b - period, row)
+        if row != then[:len(row)]:
+            for a, now, was in zip(span, row, then):
+                if now != was:
+                    fail("psi", "psi step not periodic", a, b)
         below[b] = row
-        for a, (t, gap) in zip(count(b), row if b < period else ()):
+        for a, (t, gap) in zip(span, row if b < period else ()):
             if _proper_gap(a, b, delta):  # (0, 0) included
-                claim(t >= 0 and (t == 0) == gap, "psi", "psi hat size", a, b)
-                claim(a - period * t >= b and _reduced_gap(a - period * t, b, delta),
-                      "psi", "psi result not reduced", a, b)
-        for a, (_, gap) in zip(count(b), row if b < period else ()):
+                if not (t >= 0 and (t == 0) == gap):
+                    fail("psi", "psi hat size", a, b)
+                if not (a - period * t >= b
+                        and _reduced_gap(a - period * t, b, delta)):
+                    fail("psi", "psi result not reduced", a, b)
+        for a, (_, gap) in zip(span, row if b < period else ()):
             for d in range((max_m - a - b) // period + 1 if gap else 0):
                 x, y = _psi_rebuild_step(a, d, delta), _psi_rebuild_step(b, 0, delta)
-                claim(_proper_gap(x, y, delta) and _psi_step(x, y, delta) == d, "psi",
-                      "image does not match codomain", a + period * d, b)
+                if not (_proper_gap(x, y, delta) and _psi_step(x, y, delta) == d):
+                    fail("psi", "image does not match codomain", a + period * d, b)
     return _report("bijections", {"n": params.n, "max_m": max_m}, failures, started)
 
 
@@ -310,17 +316,19 @@ def admit(option: str, value: int, cap: int) -> None:
 def plan(n_values: tuple[int, ...], max_m: int, euler_degree: int,
          checks: tuple[str, ...]) -> int:
     """The table cells the checks build, once they are admitted: a
-    ValueError names an unknown check, else ``admit`` refuses, in this
-    order, max_m and then the degree against MAX_SIZE, the cells, and the
-    larger budget summed from the ``_CHECKS`` costs, against MAX_OBJECTS,
-    naming the option to mend."""
+    ValueError names an unknown check, else, in this order, ``admit``
+    refuses max_m and then the degree against MAX_SIZE, ``WallParams`` a
+    rank below 2 when a selected check has a cost, and ``admit`` the cells
+    and the larger budget summed from the ``_CHECKS`` costs against
+    MAX_OBJECTS, naming the option to mend."""
     if unknown := [c for c in checks if c not in _CHECKS]:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
     admit("--max-m", max_m, MAX_SIZE)
     admit("--degree", euler_degree, MAX_SIZE)
     costs = [cost for check, (_, cost) in _CHECKS.items() if check in checks and cost]
-    # per-rank tables grow with n too: a weight code holds n + 1 counts
-    cells = (max_m + 1) * (sum(n_values) + len(n_values)) if costs else 0
+    # per-rank tables grow with n too: a weight code holds delta = n + 1
+    # counts, read through WallParams, which refuses a rank below 2
+    cells = (max_m + 1) * sum(WallParams(n).delta for n in n_values) if costs else 0
     admit("--n-range", cells, MAX_OBJECTS)
     # each check's objects at each rank, per budget; a sum only grows with the
     # ranks, so the total decides, and the first rank which option to name

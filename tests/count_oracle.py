@@ -1,9 +1,9 @@
 """The list-based count tables, the per-cell weight table and the
-smallest-part-first product table: differential oracles of the
-packed-series kernels ``partitions._product_counts`` and
+smallest-part-first product table and odd-part DP: differential oracles of
+the packed-series kernels ``partitions._product_counts`` and
 ``partitions._count_window``, of the running window of
-``characters.reduced_weight_table`` and of the largest-part-first factor
-order of ``partitions._product_table``.
+``characters.reduced_weight_table`` and of the largest-part-first part
+order of ``partitions._product_table`` and ``partitions.odd_counts``.
 
 The kernels store a whole series as one integer and take a few big-integer
 shifts and additions per factor or per column.  These are the plain-list
@@ -18,16 +18,19 @@ the wrong part, or a code left at count 0, shows as a differing table.  The
 product table skips the entries that its factor order leaves empty; the
 oracle expands the same product smallest part first and merges every entry,
 so a skipped entry that was not empty shows as a differing weight table.
+The odd-part DP likewise skips the entries its part order leaves empty; the
+oracle runs the odd parts smallest first and reads every entry, so a read
+that was skipped but not empty shows as a differing count.
 
     PYTHONPATH=src:tests python -O tests/count_oracle.py
 
-checks the kernels against these loops at the admitted limit M = 2000, where
-the window DP below takes about half a second per ``d`` (CPython 3.11 on a
-2-vCPU VM), too slow for the tier-1 suite, the reduced weight table against
-the cells at ranks 2..5 and M = 120, where rank 5 takes about a quarter
-second, and the strict and proper weight tables against the ascending
-product at ranks 2..5 and M = 81, the largest ``--max-m`` that ``vch``
-admits.
+checks the kernels and ``odd_counts`` against these loops at the admitted
+limit M = 2000, where the window DP below takes about half a second per
+``d`` (CPython 3.11 on a 2-vCPU VM), too slow for the tier-1 suite, the
+reduced weight table against the cells at ranks 2..5 and M = 120, where
+rank 5 takes about a quarter second, and the strict and proper weight
+tables against the ascending product at ranks 2..5 and M = 81, the largest
+``--max-m`` that ``vch`` admits.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from itertools import accumulate
 from youngwalls.characters import (proper_weight_table, reduced_weight_table,
                                    strict_weight_table)
 from youngwalls.partitions import (_add_shifted, _check_non_negative, _count_window,
-                                   _product_counts, _windows)
+                                   _product_counts, _windows, odd_counts)
 from youngwalls.walls import WallParams, column_codes
 
 
@@ -87,6 +90,18 @@ def product_table_by_ascending_factors(M: int, d: int,
     return table
 
 
+def odd_counts_by_ascending_parts(M: int) -> list[int]:
+    """Numbers of partitions of m = 0..M into odd parts, by the
+    unbounded-parts DP over the odd parts, smallest part first, reading
+    every entry from the part up."""
+    _check_non_negative(M)
+    dp = [1] + [0] * M
+    for part in range(1, M + 1, 2):
+        for total in range(part, M + 1):
+            dp[total] += dp[total - part]
+    return dp
+
+
 def reduced_weight_table_by_cells(params: WallParams, M: int) -> list[dict[int, int]]:
     """Weights of the reduced walls with m = 0..M blocks, each cell on its
     own: ``after[r][a]`` sums the entries ``after[r - b][b]``, shifted by
@@ -118,11 +133,11 @@ PRODUCT_M = 81
 
 
 def main() -> int:
-    """Compare the kernels with the lists at ``LIMIT``, the reduced weight
-    table with its cells at ``WEIGHT_M`` and the strict and proper weight
-    tables with the ascending product at ``PRODUCT_M``; exit 1 on a
-    mismatch.  A plain comparison, not an assert, so that it also runs
-    under -O."""
+    """Compare the kernels and ``odd_counts`` with the lists at ``LIMIT``,
+    the reduced weight table with its cells at ``WEIGHT_M`` and the strict
+    and proper weight tables with the ascending product at ``PRODUCT_M``;
+    exit 1 on a mismatch.  A plain comparison, not an assert, so that it
+    also runs under -O."""
     failed = False
     for d in LIMIT_GRIDS:
         for kernel, oracle in ((_product_counts, product_counts_by_list),
@@ -131,6 +146,9 @@ def main() -> int:
             failed |= not same
             print(f"{kernel.__name__}({LIMIT}, {d}): "
                   f"{'equal' if same else 'DIFFERS'}")
+    same = odd_counts(LIMIT) == odd_counts_by_ascending_parts(LIMIT)
+    failed |= not same
+    print(f"odd_counts({LIMIT}): {'equal' if same else 'DIFFERS'}")
     for n in WEIGHT_RANKS:
         params = WallParams(n)
         same = (reduced_weight_table(params, WEIGHT_M)

@@ -26,8 +26,8 @@ from youngwalls.partitions import (_count_window, _enumerate_window, _product_co
 from youngwalls.verify import MAX_SIZE
 from youngwalls.walls import column_codes
 
-from count_oracle import (count_window_by_list, product_counts_by_list,
-                          product_table_by_ascending_factors)
+from count_oracle import (count_window_by_list, odd_counts_by_ascending_parts,
+                          product_counts_by_list, product_table_by_ascending_factors)
 
 
 def ascending_partitions(m, least=1):
@@ -299,6 +299,12 @@ class TestCountTables:
         assert partition_counts(M) == reciprocal(euler)
         assert strict_counts(M) == series_product_strict(M)
         assert odd_counts(M) == series_product_odd(M)
+
+    def test_odd_counts_match_the_ascending_parts(self):
+        # largest part first, part p skips the entries below 2p, which hold
+        # no partition into odd parts above p but the empty one
+        for M in range(301):
+            assert odd_counts(M) == odd_counts_by_ascending_parts(M), M
 
     @pytest.mark.parametrize("table", [partition_counts, strict_counts, odd_counts])
     def test_table_prefixes_and_bounds(self, table):

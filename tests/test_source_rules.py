@@ -29,10 +29,12 @@ on one adjacency is stated once, in ``walls._proper_gap``, which
 ``_reduced_gap``, the rule with its cap.
 ``euler``'s two sides are the product of (1 + t^i) and the odd-part DP:
 ``verify`` names neither ``series_product_odd`` nor ``reciprocal``, a second
-odd-parts side.  ``verify`` owns its work budget, so that a library
-``run_checks`` refuses what the CLI refuses: ``cli`` imports no private
-``verify`` name, ``cmd_verify`` holds no check name, and ``MAX_OBJECTS``,
-``MAX_SIZE`` and ``MAX_RANK`` are each assigned in ``verify`` alone.
+odd-parts side, and ``odd_counts`` stays a plain-list DP that names
+neither the packed product nor any of its helpers.  ``verify`` owns its
+work budget, so that a library ``run_checks`` refuses what the CLI
+refuses: ``cli`` imports no private ``verify`` name, ``cmd_verify`` holds
+no check name, and ``MAX_OBJECTS``, ``MAX_SIZE`` and ``MAX_RANK`` are each
+assigned in ``verify`` alone.
 Each check is stated once, as a ``verify._CHECKS`` entry (its runner and
 its cost): outside docstrings a check name is a table key or the name its
 runner reports, and ``plan`` and ``run_checks`` name no check and no
@@ -173,6 +175,10 @@ def test_euler_has_one_odd_parts_side():
     names = _names(ast.parse((ROOT / "src" / "youngwalls" / "verify.py").read_text()))
     assert names & {"series_product_odd", "reciprocal"} == set()
     assert {"series_product_strict", "odd_counts"} <= names
+    source = (ROOT / "src" / "youngwalls" / "partitions.py").read_text()
+    odd_counts, = [top for top in ast.parse(source).body
+                   if getattr(top, "name", None) == "odd_counts"]
+    assert _names(odd_counts) & (PACKED_HELPERS | {"_product_counts"}) == set()
 
 
 def test_verify_owns_its_budget():

@@ -28,7 +28,7 @@ from youngwalls.verify import _agree, _report, _witness_key
 import plan_oracle
 import walk_oracle
 from grid import off_by_one_at, term_off_by_one_at
-from walk_oracle import verify_bijections_by_walk
+from walk_oracle import verify_bijections_by_claims, verify_bijections_by_walk
 
 
 class TestIndividualVerifiers:
@@ -544,6 +544,12 @@ GAP_MUTANTS = {
 }
 
 
+#: A psi step off at the one pair (8, 7): at rank 2, b = 7 >= 2*delta, so only
+#: the periodicity claim against the row 2*delta below reads that pair
+ONE_PAIR_OFF = ("_psi_step", lambda a, b, delta:
+                (a - b - (a % delta != 0)) // (2 * delta) + ((a, b) == (8, 7)))
+
+
 def seven_as_six(real):
     """``column_codes`` with a column of 7 blocks weighed as one of 6."""
 
@@ -554,6 +560,23 @@ def seven_as_six(real):
         return codes
 
     return codes
+
+
+def mutate(monkeypatch, mutant):
+    """Put a mutant of a step, of the codes or of the proper rule in every
+    binding that ``verify``, ``walls`` and ``walk_oracle`` read."""
+    if mutant in GAP_MUTANTS:
+        # walls reads the rule in is_proper and _removable_at
+        for module in (walls, verify, walk_oracle):
+            monkeypatch.setattr(module, "_proper_gap", GAP_MUTANTS[mutant])
+    elif mutant == "codes_7_as_6":
+        # the walk reads walls' binding, the images the oracle's own
+        for module in (verify, walls, walk_oracle):
+            monkeypatch.setattr(module, "column_codes",
+                                seven_as_six(module.column_codes))
+    else:
+        step, body = {**STEP_MUTANTS, "one_pair_off": ONE_PAIR_OFF}[mutant]
+        monkeypatch.setattr(getattr(bijections, step), "__code__", body.__code__)
 
 
 class TestLocalAgainstWalk:
@@ -572,22 +595,32 @@ class TestLocalAgainstWalk:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("mutant", [*STEP_MUTANTS, "codes_7_as_6", *GAP_MUTANTS])
     def test_both_fail_on_each_mutant(self, monkeypatch, mutant, n):
-        checks = verify_bijections, verify_bijections_by_walk
-        if mutant in GAP_MUTANTS:
-            # walls reads the rule in is_proper and _removable_at
-            for module in (walls, verify):
-                monkeypatch.setattr(module, "_proper_gap", GAP_MUTANTS[mutant])
-            checks = verify_bijections, verify_reduced_equivalence
-        elif mutant == "codes_7_as_6":
-            # the walk reads walls' binding, the images the oracle's own
-            for module in (verify, walls, walk_oracle):
-                monkeypatch.setattr(module, "column_codes",
-                                    seven_as_six(module.column_codes))
-        else:
-            step, body = STEP_MUTANTS[mutant]
-            monkeypatch.setattr(getattr(bijections, step), "__code__", body.__code__)
+        mutate(monkeypatch, mutant)
+        checks = ((verify_bijections, verify_reduced_equivalence)
+                  if mutant in GAP_MUTANTS
+                  else (verify_bijections, verify_bijections_by_walk))
         for check in checks:
             assert not check(WallParams(n), 24).passed, check.__name__
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("mutant", [None, *STEP_MUTANTS, "one_pair_off",
+                                        "codes_7_as_6", *GAP_MUTANTS])
+    def test_reports_equal_the_claim_per_state_body(self, monkeypatch, mutant, n):
+        # a record only on failure and one comparison per row's periodicity
+        # give the same report, witness included, as a claim call per state;
+        # below the period, two mutants of the proper rule make both bodies
+        # read codes[2*delta] past the end of the codes alike
+        def outcome(check, max_m):
+            try:
+                return check(WallParams(n), max_m)
+            except IndexError as exc:
+                return repr(exc)
+
+        if mutant:
+            mutate(monkeypatch, mutant)
+        for max_m in (7, 16, 24, 40):
+            assert outcome(verify_bijections, max_m) == (
+                outcome(verify_bijections_by_claims, max_m)), max_m
 
 
 def psi_claim(m, wall, error):
@@ -625,10 +658,7 @@ class TestLocalClaims:
 
     def test_periodicity_is_read(self, monkeypatch):
         # one pair off at b >= 2*delta, where only the row 2*delta below reads it
-        def one_pair_off(a, b, delta):
-            return (a - b - (a % delta != 0)) // (2 * delta) + ((a, b) == (8, 7))
-
-        monkeypatch.setattr(bijections._psi_step, "__code__", one_pair_off.__code__)
+        mutate(monkeypatch, "one_pair_off")
         assert verify_bijections(WallParams(2), 20).counterexample == psi_claim(
             15, (8, 7), "psi step not periodic")
 
@@ -798,6 +828,17 @@ class TestRunChecks:
             (c, n) for c in ALL_CHECKS
             for n in ((None,) if c == "euler" else (2, 3))]
         assert all(r.passed and r.elapsed > 0 for r in reports)
+
+    @pytest.mark.parametrize("n", [-5, -2, -1, 0, 1])
+    @pytest.mark.parametrize("check", [check for check, (_, cost)
+                                       in verify._CHECKS.items() if cost])
+    def test_a_rank_below_two_is_refused_by_every_check_with_a_cost(self, check, n):
+        # before any cost: reduced-equivalence's divides by 2n + 2, which is
+        # 0 at n = -1, and the cells are negative from n = -2
+        with pytest.raises(ValueError, match=rf"^rank n must be at least 2, got {n}$"):
+            run_checks((2, n), 5, 0, (check,))
+        # euler holds no per-rank table and reads no rank
+        assert run_checks((n,), 5, 10, ("euler",))[0].passed
 
     def test_all_checks_constant_matches_runners(self):
         reports = run_checks((2,), 6, 10, checks=ALL_CHECKS)

@@ -11,18 +11,27 @@ by count (the reduced or strict table times the partition table).  Its
 reports have the shape and the witnesses of ``verify``'s.  The walk reads
 ``walls.column_codes`` and the image side this module's own binding, so a
 test can perturb either side alone.
+
+``verify_bijections_by_claims`` is ``verify``'s local check as it was
+first written: one ``claim`` call per state, and each psi row's
+periodicity claimed entry by entry.  It calls the same steps
+on the same states in the same order, so on any steps, shipped or mutated,
+its report must equal ``verify``'s, which builds a record only on failure.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import count
 from typing import Callable, Iterator
 
 from youngwalls import walls
-from youngwalls.bijections import CertificationError, _image
-from youngwalls.partitions import partition_counts, strict_counts
+from youngwalls.bijections import (CertificationError, _image, _phi_rebuild_step,
+                                   _phi_step, _psi_rebuild_step, _psi_step)
+from youngwalls.partitions import _check_non_negative, partition_counts, strict_counts
 from youngwalls.verify import VerificationReport, _report
-from youngwalls.walls import WallParams, _reduced_gap, column_codes, reduced_counts
+from youngwalls.walls import (WallParams, _proper_gap, _reduced_gap, column_codes,
+                              reduced_counts)
 
 
 def _walk_proper(params: WallParams, M: int) -> Iterator[tuple]:
@@ -92,4 +101,57 @@ def verify_bijections_by_walk(params: WallParams, max_m: int) -> VerificationRep
             if not len(set(images[name][m])) == len(images[name][m]) == expected:
                 failures.append(
                     {"m": m, "map": name, "error": "image does not match codomain"})
+    return _report("bijections", {"n": params.n, "max_m": max_m}, failures, started)
+
+
+def verify_bijections_by_claims(params: WallParams, max_m: int) -> VerificationReport:
+    """``verify.verify_bijections``' claims on the maps' steps and the column
+    codes, one ``claim`` call per state, its arguments built whether or not
+    it holds, and each psi row's periodicity claimed entry by entry."""
+    _check_non_negative(max_m)
+    started = time.perf_counter()
+    delta, period = params.delta, params.period
+    codes = column_codes(params, max_m)
+    failures = []
+
+    def claim(holds: bool, name: str, error: str, *parts: int) -> None:
+        if not holds:
+            wall = tuple(filter(None, parts))
+            failures.append({"m": sum(wall), "map": name, "partition": wall,
+                             "error": error})
+
+    for v in range(max_m + 1):
+        claim(all(_psi_rebuild_step(v - period * h, h, delta) == v
+                  for h in range(v // period + 1)), "psi", "psi round trip mismatch", v)
+        if v + period <= max_m:
+            claim(codes[v + period] - codes[v] == codes[period], "psi",
+                  "weight shift mismatch", v + period)
+        # the runs (v, r) of proper walls: r >= 2 only where (v, v) is proper
+        longest = 0 if not v else max_m // v if _proper_gap(v, v, delta) else 1
+        if longest >= 2:
+            claim(2 * codes[v] == v // delta * codes[period], "phi",
+                  "weight shift mismatch", v, v)
+        for r in range(1, longest + 1):
+            kept, pairs, j = _phi_step(v, r, delta)
+            claim(kept in (0, 1), "phi", "phi result not strict", *(v,) * r)
+            claim(kept + 2 * pairs == r and (not pairs or delta * j == v
+                                             == _phi_rebuild_step(j, delta)),
+                  "phi", "phi round trip mismatch", *(v,) * r)
+    below = {}  # (t, g) over a = b..max_m - b, for the last P rows b
+    for b in range(max_m // 2 + 1):
+        row = [(_psi_step(a, b, delta), _reduced_gap(a, b, delta))
+               for a in range(b, max_m - b + 1)]
+        for a, now, then in zip(count(b), row, below.pop(b - period, row)):
+            claim(now == then, "psi", "psi step not periodic", a, b)
+        below[b] = row
+        for a, (t, gap) in zip(count(b), row if b < period else ()):
+            if _proper_gap(a, b, delta):  # (0, 0) included
+                claim(t >= 0 and (t == 0) == gap, "psi", "psi hat size", a, b)
+                claim(a - period * t >= b and _reduced_gap(a - period * t, b, delta),
+                      "psi", "psi result not reduced", a, b)
+        for a, (_, gap) in zip(count(b), row if b < period else ()):
+            for d in range((max_m - a - b) // period + 1 if gap else 0):
+                x, y = _psi_rebuild_step(a, d, delta), _psi_rebuild_step(b, 0, delta)
+                claim(_proper_gap(x, y, delta) and _psi_step(x, y, delta) == d, "psi",
+                      "image does not match codomain", a + period * d, b)
     return _report("bijections", {"n": params.n, "max_m": max_m}, failures, started)
