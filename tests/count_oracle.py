@@ -1,9 +1,11 @@
-"""The list-based count tables, the per-cell weight table and the
-smallest-part-first product table and odd-part DP: differential oracles of
-the packed-series kernels ``partitions._product_counts`` and
-``partitions._count_window``, of the running window of
-``characters.reduced_weight_table`` and of the largest-part-first part
-order of ``partitions._product_table`` and ``partitions.odd_counts``.
+"""The list-based count tables, the per-cell weight table, the
+smallest-part-first product table and odd-part DP and the Fock convolution:
+differential oracles of the packed-series kernels
+``partitions._product_counts`` and ``partitions._count_window``, of the
+running window of ``characters.reduced_weight_table``, of the
+largest-part-first part order of ``partitions._product_table`` and
+``partitions.odd_counts``, and of the division per residue class that
+``verify.verify_fock`` takes for its decomposition side.
 
 The kernels store a whole series as one integer and take a few big-integer
 shifts and additions per factor or per column.  These are the plain-list
@@ -20,7 +22,11 @@ oracle expands the same product smallest part first and merges every entry,
 so a skipped entry that was not empty shows as a differing weight table.
 The odd-part DP likewise skips the entries its part order leaves empty; the
 oracle runs the odd parts smallest first and reads every entry, so a read
-that was skipped but not empty shows as a differing count.
+that was skipped but not empty shows as a differing count.  The Fock
+decomposition divides the reduced counts by prod (1 - t^(2*delta*k)), the
+Euler product on each residue class mod 2*delta; the oracle convolves them
+with the partition numbers P(k), one product per (m, k), so a class read
+at the wrong stride or offset shows as a differing decomposition.
 
     PYTHONPATH=src:tests python -O tests/count_oracle.py
 
@@ -30,7 +36,8 @@ limit M = 2000, where the window DP below takes about half a second per
 reduced weight table against the cells at ranks 2..5 and M = 120, where
 rank 5 takes about a quarter second, and the strict and proper weight
 tables against the ascending product at ranks 2..5 and M = 81, the largest
-``--max-m`` that ``vch`` admits.
+``--max-m`` that ``vch`` admits, and the Fock decomposition against the
+convolution at ranks 2..5 and the admitted limit.
 """
 
 from __future__ import annotations
@@ -41,8 +48,10 @@ from itertools import accumulate
 from youngwalls.characters import (proper_weight_table, reduced_weight_table,
                                    strict_weight_table)
 from youngwalls.partitions import (_add_shifted, _check_non_negative, _count_window,
-                                   _product_counts, _windows, odd_counts)
-from youngwalls.walls import WallParams, column_codes
+                                   _product_counts, _windows, odd_counts,
+                                   partition_counts)
+from youngwalls.verify import verify_fock
+from youngwalls.walls import WallParams, column_codes, proper_counts, reduced_counts
 
 
 def product_counts_by_list(M: int, d: int) -> list[int]:
@@ -121,11 +130,31 @@ def reduced_weight_table_by_cells(params: WallParams, M: int) -> list[dict[int, 
     return [row[0] for row in after]
 
 
+def fock_decomposition_by_convolution(params: WallParams, M: int) -> list[int]:
+    """Numbers, for m = 0..M, of the reduced walls with m - 2*delta*k blocks
+    weighted by the partition numbers P(k), summed over k: the reduced
+    counts convolved with the pentagonal partition table."""
+    period, reduced = params.period, reduced_counts(params, M)
+    partitions = partition_counts(M // period)
+    return [sum(reduced[m - period * k] * partitions[k]
+                for k in range(m // period + 1))
+            for m in range(M + 1)]
+
+
+def fock_matches_convolution(params: WallParams, M: int) -> bool:
+    """Whether ``verify_fock``'s decomposition equals the convolution at
+    every m <= M: the convolution equals ``proper_counts``, and the check,
+    which holds the decomposition against ``proper_counts``, passes."""
+    convolution = fock_decomposition_by_convolution(params, M)
+    return convolution == proper_counts(params, M) and verify_fock(params, M).passed
+
+
 #: The admitted limit and the grids checked there: delta = 3 (rank 2), two
 #: windows of about M / 4 and M / 2 parts, and a grid above M, whose window
 #: never drops a column.
 LIMIT, LIMIT_GRIDS = 2000, (3, 251, 500, 2001)
-#: The bound and the ranks at which the weight table meets its cells.
+#: The bound and the ranks at which the weight table meets its cells, and
+#: the Fock decomposition the convolution at ``LIMIT``.
 WEIGHT_M, WEIGHT_RANKS = 120, (2, 3, 4, 5)
 #: The largest ``--max-m`` that ``vch`` admits, where the product tables meet
 #: the ascending product at ``WEIGHT_RANKS``.
@@ -133,11 +162,11 @@ PRODUCT_M = 81
 
 
 def main() -> int:
-    """Compare the kernels and ``odd_counts`` with the lists at ``LIMIT``,
-    the reduced weight table with its cells at ``WEIGHT_M`` and the strict
-    and proper weight tables with the ascending product at ``PRODUCT_M``;
-    exit 1 on a mismatch.  A plain comparison, not an assert, so that it
-    also runs under -O."""
+    """Compare the kernels, ``odd_counts`` and the Fock decomposition with
+    the lists at ``LIMIT``, the reduced weight table with its cells at
+    ``WEIGHT_M`` and the strict and proper weight tables with the ascending
+    product at ``PRODUCT_M``; exit 1 on a mismatch.  A plain comparison,
+    not an assert, so that it also runs under -O."""
     failed = False
     for d in LIMIT_GRIDS:
         for kernel, oracle in ((_product_counts, product_counts_by_list),
@@ -149,6 +178,11 @@ def main() -> int:
     same = odd_counts(LIMIT) == odd_counts_by_ascending_parts(LIMIT)
     failed |= not same
     print(f"odd_counts({LIMIT}): {'equal' if same else 'DIFFERS'}")
+    for n in WEIGHT_RANKS:
+        same = fock_matches_convolution(WallParams(n), LIMIT)
+        failed |= not same
+        print(f"verify_fock(WallParams({n}), {LIMIT}) decomposition: "
+              f"{'equal' if same else 'DIFFERS'}")
     for n in WEIGHT_RANKS:
         params = WallParams(n)
         same = (reduced_weight_table(params, WEIGHT_M)

@@ -22,11 +22,13 @@ from youngwalls import enumerate_proper, enumerate_strict, is_reduced, verify
 from youngwalls import proper_counts, reduced_counts, strict_counts
 from youngwalls import bijections, psi, virtual_character, walls, weight
 from youngwalls.bijections import _phi_core, _psi_core
+from youngwalls.cli import main
 from youngwalls.walls import column_codes
 from youngwalls.verify import _agree, _report, _witness_key
 
 import plan_oracle
 import walk_oracle
+from count_oracle import fock_matches_convolution
 from grid import off_by_one_at, term_off_by_one_at
 from walk_oracle import verify_bijections_by_claims, verify_bijections_by_walk
 
@@ -49,6 +51,14 @@ class TestIndividualVerifiers:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_fock(self, n):
         assert verify_fock(WallParams(n), 16).passed
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_fock_decomposition_equals_the_convolution(self, n):
+        # the division per residue class against one product per (m, k),
+        # below, at and past the period
+        params = WallParams(n)
+        for M in (0, 1, params.period - 1, params.period, 40, 300):
+            assert fock_matches_convolution(params, M), M
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_vch(self, n):
@@ -314,9 +324,9 @@ class TestEverySideIsRead:
 
     @pytest.mark.parametrize(
         "side, index, m",
-        # P(1) first enters the decomposition at m = 2*delta = 6
+        # entry 1 of each residue class's division is m = 2*delta + r, from 6
         [("proper_counts", 11, 11), ("reduced_counts", 11, 11),
-         ("partition_counts", 1, 6)],
+         ("_over_euler_product", 1, 6)],
     )
     def test_fock(self, monkeypatch, side, index, m):
         monkeypatch.setattr(verify, side, off_by_one_at(getattr(verify, side), index))
@@ -431,14 +441,14 @@ class TestEverySideIsRead:
         assert not report.passed
         assert report.counterexample["m"] == 16
 
-    def test_short_partition_table(self, monkeypatch):
-        # P(3) is first read at m = 3 * 2*delta = 18: a table one entry short
-        # fails there instead of raising IndexError
-        real = verify.partition_counts
-        monkeypatch.setattr(verify, "partition_counts", truncated(real, 1))
+    def test_short_residue_class(self, monkeypatch):
+        # each class mod 2*delta = 6 one entry short: at M = 20 classes 3..5
+        # end at 9, so m = 15 is the first missing, and fails without raising
+        real = verify._over_euler_product
+        monkeypatch.setattr(verify, "_over_euler_product", truncated(real, 1))
         report = verify_fock(WallParams(2), 20)
         assert not report.passed
-        assert report.counterexample == {"m": 18, "proper": 72, "decomposition": None}
+        assert report.counterexample == {"m": 15, "proper": 39, "decomposition": None}
 
 
 def test_size_clause_fails_the_public_map_and_verify(monkeypatch):
@@ -608,19 +618,32 @@ class TestLocalAgainstWalk:
     def test_reports_equal_the_claim_per_state_body(self, monkeypatch, mutant, n):
         # a record only on failure and one comparison per row's periodicity
         # give the same report, witness included, as a claim call per state;
-        # below the period, two mutants of the proper rule make both bodies
-        # read codes[2*delta] past the end of the codes alike
-        def outcome(check, max_m):
-            try:
-                return check(WallParams(n), max_m)
-            except IndexError as exc:
-                return repr(exc)
-
+        # every size to the period, where the codes end before codes[2*delta]
         if mutant:
             mutate(monkeypatch, mutant)
-        for max_m in (7, 16, 24, 40):
-            assert outcome(verify_bijections, max_m) == (
-                outcome(verify_bijections_by_claims, max_m)), max_m
+        params = WallParams(n)
+        for max_m in (*range(params.period + 1), 16, 24, 40):
+            assert verify_bijections(params, max_m) == (
+                verify_bijections_by_claims(params, max_m)), max_m
+
+    @pytest.mark.parametrize("mutant", GAP_MUTANTS)
+    def test_a_proper_rule_mutant_fails_below_the_period(self, monkeypatch, mutant):
+        # the codes end before codes[2*delta] up to M = 2*delta - 1; the weak
+        # bound first shows on the wall (1, 1), the others on (0, 0)
+        mutate(monkeypatch, mutant)
+        for n in (2, 3, 4, 5):
+            for max_m in range(2, WallParams(n).period + 1):
+                assert not verify_bijections(WallParams(n), max_m).passed, (n, max_m)
+
+    def test_a_proper_rule_mutant_exits_one_below_the_period(self, monkeypatch,
+                                                             capsys):
+        mutate(monkeypatch, "proper_weak_bound")
+        assert main(["verify", "--n-range", "3", "--max-m", "7",
+                     "--checks", "bijections"]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == (
+            'FAIL bijections n=3 max_m=7 counterexample={"error": "weight shift '
+            'mismatch", "m": 2, "map": "phi", "partition": [1, 1]}')
 
 
 def psi_claim(m, wall, error):

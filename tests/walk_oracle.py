@@ -112,6 +112,7 @@ def verify_bijections_by_claims(params: WallParams, max_m: int) -> VerificationR
     started = time.perf_counter()
     delta, period = params.delta, params.period
     codes = column_codes(params, max_m)
+    cycle = codes[period] if period <= max_m else 0
     failures = []
 
     def claim(holds: bool, name: str, error: str, *parts: int) -> None:
@@ -124,12 +125,12 @@ def verify_bijections_by_claims(params: WallParams, max_m: int) -> VerificationR
         claim(all(_psi_rebuild_step(v - period * h, h, delta) == v
                   for h in range(v // period + 1)), "psi", "psi round trip mismatch", v)
         if v + period <= max_m:
-            claim(codes[v + period] - codes[v] == codes[period], "psi",
+            claim(codes[v + period] - codes[v] == cycle, "psi",
                   "weight shift mismatch", v + period)
         # the runs (v, r) of proper walls: r >= 2 only where (v, v) is proper
         longest = 0 if not v else max_m // v if _proper_gap(v, v, delta) else 1
         if longest >= 2:
-            claim(2 * codes[v] == v // delta * codes[period], "phi",
+            claim(2 * codes[v] == v // delta * cycle, "phi",
                   "weight shift mismatch", v, v)
         for r in range(1, longest + 1):
             kept, pairs, j = _phi_step(v, r, delta)
