@@ -7,7 +7,7 @@ they never overflow regardless of degree.
 
 from __future__ import annotations
 
-from .partitions import _check_non_negative, _product_counts
+from .partitions import _check_non_negative, _over_one_minus, _unpack, _width
 
 
 def reciprocal(coeffs: list[int]) -> list[int]:
@@ -30,10 +30,27 @@ def reciprocal(coeffs: list[int]) -> list[int]:
 
 
 def series_product_strict(truncation: int) -> list[int]:
-    """The product of (1 + t^i) over i = 1..M, truncated at degree M, by
-    ``_product_counts``: coefficient m counts the partitions of m into
-    distinct parts."""
-    return _product_counts(truncation, truncation + 1)
+    """The product of (1 + t^i) over i = 1..M, truncated at degree M, summed
+    by number of parts: coefficient m counts the partitions of m into
+    distinct parts.
+
+    Less the staircase (k - 1, ..., 1, 0), a strict partition with k parts
+    is a partition into exactly k parts; less one block per part, one into
+    at most k parts, which by conjugation is one into parts at most k.  So
+    the product is the sum over k of t^(k(k+1)/2) / prod_{j <= k} (1 - t^j):
+    one running quotient on one packed integer, cut to degree M - k(k+1)/2
+    and divided by (1 - t^k) per term, about sqrt(2M) divisions in all."""
+    _check_non_negative(truncation)
+    B, quotient, total = _width(truncation), 1, 1
+    k, staircase = 1, 1
+    while staircase <= truncation:
+        degree = truncation - staircase
+        quotient = _over_one_minus(quotient & ((1 << (degree + 1) * B) - 1), k,
+                                   degree, B)
+        total += quotient << staircase * B
+        k += 1
+        staircase += k
+    return _unpack(total, truncation, B)
 
 
 def series_product_odd(truncation: int) -> list[int]:

@@ -131,9 +131,10 @@ def _agree(check: str, params: dict[str, Any], max_m: int, started: float,
 
 
 def verify_euler(max_degree: int) -> VerificationReport:
-    """Euler's identity to the bound: the product of (1 + t^i) against the
-    odd-part DP table; not the pentagonal strict table, which is the
-    odd-parts series once its even factors cancel."""
+    """Euler's identity to the bound: the strict partitions counted by
+    number of parts, the product of (1 + t^i), against the odd-part DP
+    table; not the pentagonal strict table, which is the odd-parts series
+    once its even factors cancel."""
     started = time.perf_counter()
     return _agree("euler", {"max_degree": max_degree}, max_degree, started,
                   strict_series=series_product_strict(max_degree),

@@ -5,7 +5,10 @@ differential oracles of the packed-series kernels
 running window of ``characters.reduced_weight_table``, of the
 largest-part-first part order of ``partitions._product_table`` and
 ``partitions.odd_counts``, and of the division per residue class that
-``verify.verify_fock`` takes for its decomposition side.
+``verify.verify_fock`` takes for its decomposition side.  The packed
+product ``_product_counts(M, M + 1)`` is in turn the oracle of
+``series.series_product_strict``, which counts the strict partitions by
+number of parts instead.
 
 The kernels store a whole series as one integer and take a few big-integer
 shifts and additions per factor or per column.  These are the plain-list
@@ -30,14 +33,18 @@ at the wrong stride or offset shows as a differing decomposition.
 
     PYTHONPATH=src:tests python -O tests/count_oracle.py
 
-checks the kernels and ``odd_counts`` against these loops at the admitted
-limit M = 2000, where the window DP below takes about half a second per
-``d`` (CPython 3.11 on a 2-vCPU VM), too slow for the tier-1 suite, the
-reduced weight table against the cells at ranks 2..5 and M = 120, where
-rank 5 takes about a quarter second, and the strict and proper weight
-tables against the ascending product at ranks 2..5 and M = 81, the largest
-``--max-m`` that ``vch`` admits, and the Fock decomposition against the
-convolution at ranks 2..5 and the admitted limit.
+checks, at the admitted limit M = 2000:
+
+- the kernels and ``odd_counts`` against these loops, where the window DP
+  below takes about half a second per ``d`` (CPython 3.11 on a 2-vCPU VM),
+  too slow for the tier-1 suite;
+- the Fock decomposition against the convolution at ranks 2..5;
+- ``series_product_strict`` against the product.
+
+It checks the reduced weight table against the cells at ranks 2..5 and
+M = 120, where rank 5 takes about a quarter second, and the strict and
+proper weight tables against the ascending product at ranks 2..5 and
+M = 81, the largest ``--max-m`` that ``vch`` admits.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from youngwalls.characters import (proper_weight_table, reduced_weight_table,
 from youngwalls.partitions import (_add_shifted, _check_non_negative, _count_window,
                                    _product_counts, _windows, odd_counts,
                                    partition_counts)
+from youngwalls.series import series_product_strict
 from youngwalls.verify import verify_fock
 from youngwalls.walls import WallParams, column_codes, proper_counts, reduced_counts
 
@@ -163,7 +171,7 @@ PRODUCT_M = 81
 
 def main() -> int:
     """Compare the kernels, ``odd_counts`` and the Fock decomposition with
-    the lists at ``LIMIT``, the reduced weight table with its cells at
+    the lists, and ``series_product_strict`` with the product, at ``LIMIT``, the reduced weight table with its cells at
     ``WEIGHT_M`` and the strict and proper weight tables with the ascending
     product at ``PRODUCT_M``; exit 1 on a mismatch.  A plain comparison,
     not an assert, so that it also runs under -O."""
@@ -178,6 +186,9 @@ def main() -> int:
     same = odd_counts(LIMIT) == odd_counts_by_ascending_parts(LIMIT)
     failed |= not same
     print(f"odd_counts({LIMIT}): {'equal' if same else 'DIFFERS'}")
+    same = series_product_strict(LIMIT) == _product_counts(LIMIT, LIMIT + 1)
+    failed |= not same
+    print(f"series_product_strict({LIMIT}): {'equal' if same else 'DIFFERS'}")
     for n in WEIGHT_RANKS:
         same = fock_matches_convolution(WallParams(n), LIMIT)
         failed |= not same

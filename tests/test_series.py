@@ -4,12 +4,15 @@ from hypothesis import given, strategies as st
 from youngwalls import (
     count_odd,
     count_strict,
+    enumerate_strict,
     odd_counts,
     reciprocal,
     series_product_odd,
     series_product_strict,
     strict_counts,
 )
+from youngwalls import series
+from youngwalls.partitions import _product_counts
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=12)
 
@@ -89,3 +92,39 @@ class TestGeneratingProducts:
     def test_coefficients_match_counting_dp(self, m):
         assert series_product_strict(m)[m] == count_strict(m)
         assert series_product_odd(m)[m] == count_odd(m)
+
+
+class TestStrictByNumberOfParts:
+    """``series_product_strict`` sums t^(k(k+1)/2) / prod_{j <= k} (1 - t^j)
+    over the numbers of parts k, against the product of (1 + t^i) that
+    ``_product_counts`` expands one factor at a time."""
+
+    def test_matches_the_product_to_three_hundred(self):
+        for M in range(301):
+            assert series_product_strict(M) == _product_counts(M, M + 1), M
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_staircase_edges_match_enumeration(self, k):
+        # at T_k = k(k+1)/2 the k-part term first counts, by the staircase
+        # (k, ..., 1) alone; an off-by-one in the bound drops it or reads
+        # past the truncation
+        staircase = k * (k + 1) // 2
+        counts = [len(enumerate_strict(m)) for m in range(staircase + 2)]
+        for M in (staircase - 1, staircase, staircase + 1):
+            assert series_product_strict(M) == counts[: M + 1], M
+
+    @pytest.mark.parametrize("M, parts", [(0, 0), (1, 1), (2, 1), (3, 2), (200, 19),
+                                          (2000, 62)])
+    def test_one_division_per_number_of_parts(self, monkeypatch, M, parts):
+        # K = max{k : k(k+1)/2 <= M} divisions, by (1 - t^k) for k = 1..K;
+        # the product of (1 + t^i) took M steps
+        divisors = []
+        over_one_minus = series._over_one_minus
+
+        def counted(quotient, i, degree, B):
+            divisors.append(i)
+            return over_one_minus(quotient, i, degree, B)
+
+        monkeypatch.setattr(series, "_over_one_minus", counted)
+        assert series_product_strict(M) == _product_counts(M, M + 1)
+        assert divisors == list(range(1, parts + 1))

@@ -16,9 +16,9 @@ DP counts the reduced walls alone: outside ``partitions`` only
 routine, not even the window table ``partitions._windows`` that the
 enumerator and both window DPs read, so the two sides of ``fock`` and
 ``vch`` stay independent code.  The product is expanded by two routines
-alone: ``partitions._product_counts`` for the count tables
-``proper_counts`` and ``series_product_strict``, and
-``partitions._product_table`` for the two weight tables.
+alone: ``partitions._product_counts`` for the count table
+``proper_counts``, and ``partitions._product_table`` for the two weight
+tables.
 ``_product_counts`` and the window DP ``_count_window`` both run on one
 packed integer per series and share its helpers, which read no window
 routine, nor does ``_product_counts``: only ``_count_window`` reads
@@ -27,10 +27,14 @@ on one adjacency is stated once, in ``walls._proper_gap``, which
 ``is_proper``, ``_removable_at`` and ``verify`` read: ``verify`` holds no
 ``%`` at all, and in ``walls`` a ``%`` by delta sits only there and in
 ``_reduced_gap``, the rule with its cap.
-``euler``'s two sides are the product of (1 + t^i) and the odd-part DP:
-``verify`` names neither ``series_product_odd`` nor ``reciprocal``, a second
-odd-parts side, and ``odd_counts`` stays a plain-list DP that names
-neither the packed product nor any of its helpers.  ``verify`` owns its
+``euler``'s two sides are the strict partitions counted by number of
+parts and the odd-part DP: ``verify`` names neither ``series_product_odd``
+nor ``reciprocal``, a second odd-parts side, ``odd_counts`` stays a
+plain-list DP that names neither the packed product nor any of its
+helpers, and ``series_product_strict`` reaches, through the functions it
+calls, no product routine, window routine, pentagonal routine or odd-parts
+routine: its sum over the numbers of parts is a count of its own, not
+another table's.  ``verify`` owns its
 work budget, so that a library ``run_checks`` refuses what the CLI
 refuses: ``cli`` imports no private ``verify`` name, ``cmd_verify`` holds
 no check name, and ``MAX_OBJECTS``, ``MAX_SIZE`` and ``MAX_RANK`` are each
@@ -271,8 +275,7 @@ WINDOW_ROUTINES = {"_windows", "_count_window", "_enumerate_window", "reduced_co
 #: Each product table and the one routine that expands its product.
 PRODUCT_TABLES = {"strict_weight_table": "_product_table",
                   "proper_weight_table": "_product_table",
-                  "proper_counts": "_product_counts",
-                  "series_product_strict": "_product_counts"}
+                  "proper_counts": "_product_counts"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -301,6 +304,30 @@ def test_product_tables_name_no_window_routine():
     assert tables.keys() == PRODUCT_TABLES.keys()
     for name, names in tables.items():
         assert names & WINDOW_ROUTINES == set(), name
+
+
+#: What ``euler``'s strict side may not reach: the product routines, the
+#: window routines, the pentagonal routines and the odd-parts routines.
+OTHER_COUNTS = {"_product_counts", "_product_table", *WINDOW_ROUTINES,
+                "_pentagonal", "_over_euler_product", "strict_counts",
+                "partition_counts", "odd_counts", "series_product_odd", "reciprocal"}
+
+
+def test_strict_series_reads_no_other_count():
+    # every top-level function of the package, by name; a name defined twice
+    # reaches what either definition names
+    calls: dict[str, set[str]] = {}
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.FunctionDef):
+                calls.setdefault(top.name, set()).update(_names(top) - {top.name})
+    reached, todo = set(), ["series_product_strict"]
+    while todo:
+        for name in calls.get(todo.pop(), set()) - reached:
+            reached.add(name)
+            todo.append(name)
+    assert "_over_one_minus" in reached
+    assert reached & OTHER_COUNTS == set()
 
 
 #: The packed-series helpers that _product_counts and _count_window share.
