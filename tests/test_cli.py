@@ -917,18 +917,31 @@ class TestVerify:
         assert first == second
 
 
-#: Help (stdout, exit 0) and usage errors (stderr, exit 2), recorded with
-#: every subparser built, at COLUMNS=80 under CPython 3.11; argparse words
-#: some of them differently in other versions.
+#: Help and a call with an abbreviated option (stdout, exit 0) and usage
+#: errors (stderr, exit 2), recorded with every subparser built, at
+#: COLUMNS=80 (WIDE: 100) under CPython 3.11; argparse words some of them
+#: differently in other versions.
 USAGE = {
     "help.stdout": ["--help"],
+    "enum-help.stdout": ["enum", "--help"],
     "weight-help.stdout": ["weight", "--help"],
+    "map-help.stdout": ["map", "--help"],
+    "vch-help.stdout": ["vch", "--help"],
+    "pschar-help.stdout": ["pschar", "--help"],
+    "count-help.stdout": ["count", "--help"],
     "verify-help.stdout": ["verify", "--help"],
+    "count-abbreviated-option.stdout": ["count", "--set", "strict", "--max", "3"],
     "enum-proper-without-n.stderr": ["enum", "--set", "proper", "--m", "5"],
     "weight-extra-argument.stderr": ["weight", "--n", "3", "--partition", "1",
                                      "extra"],
+    "weight-double-dash.stderr": ["weight", "--n", "3", "--", "--partition", "1"],
+    "verify-unknown-option.stderr": ["verify", "--bogus"],
     "unknown-command.stderr": ["bogus"],
 }
+
+#: At 80 columns, argparse 3.13 wraps these usage lines between an option
+#: and its value, where 3.10 to 3.12 split them.
+WIDE = {"map-help.stdout", "count-help.stdout"}
 
 
 class TestParser:
@@ -950,15 +963,17 @@ class TestParser:
 
     @pytest.mark.parametrize("name", sorted(USAGE))
     def test_help_and_usage_text(self, capsys, monkeypatch, name):
-        monkeypatch.setenv("COLUMNS", "80")
-        with pytest.raises(SystemExit) as excinfo:
-            main(USAGE[name])
+        monkeypatch.setenv("COLUMNS", "100" if name in WIDE else "80")
+        try:
+            code = main(USAGE[name])
+        except SystemExit as exc:  # help and usage errors
+            code = exc.code
         out, err = capsys.readouterr()
         if name.endswith(".stdout"):
             expected_code, text, rest = 0, out, err
         else:
             expected_code, text, rest = 2, err, out
-        assert excinfo.value.code == expected_code
+        assert code == expected_code
         assert text.encode() == (GOLDEN / "usage" / name).read_bytes()
         assert rest == ""
 
