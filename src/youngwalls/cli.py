@@ -198,17 +198,13 @@ def cmd_verify(args: argparse.Namespace) -> Record:
     return params, payload, lines
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser.  Given a command's name, it holds that command's
-    subparser alone, so a call builds only what it runs; otherwise, as for
-    ``--help``, it holds all of them, and an unknown name exits as a usage
-    error."""
+def _commands() -> dict[str, tuple[str, Callable, dict[str, dict[str, Any]]]]:
+    """name: (help, command, options); built per call, so a patched cmd_* runs."""
     sets = {"choices": ("proper", "reduced", "strict"), "required": True}
     rank = {"type": parse_int, "required": True, "help": "wall rank, at least 2"}
     optional_rank = {**rank, "required": False}
     size = {"type": parse_int, "required": True}
-    # name: (help, command, options); built per call, so a patched cmd_* runs
-    commands = {
+    return {
         "enum": ("list a set of partitions of m", cmd_enum,
                  {"--set": sets, "--n": optional_rank, "--m": size}),
         "weight": ("per-color block counts of a wall", cmd_weight, {
@@ -236,37 +232,54 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
                          "help": "degree bound for the series identity"},
             "--checks": {"help": "comma list from: " + ",".join(ALL_CHECKS)}}),
     }
+
+
+def _add_command(parser, name: str, func: Callable, options: dict) -> None:
+    """Give ``parser`` a command's options, ``--format`` and defaults."""
+    for option, keywords in options.items():
+        parser.add_argument(option, **keywords)
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.set_defaults(func=func, command=name)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full CLI parser: all seven commands, each in its subparser."""
     parser = argparse.ArgumentParser(
         prog="youngwalls",
         description="Enumerate constrained walls and strict partitions, compute "
         "weights and characters, run the reduction maps, and verify the "
         "counting and character identities.",
     )
-    metavar = None
-    if only in commands:
-        # the usage line that errors print still lists every command
-        metavar = "{" + ",".join(commands) + "}"
-        commands = {only: commands[only]}
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help_text, func, options) in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        for option, keywords in options.items():
-            p.add_argument(option, **keywords)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(func=func)
-    if only not in commands and only is not None and not only.startswith("-"):
-        # worded here, since argparse drops its quotes on some Python versions
-        parser.error(f"argument command: invalid choice: {only!r} "
-                     f"(choose from {', '.join(map(repr, commands))})")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, *command) in _commands().items():
+        _add_command(sub.add_parser(name, help=help_text), name, *command)
     return parser
+
+
+def parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` as ``build_parser()`` parses it.  The parser of the command
+    that ``argv[0]`` names reads it alone, unless arguments are left over:
+    the full parser words that error, and reads every other ``argv``."""
+    commands = _commands()
+    if argv and argv[0] in commands:
+        parser = argparse.ArgumentParser(prog="youngwalls " + argv[0])
+        _add_command(parser, argv[0], *commands[argv[0]][1:])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    elif argv and not argv[0].startswith("-"):
+        # worded here, since argparse drops its quotes on some Python versions
+        build_parser().error(f"argument command: invalid choice: {argv[0]!r} "
+                             f"(choose from {', '.join(map(repr, commands))})")
+    return build_parser().parse_args(argv)
 
 
 def _to_devnull(stream: Any) -> None:
     """Point a stream whose writes fail at devnull, so that the flush at exit
     stays quiet too (the SIGPIPE note in Python's ``signal`` docs)."""
     with contextlib.suppress(AttributeError, OSError, ValueError):
-        fd = stream.fileno()
-        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
 
 
 def _report(line: str, code: int) -> int:
@@ -282,11 +295,12 @@ def _report(line: str, code: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
+    """Run one call on ``argv`` (default ``sys.argv[1:]``) and return its exit
+    code, 0, 1, 2 or 3.  argparse's ``--help`` and usage errors raise
+    ``SystemExit(0)`` and ``SystemExit(2)`` instead; in-process callers catch it."""
+    args = parse(sys.argv[1:] if argv is None else argv)
     if getattr(args, "set", "strict") != "strict" and args.n is None:
-        parser.error(f"--n is required for --set {args.set}")
+        build_parser().error(f"--n is required for --set {args.set}")
     try:
         if getattr(args, "n", None) is not None:
             WallParams(args.n)  # the rank floor, even where the set reads no rank

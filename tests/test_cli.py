@@ -28,6 +28,7 @@ from youngwalls import (
 from youngwalls.cli import main, parse_n_range, parse_partition
 from youngwalls.verify import ALL_CHECKS, VerificationReport
 
+from argv_fuzz import FUZZ_OPTIONS, differences, fuzz_argv
 from test_golden import COMMANDS, GOLDEN
 
 
@@ -165,6 +166,20 @@ def test_closed_stdout_file_returns_three(capsys, monkeypatch, stdout, stop):
     assert main(["count", "--set", "strict", "--max-m", "4"]) == 3
     assert capsys.readouterr().err == (
         f"internal error: ValueError: I/O operation on closed file{stop}\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_to_devnull_closes_the_descriptor_it_opens():
+    read, write = os.pipe()
+    try:
+        with open(write, "w") as stream:
+            before = os.listdir("/dev/fd")
+            cli._to_devnull(stream)
+            assert sorted(os.listdir("/dev/fd")) == sorted(before)
+            # and the stream's own descriptor now writes to devnull
+            assert os.fstat(write).st_rdev == os.stat(os.devnull).st_rdev
+    finally:
+        os.close(read)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -825,7 +840,7 @@ class TestCount:
                                   ["enum", "--set", "strict", "--m", "60"]])
 def test_long_text_lines_are_built_lazily(argv):
     # a JSON call at the limits formats none of them
-    args = cli.build_parser(argv[0]).parse_args(argv)
+    args = cli.parse(argv)
     *_, lines = args.func(args)
     assert iter(lines) is lines
 
@@ -945,8 +960,9 @@ WIDE = {"map-help.stdout", "count-help.stdout"}
 
 
 class TestParser:
-    """``main`` builds the top-level parser and the subparser of the command
-    it runs; help and usage errors read as they do with all seven built."""
+    """``main`` builds one parser, of the command it runs, when a command
+    comes first, and the full parser of all seven for the rest; help and
+    usage errors read as they do with all seven built."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -981,10 +997,9 @@ class TestParser:
     def test_a_call_builds_its_command_alone(self, capsys, built, name):
         argv = COMMANDS[name]
         assert main(argv) == 0
-        assert len(built) == 2
-        # the filtered parser drops no option or default, --format included
-        assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(
-            cli.build_parser().parse_args(argv))
+        assert len(built) == 1
+        # the command's own parser drops no option or default, --format included
+        assert vars(cli.parse(argv)) == vars(cli.build_parser().parse_args(argv))
 
     @pytest.mark.parametrize("argv", [["--help"], ["bogus"], [],
                                       ["--format", "json", "weight"]])
@@ -1005,56 +1020,9 @@ class TestParser:
         assert run_cli(capsys, *argv) == (3, "", "internal error: RuntimeError: boom\n")
 
 
-#: The values the argv fuzz draws, per kind: those in range, then those out
-#: of range, negative, non-ASCII, with an underscore or malformed.
-FUZZ_VALUES = {
-    "rank": (["2", "3", "5", "2001"],
-             ["1000001", "1", "-2", "３", "3_0", "", "2.0", "0x2"]),
-    "size": (["0", "3", "7", "12"],
-             ["2001", "9" * 20, "-1", "٣", "1_0", " ", "+3", "3e1"]),
-    "partition": (["5,2,1", "14,1", "6,6", "7", "", "9" * 20],
-                  ["1,2", "3,0", "-1", "٧", "1_0", "5, 2", "3,x", ","]),
-    "range": (["2..3", "3..3", "5..6"],
-              ["3..2", "1..3", "2..1000001", "-1..2", "2..", "..3", "2-3",
-               "２..3", "2_0..30", ""]),
-    "set": (["proper", "reduced", "strict"], ["Strict", "walls", ""]),
-    "alg": (["psi", "phi", "psi-inv", "phi-inv"], ["psi_inv", "chi"]),
-    "checks": ([*ALL_CHECKS, "fock,counts", "vch,euler"],
-               ["euler,,vch", "bogus", "FOCK", ""]),
-    "format": (["text", "json"], ["xml", ""]),
-}
-
-#: Each command's options and the kind of value each takes; ``verify``'s
-#: sizes are FUZZ_VALUES' small ones or are refused.
-FUZZ_OPTIONS = {
-    "enum": {"--set": "set", "--n": "rank", "--m": "size"},
-    "count": {"--set": "set", "--n": "rank", "--max-m": "size"},
-    "weight": {"--n": "rank", "--partition": "partition"},
-    "map": {"--alg": "alg", "--n": "rank", "--partition": "partition",
-            "--hat": "partition"},
-    "vch": {"--set": "set", "--n": "rank", "--m": "size"},
-    "pschar": {"--n": "rank", "--degree": "size"},
-    "verify": {"--n-range": "range", "--max-m": "size", "--degree": "size",
-               "--checks": "checks"},
-}
-
-
-def fuzz_argv(rng):
-    """One argv: a command and each of its options and ``--format``, left
-    out one time in ten and given a value out of range or malformed one
-    time in five, a map's ``--trace`` at random, and now and then an
-    unknown option or a stray argument."""
-    command = rng.choice(sorted(FUZZ_OPTIONS))
-    argv = [command]
-    for option, kind in [*FUZZ_OPTIONS[command].items(), ("--format", "format")]:
-        draw = rng.random()
-        if draw >= 0.1:
-            argv += [option, rng.choice(FUZZ_VALUES[kind][draw < 0.3])]
-    if command == "map" and rng.random() < 0.3:
-        argv.append("--trace")
-    if rng.random() < 0.05:
-        argv.append(rng.choice(["--bogus", "extra"]))
-    return argv
+def test_seeded_argv_fuzz_parses_as_the_full_parser():
+    # the larger pass of 3,000 argvs runs in CI: python -O tests/argv_fuzz.py
+    assert differences(300) == []
 
 
 def test_seeded_argv_fuzz_exits_zero_or_two(capsys):
