@@ -257,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse(argv: list[str]) -> argparse.Namespace:
-    """``argv`` as ``build_parser()`` parses it.  The parser of the command
-    that ``argv[0]`` names reads it alone, unless arguments are left over:
-    the full parser words that error, and reads every other ``argv``."""
+    """``argv`` as ``build_parser()`` parses it.  Where ``argv[0]`` names a
+    command, that command's own parser reads the rest alone; the full parser
+    reads every other ``argv``, and one with arguments left over, to word the error."""
     commands = _commands()
     if argv and argv[0] in commands:
         parser = argparse.ArgumentParser(prog="youngwalls " + argv[0])

@@ -26,7 +26,7 @@ from youngwalls import (
     virtual_character,
 )
 from youngwalls.cli import main, parse_n_range, parse_partition
-from youngwalls.verify import ALL_CHECKS, VerificationReport
+from youngwalls.verify import VerificationReport
 
 from argv_fuzz import FUZZ_OPTIONS, differences, fuzz_argv
 from test_golden import COMMANDS, GOLDEN
@@ -954,15 +954,16 @@ USAGE = {
     "unknown-command.stderr": ["bogus"],
 }
 
-#: At 80 columns, argparse 3.13 wraps these usage lines between an option
-#: and its value, where 3.10 to 3.12 split them.
+#: At 80 columns, argparse 3.10 to 3.12 wrap these usage lines between an
+#: option and its value, and 3.13 does not.
 WIDE = {"map-help.stdout", "count-help.stdout"}
 
 
 class TestParser:
-    """``main`` builds one parser, of the command it runs, when a command
-    comes first, and the full parser of all seven for the rest; help and
-    usage errors read as they do with all seven built."""
+    """``main`` builds one parser, the command's own, for a call that names
+    its command first; the full parser of all seven is built for the rest
+    and for the usage errors it words.  Help and usage errors read as they
+    do with all seven built."""
 
     @pytest.fixture
     def built(self, monkeypatch):
